@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import CapExceeded, InvariantViolation
 from .graphs import complement_components, support_graph
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
-from .linalg import QMatrix, Subspace, intersect, kernel_basis
+from .linalg import QMatrix, Subspace, ZMatrix, intersect, kernel_basis
 from .words import standard_generators
 
 DEFAULT_CAP = 10 ** 6
@@ -368,7 +368,7 @@ def h1_witness(g, loop, cap=None):
     for idx, d in complex_data.index_sets[0] if complex_data.index_sets else ():
         offsets[idx[0]] = run
         run += d
-    coords = [Fraction(0)] * complex_data.dims[1] if len(complex_data.dims) > 1 else []
+    column = {}
     for j, vec in chain:
         sub = arrangement.subspaces[j]
         in_w = w.coordinates(list(vec))
@@ -379,10 +379,9 @@ def h1_witness(g, loop, cap=None):
             raise InvariantViolation("chain component escapes its summand")
         base = offsets[j]
         for r, x in enumerate(local):
-            coords[base + r] += x
-    column = QMatrix([[x] for x in coords], cols=1)
-    image = complex_data.boundaries[1].mul(column)
-    if not image.is_zero():
+            column[base + r] = column.get(base + r, 0) + x
+    cycle = ZMatrix.scaled(complex_data.dims[1], [column])
+    if not complex_data.boundaries[1].mul(cycle).is_zero():
         raise InvariantViolation("witness chain is not a cycle of the complex")
 
     # cocycle: the (a, K_1) coordinate functional on every delta-p-set

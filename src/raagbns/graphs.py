@@ -42,9 +42,12 @@ class SimpleGraph:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or "vertices" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
             raise MalformedInput('graph JSON needs {"vertices": [...], "edges": [...]}')
-        return cls(data["vertices"], data.get("edges", []))
+        edges = data.get("edges", [])
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise MalformedInput("graph JSON edges must be a list of two-vertex lists")
+        return cls(data["vertices"], edges)
 
     @classmethod
     def from_text(cls, text):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, MalformedInput
-from .linalg import QMatrix, Subspace, intersect, parse_rational, rank, span_sum, subspace_leq
+from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, span_sum, subspace_leq
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,18 @@ class Arrangement:
         if not isinstance(data, dict) or "ambient_dim" not in data:
             raise MalformedInput('arrangement JSON needs {"ambient_dim": n, "subspaces": [...]}')
         n = data["ambient_dim"]
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise MalformedInput("ambient_dim must be a nonnegative integer")
+        subspaces = data.get("subspaces", [])
+        if not isinstance(subspaces, list):
+            raise MalformedInput("subspaces must be a list of subspaces")
         subs = []
-        for rows in data.get("subspaces", []):
+        for rows in subspaces:
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise MalformedInput("each subspace must be a list of rows, each row a list")
             vectors = []
             for row in rows:
-                vec = [parse_rational(tok) for tok in row]
+                vec = [_json_rational(tok) for tok in row]
                 if len(vec) != n:
                     raise MalformedInput("subspace row length disagrees with ambient_dim")
                 vectors.append(vec)
@@ -49,10 +54,19 @@ class Arrangement:
         }
 
 
+def _json_rational(token):
+    """A "p/q" string or a JSON integer (not a bool or a float)."""
+    if isinstance(token, str):
+        return parse_rational(token)
+    if isinstance(token, int) and not isinstance(token, bool):
+        return Fraction(token)
+    raise MalformedInput(f"matrix entries must be \"p/q\" strings or integers, not {token!r}")
+
+
 @dataclass(frozen=True)
 class ChainComplexData:
     dims: tuple
-    boundaries: tuple  # boundaries[k] is the matrix of d_k : C_k -> C_{k-1}
+    boundaries: tuple  # boundaries[k]: ZMatrix of a positive multiple of d_k : C_k -> C_{k-1}
     index_sets: tuple  # per degree >= 1, tuple of (index tuple, dim V_J)
 
 
@@ -108,30 +122,28 @@ def build_chain_complex(a):
             run += space.dim
         offsets.append(offs)
 
-    boundaries = [QMatrix([], cols=n)]  # d_0 : C_0 -> 0
+    boundaries = [ZMatrix(0, [{}] * n)]  # d_0 : C_0 -> 0
     for k, level in enumerate(levels, start=1):
-        rows_out = dims[k - 1]
-        cols_out = dims[k]
         parent = dict(levels[k - 2]) if k >= 2 else {}
-        cells = [[Fraction(0)] * cols_out for _ in range(rows_out)]
-        col = 0
+        columns = []
         for idx, space in level:
             for v in space.basis.entries:
                 if k == 1:
-                    for r, x in enumerate(v):
-                        cells[r][col] = x
-                else:
-                    for i in range(k):
-                        target = idx[:i] + idx[i + 1:]
-                        sign = 1 if i % 2 == 0 else -1
-                        coords = parent[target].coordinates(v)
-                        if coords is None:
-                            raise InvariantViolation("intersection escaped its parent summand")
-                        base = offsets[k - 2][target]
-                        for r, x in enumerate(coords):
-                            cells[base + r][col] += sign * x
-                col += 1
-        boundaries.append(QMatrix(cells, cols=cols_out))
+                    columns.append({r: x for r, x in enumerate(v) if x})
+                    continue
+                column = {}
+                for i in range(k):
+                    target = idx[:i] + idx[i + 1:]
+                    sign = 1 if i % 2 == 0 else -1
+                    coords = parent[target].coordinates(v)
+                    if coords is None:
+                        raise InvariantViolation("intersection escaped its parent summand")
+                    base = offsets[k - 2][target]
+                    for r, x in enumerate(coords):
+                        if x:
+                            column[base + r] = column.get(base + r, 0) + sign * x
+                columns.append(column)
+        boundaries.append(ZMatrix.scaled(dims[k - 1], columns))
 
     index_sets = tuple(
         tuple((idx, space.dim) for idx, space in level) for level in levels
@@ -139,30 +151,36 @@ def build_chain_complex(a):
     return ChainComplexData(tuple(dims), tuple(boundaries), index_sets)
 
 
-def verify_complex(c):
-    """True iff boundary squares to zero and all dimensions line up."""
+def complex_defect(c):
+    """None for a well-formed complex, else what is wrong with it: the
+    degree, the failed check and the matrix shapes involved."""
     if len(c.boundaries) != len(c.dims):
-        return False
-    if c.boundaries[0].rows != 0:
-        return False
-    for k in range(len(c.dims)):
-        b = c.boundaries[k]
-        if b.cols != c.dims[k]:
-            return False
-        if k >= 1 and b.rows != c.dims[k - 1]:
-            return False
+        return f"{len(c.boundaries)} boundary maps for {len(c.dims)} degrees"
+    for k, b in enumerate(c.boundaries):
+        rows = c.dims[k - 1] if k >= 1 else 0
+        if (b.rows, b.cols) != (rows, c.dims[k]):
+            return f"degree {k}: d_{k} is {b.rows}x{b.cols}, expected {rows}x{c.dims[k]}"
     for k in range(2, len(c.dims)):
-        if not c.boundaries[k - 1].mul(c.boundaries[k]).is_zero():
-            return False
+        before, b = c.boundaries[k - 1], c.boundaries[k]
+        if not before.mul(b).is_zero():
+            return (
+                f"degree {k}: d_{k - 1} d_{k} is nonzero "
+                f"(d_{k - 1} is {before.rows}x{before.cols}, d_{k} is {b.rows}x{b.cols})"
+            )
     for k, level in enumerate(c.index_sets, start=1):
         if k < len(c.dims) and sum(d for _, d in level) != c.dims[k]:
-            return False
-    return True
+            return f"degree {k}: summand dimensions add up to {sum(d for _, d in level)}, not {c.dims[k]}"
+    return None
+
+
+def verify_complex(c):
+    """True iff boundary squares to zero and all dimensions line up."""
+    return complex_defect(c) is None
 
 
 def betti_numbers(c):
     if not verify_complex(c):
-        raise InvariantViolation("ill-formed chain complex")
+        raise InvariantViolation(f"ill-formed chain complex: {complex_defect(c)}")
     ranks = [rank(b) for b in c.boundaries] + [0]
     betti = tuple(c.dims[k] - ranks[k] - ranks[k + 1] for k in range(len(c.dims)))
     euler = sum((-1) ** k * b for k, b in enumerate(betti))

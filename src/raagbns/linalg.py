@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything is built on fractions.Fraction; there are no floats anywhere.
-Subspaces are stored as RREF bases so that equality of subspaces is
-literal equality of the stored data.
+Everything is built on fractions.Fraction and Python ints; there are no
+floats anywhere.  Subspaces are stored as RREF bases so that equality of
+subspaces is literal equality of the stored data.  Chain-complex
+boundaries use ZMatrix, a sparse integer matrix held by columns, whose
+products and ranks never leave the integers.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import MalformedInput
 
@@ -28,7 +31,7 @@ class QMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries, cols=None):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in entries)
         if rows:
             cols = len(rows[0])
             if any(len(r) != cols for r in rows):
@@ -57,9 +60,6 @@ class QMatrix:
     def zero(cls, rows, cols):
         return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
 
-    def row(self, i):
-        return self.entries[i]
-
     def transpose(self):
         if self.entries:
             return QMatrix(list(zip(*self.entries)), cols=self.rows)
@@ -79,9 +79,6 @@ class QMatrix:
             raise ValueError("dimension mismatch in row stack")
         return QMatrix(self.entries + other.entries, cols=max(self.cols, other.cols))
 
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
-
     def to_token_rows(self):
         return [[format_rational(x) for x in row] for row in self.entries]
 
@@ -94,6 +91,57 @@ class QMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.entries)
         return f"QMatrix({self.rows}x{self.cols}: {body})"
+
+
+class ZMatrix:
+    """Sparse integer matrix held as columns: columns[j] maps the row of
+    each nonzero entry of column j to that entry."""
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows, columns):
+        self.rows = rows
+        self.columns = tuple(columns)
+        self.cols = len(self.columns)
+
+    @classmethod
+    def scaled(cls, rows, columns):
+        """Integer matrix from columns of rational {row: value} maps, the
+        whole matrix multiplied by the LCM of its denominators.  A scalar
+        multiple keeps the rank and whether a product with it is zero."""
+        scale = lcm(*{x.denominator for col in columns for x in col.values()})
+        return cls(rows, [{r: x.numerator * (scale // x.denominator) for r, x in col.items() if x} for col in columns])
+
+    @classmethod
+    def from_qmatrix(cls, m):
+        return cls.scaled(m.rows, [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)])
+
+    @property
+    def entries(self):
+        """Dense rows of ints, built on each access."""
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                dense[i][j] = x
+        return tuple(tuple(row) for row in dense)
+
+    def mul(self, other):
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        out = []
+        for col in other.columns:
+            acc = {}
+            for k, y in col.items():
+                for i, x in self.columns[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append({i: x for i, x in acc.items() if x})
+        return ZMatrix(self.rows, out)
+
+    def is_zero(self):
+        return not any(self.columns)
+
+    def __repr__(self):
+        return f"ZMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} nonzero)"
 
 
 def rref(m):
@@ -124,7 +172,37 @@ def rref(m):
 
 
 def rank(m):
-    return rref(m)[1]
+    """Rank of a ZMatrix (or of a QMatrix, converted first).
+
+    Fraction-free column elimination in the style of Bareiss (Math. Comp.
+    22, 1968): a column whose lowest nonzero row is already owned by a
+    pivot column is replaced by an integer combination of the two that
+    clears that row, then divided by the gcd of its entries.  The columns
+    left nonzero have distinct lowest rows, so they count the rank.
+    """
+    if isinstance(m, QMatrix):
+        m = ZMatrix.from_qmatrix(m)
+    pivots = {}  # lowest nonzero row -> the reduced column that owns it
+    for col in m.columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            g = gcd(pivot[low], col[low])
+            a, b = pivot[low] // g, col[low] // g
+            col = {r: a * x for r, x in col.items()}
+            for r, y in pivot.items():
+                x = col.get(r, 0) - b * y
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            g = gcd(*col.values())
+            if g > 1:
+                col = {r: x // g for r, x in col.items()}
+    return len(pivots)
 
 
 def pivot_columns(reduced):

@@ -1,6 +1,9 @@
 """Brute-force oracles shared by the unit and acceptance suites."""
 
 import itertools
+from fractions import Fraction
+
+from raagbns.linalg import QMatrix, intersect, rref
 
 
 def rewriting_closure(g, word):
@@ -52,3 +55,63 @@ def brute_force_partition_witness(members, cross_ok):
         if all(cross_ok(x, y) for x in side1 for y in side2):
             return side1, side2
     return None
+
+
+def rref_rank(m):
+    """Rank of a QMatrix read off its dense Fraction RREF."""
+    return rref(m)[1]
+
+
+def dense_product_is_zero(a, b):
+    """Whether the dense Fraction product of two QMatrix values is zero."""
+    return all(x == 0 for row in a.mul(b).entries for x in row)
+
+
+def dense_chain_complex(a):
+    """(dims, boundaries) of the chain complex of arrangement `a`, with
+    each boundary d_k a dense QMatrix of Fractions, unscaled: the same
+    summands and bases as homology.build_chain_complex."""
+    subs = list(a.subspaces)
+    levels = []
+    level = [((i,), s) for i, s in enumerate(subs) if s.dim > 0]
+    while level:
+        levels.append(level)
+        level = [
+            (idx + (j,), meet)
+            for idx, space in level
+            for j in range(idx[-1] + 1, len(subs))
+            if subs[j].dim > 0 and (meet := intersect([space, subs[j]])).dim > 0
+        ]
+    dims = [a.ambient_dim] + [sum(s.dim for _, s in lv) for lv in levels]
+    offsets = []
+    for lv in levels:
+        offs, run = {}, 0
+        for idx, s in lv:
+            offs[idx] = run
+            run += s.dim
+        offsets.append(offs)
+    boundaries = [QMatrix([], cols=a.ambient_dim)]
+    for k, lv in enumerate(levels, start=1):
+        parent = dict(levels[k - 2]) if k >= 2 else {}
+        cells = [[Fraction(0)] * dims[k] for _ in range(dims[k - 1])]
+        col = 0
+        for idx, space in lv:
+            for v in space.basis.entries:
+                if k == 1:
+                    for r, x in enumerate(v):
+                        cells[r][col] = x
+                else:
+                    for i in range(k):
+                        target = idx[:i] + idx[i + 1:]
+                        coords = parent[target].coordinates(v)
+                        for r, x in enumerate(coords):
+                            cells[offsets[k - 2][target] + r][col] += (-1) ** i * x
+                col += 1
+        boundaries.append(QMatrix(cells, cols=dims[k]))
+    return tuple(dims), boundaries
+
+
+def dense_betti(dims, boundaries):
+    """Betti numbers from dense_chain_complex output, by rref ranks."""
+    ranks = [rref_rank(b) for b in boundaries] + [0]
+    return tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims)))

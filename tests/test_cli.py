@@ -149,6 +149,63 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+THREE_LINES = [[["1", "0"]], [["0", "1"]], [["1", "1"]]]
+
+
+def test_homology_accepts_json_integers(capsys, tmp_path):
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps({"ambient_dim": 2, "subspaces": THREE_LINES}))
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps({"ambient_dim": 2, "subspaces": [[[1, 0]], [[0, 1]], [[1, 1]]]}))
+    assert main(["homology", str(strings)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["homology", str(ints)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "arrangement",
+    [
+        {"ambient_dim": 2, "subspaces": 5},
+        {"ambient_dim": 2, "subspaces": [5]},
+        {"ambient_dim": 2, "subspaces": [["1", "0"]]},
+        {"ambient_dim": 2, "subspaces": [[[True, 0]]]},
+        {"ambient_dim": 2, "subspaces": [[[1.0, 0]]]},
+        {"ambient_dim": 2, "subspaces": [[[None, "0"]]]},
+        {"ambient_dim": True, "subspaces": [[["1"]]]},
+    ],
+    ids=["subspaces-int", "subspace-int", "row-string", "bool-entry", "float-entry", "null-entry", "bool-dim"],
+)
+def test_malformed_arrangement_exits_2(capsys, tmp_path, arrangement):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(arrangement))
+    assert main(["homology", str(bad)]) == 2
+    one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": ["a", "b"], "edges": [["a"]]},
+        {"vertices": ["a", "b"], "edges": "ab"},
+        {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+        {"vertices": 5, "edges": []},
+    ],
+    ids=["one-vertex-edge", "string-edges", "three-vertex-edge", "int-vertices"],
+)
+def test_malformed_graph_edges_exit_2(capsys, tmp_path, graph):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    assert main(["classify", str(bad)]) == 2
+    one_line_error(capsys)
+
+
 def test_cap_exceeded_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", "10")
     big = tmp_path / "f5.json"

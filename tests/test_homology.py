@@ -1,10 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_betti, dense_chain_complex, dense_product_is_zero
+from raagbns.bns import pso_arrangement, psa_arrangement, raag_arrangement
 from raagbns.errors import InvariantViolation
+from raagbns.graphs import SimpleGraph
 from raagbns.homology import (
     Arrangement,
     ChainComplexData,
@@ -15,7 +19,7 @@ from raagbns.homology import (
     maximal_filter,
     verify_complex,
 )
-from raagbns.linalg import QMatrix, Subspace
+from raagbns.linalg import QMatrix, Subspace, ZMatrix
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -69,7 +73,8 @@ def test_single_full_subspace():
     a = Arrangement(3, (Subspace.full(3),))
     c = build_chain_complex(a)
     assert c.dims == (3, 3)
-    assert c.boundaries[1] == QMatrix.identity(3)
+    assert c.boundaries[1].columns == ({0: 1}, {1: 1}, {2: 1})
+    assert c.boundaries[1].entries == QMatrix.identity(3).entries
 
 
 def test_verify_complex_good():
@@ -78,18 +83,26 @@ def test_verify_complex_good():
 
 def test_verify_complex_corrupted_sign():
     c = build_chain_complex(four_planes())
-    rows = [list(r) for r in c.boundaries[2].entries]
-    flipped = False
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != 0 and not flipped:
-                rows[i][j] = -x
-                flipped = True
-    bad = ChainComplexData(
-        c.dims, (c.boundaries[0], c.boundaries[1], QMatrix(rows)), c.index_sets
-    )
+    d2 = c.boundaries[2]
+    # flip the first nonzero entry in row-major order
+    i = min(r for col in d2.columns for r in col)
+    j = next(j for j, col in enumerate(d2.columns) if i in col)
+    columns = [dict(col) for col in d2.columns]
+    columns[j][i] = -columns[j][i]
+    flipped = ZMatrix(d2.rows, columns)
+    bad = ChainComplexData(c.dims, (c.boundaries[0], c.boundaries[1], flipped), c.index_sets)
     assert not verify_complex(bad)
-    with pytest.raises(InvariantViolation):
+    assert not dense_product_is_zero(QMatrix(c.boundaries[1].entries), QMatrix(flipped.entries))
+    with pytest.raises(InvariantViolation, match=r"degree 2: d_1 d_2 is nonzero \(d_1 is 3x8, d_2 is 8x6\)"):
+        betti_numbers(bad)
+
+
+def test_ill_formed_complex_names_degree_and_shapes():
+    c = build_chain_complex(four_planes())
+    short = ZMatrix(c.dims[1] - 1, c.boundaries[2].columns)
+    bad = ChainComplexData(c.dims, (c.boundaries[0], c.boundaries[1], short), c.index_sets)
+    assert not verify_complex(bad)
+    with pytest.raises(InvariantViolation, match=r"degree 2: d_2 is 7x6, expected 8x6"):
         betti_numbers(bad)
 
 
@@ -146,9 +159,9 @@ def test_coordinate_arrangements_dim3_exhaustive():
 small_entry = st.integers(-3, 3)
 
 
-def arrangements(max_dim=5, max_subspaces=4, max_gens=3):
+def arrangements(max_dim=5, max_subspaces=4, max_gens=3, entry=small_entry):
     def build(n):
-        vector = st.lists(small_entry, min_size=n, max_size=n)
+        vector = st.lists(entry, min_size=n, max_size=n)
         subspace = st.lists(vector, min_size=1, max_size=max_gens).map(
             lambda vs: Subspace.from_vectors(n, vs)
         )
@@ -220,3 +233,54 @@ def test_arrangement_json_round_trip():
     a = four_planes()
     again = Arrangement.from_json(a.to_json())
     assert again == a
+
+
+def assert_scaled_copy(sparse, dense):
+    """sparse is a positive integer multiple of the dense Fraction matrix."""
+    assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols)
+    pairs = [(x, y) for srow, drow in zip(sparse.entries, dense.entries) for x, y in zip(srow, drow)]
+    scale = next((Fraction(x) / y for x, y in pairs if y), Fraction(1))
+    assert scale > 0
+    assert all(type(x) is int and x == scale * y for x, y in pairs)
+
+
+def assert_matches_dense_oracle(a):
+    c = build_chain_complex(a)
+    dims, dense = dense_chain_complex(a)
+    assert c.dims == dims
+    for sparse_d, dense_d in zip(c.boundaries, dense, strict=True):
+        assert_scaled_copy(sparse_d, dense_d)
+    assert betti_numbers(c).betti == dense_betti(dims, dense)
+    return c, dense
+
+
+rational_entry = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+
+
+@given(arrangements(max_dim=4, entry=rational_entry))
+@settings(max_examples=80, deadline=None)
+def test_sparse_complex_matches_dense_oracle(a):
+    c, dense = assert_matches_dense_oracle(a)
+    for k in range(2, len(c.dims)):
+        assert c.boundaries[k - 1].mul(c.boundaries[k]).is_zero()
+        assert dense_product_is_zero(dense[k - 1], dense[k])
+
+
+# the six fixed graphs of the benchmark's homology workload
+BENCH_GRAPHS = {
+    "cycle6": SimpleGraph("abcdef", list(zip("abcdef", "bcdefa"))),
+    "path8": SimpleGraph("abcdefgh", list(zip("abcdefgh", "bcdefgh"))),
+    "k33": SimpleGraph("abcxyz", [(u, w) for u in "abc" for w in "xyz"]),
+    "edgeless5": SimpleGraph("abcde", []),
+    "star5": SimpleGraph("abcdex", [(v, "x") for v in "abcde"]),
+    "two_triangles": SimpleGraph(
+        "abcdef", [("a", "b"), ("a", "c"), ("b", "c"), ("d", "e"), ("d", "f"), ("e", "f"), ("c", "d")]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GRAPHS))
+def test_graph_arrangements_match_dense_oracle(name):
+    g = BENCH_GRAPHS[name]
+    for a in (raag_arrangement(g), psa_arrangement(g), pso_arrangement(g)[1]):
+        assert_matches_dense_oracle(maximal_filter(a))

@@ -3,9 +3,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_product_is_zero, rref_rank
 from raagbns.linalg import (
     QMatrix,
     Subspace,
+    ZMatrix,
     intersect,
     kernel_basis,
     parse_rational,
@@ -178,3 +180,49 @@ def test_intersection_commutes_and_is_monotone(pair):
 def test_dimension_formula(pair):
     a, b = pair
     assert span_sum([a, b]).dim + intersect([a, b]).dim == a.dim + b.dim
+
+
+# p/q entries with mixed denominators, plenty of zeros, and every shape
+# down to 0 x c and r x 0
+sparse_fraction = st.one_of(st.just(Fraction(0)), st.fractions(-50, 50, max_denominator=12))
+
+
+def any_matrices(max_rows=6, max_cols=6):
+    def of_shape(r, c):
+        rows = st.lists(st.lists(sparse_fraction, min_size=c, max_size=c), min_size=r, max_size=r)
+        return rows.map(lambda rows: QMatrix(rows, cols=c))
+
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(lambda rc: of_shape(*rc))
+
+
+@given(any_matrices(), st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_rref_oracle(m, zero_row, zero_col):
+    assert rank(m) == rref_rank(m)
+    # the same matrix with one row and one column cleared
+    cleared = QMatrix(
+        [[0 if i == zero_row or j == zero_col else x for j, x in enumerate(row)] for i, row in enumerate(m.entries)],
+        cols=m.cols,
+    )
+    assert rank(cleared) == rref_rank(cleared)
+
+
+def test_zmatrix_scales_by_lcm():
+    z = ZMatrix.from_qmatrix(QMatrix([[Fraction(1, 2), 0], [Fraction(-2, 3), 1]]))
+    assert z.columns == ({0: 3, 1: -4}, {1: 6})
+    assert z.entries == ((3, 0), (-4, 6))
+
+
+@given(any_matrices(max_rows=4, max_cols=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_product_matches_dense(a, data):
+    # a random right factor, and one made of kernel vectors (zero product)
+    b = data.draw(
+        st.lists(st.lists(sparse_fraction, min_size=3, max_size=3), min_size=a.cols, max_size=a.cols).map(
+            lambda rows: QMatrix(rows, cols=3)
+        )
+    )
+    for right in (b, kernel_basis(a).basis.transpose()):
+        product = ZMatrix.from_qmatrix(a).mul(ZMatrix.from_qmatrix(right))
+        assert product.is_zero() == dense_product_is_zero(a, right)
+        assert rank(product) == rref_rank(a.mul(right))
