@@ -13,11 +13,11 @@ coordinates sum to zero.
 
 import itertools
 import os
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import CapExceeded, InvariantViolation, MalformedInput
 from .graphs import complement_components, support_graph
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
 from .linalg import QMatrix, Subspace, ZMatrix, intersect, kernel_basis
@@ -31,9 +31,12 @@ def enumeration_cap():
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_CAP
+        cap = -1
+    if cap < 0:
+        raise MalformedInput(f"RAAGBNS_CAP must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def generator_symbol(gen):
@@ -65,44 +68,56 @@ def generator_basis(g):
     return CharacterBasis(tuple(standard_generators(g)))
 
 
-def _connected(g, subset):
-    subset = set(subset)
-    if not subset:
-        return True
-    root = next(iter(sorted(subset)))
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g._adj[u]:
-            if w in subset and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == subset
+def _neighbour_masks(items, joined):
+    """Bit of each item (by position) -> bits of the other items it is
+    joined to."""
+    bits = [1 << i for i in range(len(items))]
+    return {
+        bits[i]: sum(bits[j] for j, y in enumerate(items) if j != i and joined(x, y))
+        for i, x in enumerate(items)
+    }
 
 
-def maximal_disconnected_subsets(g):
+def _component(s, neighbours):
+    """Bitmask of the component, inside bitmask s, of the least member
+    of s; `neighbours` maps each member's bit to its neighbours' bits."""
+    comp = frontier = s & -s
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= neighbours[low]
+            frontier ^= low
+        frontier = grow & s & ~comp
+        comp |= frontier
+    return comp
+
+
+def _members_of(members, s):
+    return tuple(m for i, m in enumerate(members) if s >> i & 1)
+
+
+def maximal_disconnected_subsets(g, cap=None):
     """All vertex subsets inducing a disconnected subgraph and maximal
     with that property.  A subset fails maximality iff some single added
     vertex keeps it disconnected."""
     vs = sorted(g.vertices)
-    out = []
-    for r in range(2, len(vs) + 1):
-        for subset in itertools.combinations(vs, r):
-            if _connected(g, subset):
-                continue
-            rest = [v for v in vs if v not in subset]
-            if any(not _connected(g, subset + (v,)) for v in rest):
-                continue
-            out.append(subset)
-    return sorted(out)
+    n = len(vs)
+    _admit(2 ** n, cap, f"disconnected-subset enumeration over {n} vertices would scan {2 ** n} subsets")
+    adjacency = _neighbour_masks(vs, g.adjacent)
+    disconnected = {s for s in range(1 << n) if _component(s, adjacency) != s}
+    return sorted(
+        _members_of(vs, s)
+        for s in disconnected
+        if not any(s | b in disconnected for b in adjacency if not s & b)
+    )
 
 
-def raag_arrangement(g):
+def raag_arrangement(g, cap=None):
     vs = sorted(g.vertices)
     basis = CharacterBasis(tuple(vs))
     subs = []
-    for subset in maximal_disconnected_subsets(g):
+    for subset in maximal_disconnected_subsets(g, cap):
         subs.append(Subspace.from_vectors(basis.dim, [basis.unit(v) for v in subset]))
     return Arrangement(basis.dim, tuple(subs))
 
@@ -129,60 +144,26 @@ def _delta_cross_ok(x, y):
     return a in l or b in k or k == l
 
 
-def _partition_witness(members, cross_ok):
-    """Split the failure graph's components in two; None when it is
-    connected (then no valid 2-partition exists)."""
-    members = sorted(members)
-    if len(members) < 2:
+def _witness(chosen, cross_ok, per_multiplier):
+    members = [(a, tuple(k)) for a, k in chosen]
+    if any(c != per_multiplier for c in Counter(a for a, _ in members).values()):
         return None
-    adj = {m: [] for m in members}
-    for x, y in itertools.combinations(members, 2):
-        if not cross_ok(x, y):
-            adj[x].append(y)
-            adj[y].append(x)
-    seen = set()
-    components = []
-    for root in members:
-        if root in seen:
-            continue
-        comp = []
-        queue = deque([root])
-        seen.add(root)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        components.append(sorted(comp))
-    if len(components) < 2:
+    members = sorted(set(members))
+    full = (1 << len(members)) - 1
+    comp = _component(full, _neighbour_masks(members, lambda x, y: not cross_ok(x, y)))
+    if comp == full:
         return None
-    side1 = tuple(components[0])
-    side2 = tuple(m for comp in components[1:] for m in comp)
-    return side1, tuple(sorted(side2))
+    return _members_of(members, comp), _members_of(members, full & ~comp)
 
 
 def is_pset(s):
     """Partition witness for the one-per-multiplier family, or None."""
-    members = sorted(tuple((a, tuple(k)) for a, k in s))
-    counts = {}
-    for a, _ in members:
-        counts[a] = counts.get(a, 0) + 1
-    if any(c > 1 for c in counts.values()):
-        return None
-    return _partition_witness(members, _pset_cross_ok)
+    return _witness(s, _pset_cross_ok, 1)
 
 
 def is_delta_pset(s):
     """Partition witness for the two-per-multiplier family, or None."""
-    members = sorted(tuple((a, tuple(k)) for a, k in s))
-    counts = {}
-    for a, _ in members:
-        counts[a] = counts.get(a, 0) + 1
-    if any(c != 2 for c in counts.values()):
-        return None
-    return _partition_witness(members, _delta_cross_ok)
+    return _witness(s, _delta_cross_ok, 2)
 
 
 def _per_multiplier_options(g, arity):
@@ -202,53 +183,80 @@ def _per_multiplier_options(g, arity):
     return options
 
 
-def _enumerate_valid(g, arity, validator, cap):
+def _choice_tree_size(options):
+    """Nodes of the choice tree that picks one option per multiplier in
+    turn: the root plus, at each depth, the product of the option counts
+    above it."""
+    nodes = level = 1
+    for choices in options:
+        level *= len(choices)
+        nodes += level
+    return nodes
+
+
+def _admit(size, cap, claim):
+    """Refuse, before any work, an enumeration of `size` steps over the
+    cap (the configured one when `cap` is None); `claim` says what it
+    would do."""
+    cap = enumeration_cap() if cap is None else cap
+    if size > cap:
+        raise CapExceeded(f"{claim}, over the cap of {cap}; raise RAAGBNS_CAP to insist")
+
+
+def _unions(option_masks):
+    out = [0]
+    for choices in option_masks:
+        out = [s | c for s in out for c in choices]
+    return out
+
+
+def _maximal_valid(g, arity, cross_ok, name, cap):
+    """(members, witness) of every inclusion-maximal valid set among the
+    choice tree's leaves, sorted by members.
+
+    A valid set is non-maximal iff one option at one unused multiplier
+    extends it to a valid set: if T > S is valid with sides A | B, either
+    S meets both sides and any added option keeps them apart, or S lies
+    in A and the option holding a member of B does.
+    """
     options = _per_multiplier_options(g, arity)
-    valid = []
-    nodes = 0
-
-    def walk(i, chosen):
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise CapExceeded(
-                f"(delta-)p-set enumeration passed {cap} nodes; "
-                "raise RAAGBNS_CAP to insist"
-            )
-        if i == len(options):
-            if len(chosen) >= 2:
-                witness = validator(chosen)
-                if witness is not None:
-                    valid.append((tuple(chosen), witness))
-            return
-        for choice in options[i]:
-            walk(i + 1, chosen + list(choice))
-
-    walk(0, [])
-    return valid
-
-
-def _maximal_only(valid):
-    keyed = {frozenset(members): (members, witness) for members, witness in valid}
-    out = []
-    for key, (members, witness) in keyed.items():
-        if any(other > key for other in keyed):
-            continue
-        out.append((members, witness))
+    nodes = _choice_tree_size(options)
+    _admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
+    members = sorted({m for choices in options for choice in choices for m in choice})
+    bit = {m: 1 << i for i, m in enumerate(members)}
+    failure = _neighbour_masks(members, lambda x, y: not cross_ok(x, y))
+    option_masks = [[sum(bit[m] for m in choice) for choice in choices] for choices in options]
+    # leaves are unions of a head over the first half of the multipliers
+    # and a tail over the rest, so only the halves are ever listed
+    half = len(option_masks) // 2
+    tails = _unions(option_masks[half:])
+    valid = {}
+    for head in _unions(option_masks[:half]):
+        for tail in tails:
+            s = head | tail
+            comp = _component(s, failure)
+            if comp != s:
+                valid[s] = comp
+    # (bits of a multiplier's members, its non-empty options)
+    extensions = [
+        (sum({bit[m] for choice in choices for m in choice}), choice_masks[1:])
+        for choices, choice_masks in zip(options, option_masks)
+    ]
+    out = [
+        (_members_of(members, s), (_members_of(members, comp), _members_of(members, s & ~comp)))
+        for s, comp in valid.items()
+        if not any(s | c in valid for used, choices in extensions if not s & used for c in choices)
+    ]
     out.sort(key=lambda mw: mw[0])
     return out
 
 
 def maximal_psets(g, cap=None):
-    cap = enumeration_cap() if cap is None else cap
-    valid = _enumerate_valid(g, {1}, is_pset, cap)
-    return [PSet(m, w) for m, w in _maximal_only(valid)]
+    return [PSet(m, w) for m, w in _maximal_valid(g, {1}, _pset_cross_ok, "p-set", cap)]
 
 
 def maximal_delta_psets(g, cap=None):
-    cap = enumeration_cap() if cap is None else cap
-    valid = _enumerate_valid(g, {2}, is_delta_pset, cap)
-    return [DeltaPSet(m, w) for m, w in _maximal_only(valid)]
+    return [DeltaPSet(m, w) for m, w in _maximal_valid(g, {2}, _delta_cross_ok, "delta-p-set", cap)]
 
 
 def _pset_subspace(basis, members):
@@ -268,10 +276,15 @@ def _delta_subspace(basis, members):
     return Subspace.from_vectors(basis.dim, vectors)
 
 
-def psa_arrangement(g, cap=None):
+def psa_arrangement(g, cap=None, deltas=None):
+    """Coordinate subspaces of the maximal p-sets, then difference
+    subspaces of the maximal delta-p-sets (`deltas`, when the caller
+    already has them)."""
     basis = generator_basis(g)
     subs = [_pset_subspace(basis, p.members) for p in maximal_psets(g, cap)]
-    subs += [_delta_subspace(basis, d.members) for d in maximal_delta_psets(g, cap)]
+    if deltas is None:
+        deltas = maximal_delta_psets(g, cap)
+    subs += [_delta_subspace(basis, d.members) for d in deltas]
     return Arrangement(basis.dim, tuple(subs))
 
 
@@ -295,16 +308,18 @@ def pso_hom_space(g):
     return kernel_basis(pso_relator_matrix(g))
 
 
-def pso_arrangement(g, cap=None):
+def pso_arrangement(g, cap=None, deltas=None):
     """(W, arrangement in W coordinates, delta-p-sets in matching order).
 
     The arrangement is deliberately unfiltered so that subspace indices
     line up with the delta-p-set list; homology callers apply
-    maximal_filter themselves.
+    maximal_filter themselves.  `deltas` are the maximal delta-p-sets,
+    when the caller already has them.
     """
     basis = generator_basis(g)
     w = pso_hom_space(g)
-    deltas = maximal_delta_psets(g, cap)
+    if deltas is None:
+        deltas = maximal_delta_psets(g, cap)
     subs = []
     for d in deltas:
         ambient_sub = _delta_subspace(basis, d.members)
@@ -418,9 +433,10 @@ def _w_to_ambient(w, coords):
 
 def euler_report(g, cap=None):
     """Betti profiles for the three groups' arrangements."""
-    raag = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g))))
-    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap))))
-    _, pso_arr, _ = pso_arrangement(g, cap)
+    raag = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g, cap))))
+    deltas = maximal_delta_psets(g, cap)
+    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap, deltas))))
+    _, pso_arr, _ = pso_arrangement(g, cap, deltas)
     pso = betti_numbers(build_chain_complex(maximal_filter(pso_arr)))
     return {"raag": raag, "psa": psa, "pso": pso}
 

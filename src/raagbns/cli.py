@@ -11,6 +11,7 @@ import click
 
 from . import __version__
 from .bns import (
+    enumeration_cap,
     euler_report,
     generator_symbol,
     h1_witness,
@@ -140,6 +141,7 @@ def _load_basepoints(path):
 def cli():
     """Arrangement homology, presentations and the RAAG verdict for the
     partial-conjugation automorphism groups of a graph."""
+    enumeration_cap()  # a malformed RAAGBNS_CAP fails every command alike
 
 
 @cli.command("support-graphs")

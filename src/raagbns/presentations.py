@@ -212,6 +212,9 @@ def presentation_graph(g, basepoints=None):
     holding the least node overall.
     """
     overrides = dict(basepoints or {})
+    unknown = sorted(set(overrides) - set(g.vertices))
+    if unknown:
+        raise MalformedInput(f"basepoint key {unknown[0]!r} names no vertex of the graph")
     tree_gens = []
     edge_gens = []
     basepoint_rows = []

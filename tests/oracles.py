@@ -1,8 +1,11 @@
 """Brute-force oracles shared by the unit and acceptance suites."""
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
+from raagbns.bns import _per_multiplier_options
+from raagbns.errors import CapExceeded
 from raagbns.linalg import QMatrix, intersect, rref
 
 
@@ -115,3 +118,96 @@ def dense_betti(dims, boundaries):
     """Betti numbers from dense_chain_complex output, by rref ranks."""
     ranks = [rref_rank(b) for b in boundaries] + [0]
     return tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims)))
+
+
+def connected(g, subset):
+    """Whether `subset` induces a connected subgraph (the empty set does),
+    by breadth-first search."""
+    subset = set(subset)
+    if not subset:
+        return True
+    root = min(subset)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in g._adj[u]:
+            if w in subset and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == subset
+
+
+def partition_witness(members, cross_ok):
+    """Split the failure graph's components in two, the component of the
+    least member first; None when it is connected (then no valid
+    2-partition exists).  Breadth-first search over all member pairs."""
+    members = sorted(members)
+    if len(members) < 2:
+        return None
+    adj = {m: [] for m in members}
+    for x, y in itertools.combinations(members, 2):
+        if not cross_ok(x, y):
+            adj[x].append(y)
+            adj[y].append(x)
+    seen = set()
+    components = []
+    for root in members:
+        if root in seen:
+            continue
+        comp = []
+        queue = deque([root])
+        seen.add(root)
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        components.append(sorted(comp))
+    if len(components) < 2:
+        return None
+    side1 = tuple(components[0])
+    side2 = tuple(m for comp in components[1:] for m in comp)
+    return side1, tuple(sorted(side2))
+
+
+def walk_valid(g, arity, cross_ok, cap=float("inf")):
+    """(valid (members, witness) pairs, nodes visited) of the unpruned
+    walk over the per-multiplier choice tree; CapExceeded once it passes
+    `cap` nodes."""
+    options = _per_multiplier_options(g, arity)
+    valid = []
+    nodes = 0
+
+    def walk(i, chosen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"walk passed {cap} nodes")
+        if i == len(options):
+            if len(chosen) >= 2:
+                witness = partition_witness(chosen, cross_ok)
+                if witness is not None:
+                    valid.append((tuple(chosen), witness))
+            return
+        for choice in options[i]:
+            walk(i + 1, chosen + list(choice))
+
+    walk(0, [])
+    return valid, nodes
+
+
+def walk_maximal(g, arity, cross_ok):
+    """Inclusion-maximal valid sets of the walk, sorted by members, each
+    checked against every other."""
+    valid, _ = walk_valid(g, arity, cross_ok)
+    keyed = {frozenset(members): (members, witness) for members, witness in valid}
+    out = []
+    for key, (members, witness) in keyed.items():
+        if any(other > key for other in keyed):
+            continue
+        out.append((members, witness))
+    out.sort(key=lambda mw: mw[0])
+    return out

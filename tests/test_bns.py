@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_partition_witness
+from oracles import brute_force_partition_witness, connected, partition_witness, walk_maximal, walk_valid
+from test_acceptance import STAR7, corpus
+
 from raagbns.bns import (
+    DEFAULT_CAP,
     CharacterBasis,
+    _choice_tree_size,
+    _delta_cross_ok,
+    _per_multiplier_options,
+    _pset_cross_ok,
     euler_report,
     generator_basis,
     h1_witness,
@@ -168,6 +175,53 @@ def test_cap_exceeded():
         maximal_delta_psets(F5, cap=10)
 
 
+FAMILIES = [
+    ({1}, _pset_cross_ok, maximal_psets),
+    ({2}, _delta_cross_ok, maximal_delta_psets),
+]
+
+
+def assert_matches_walk(g):
+    for arity, cross_ok, fast in FAMILIES:
+        got = [(p.members, p.partition) for p in fast(g)]
+        assert got == walk_maximal(g, arity, cross_ok), (g.edges, arity)
+
+
+def test_enumeration_matches_walk_on_corpus():
+    for g in corpus():
+        if g == STAR7:
+            continue
+        assert_matches_walk(g)
+        for arity, cross_ok, _ in FAMILIES:
+            _, nodes = walk_valid(g, arity, cross_ok)
+            assert _choice_tree_size(_per_multiplier_options(g, arity)) == nodes, (g.edges, arity)
+
+
+@pytest.mark.parametrize("arity, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
+def test_cap_boundary_matches_walk(arity, cross_ok, fast):
+    count = _choice_tree_size(_per_multiplier_options(F5, arity))
+    with pytest.raises(CapExceeded) as refused:
+        fast(F5, cap=count - 1)
+    assert str(count) in str(refused.value) and str(count - 1) in str(refused.value)
+    fast(F5, cap=count)
+    with pytest.raises(CapExceeded):
+        walk_valid(F5, arity, cross_ok, cap=count - 1)
+    walk_valid(F5, arity, cross_ok, cap=count)
+
+
+def test_star7_refused_before_walking():
+    with pytest.raises(CapExceeded, match="delta-p-set enumeration would visit 554766609 choice-tree nodes"):
+        maximal_delta_psets(STAR7, cap=DEFAULT_CAP)
+
+
+def test_disconnected_subsets_capped():
+    with pytest.raises(CapExceeded, match="over 21 vertices"):
+        maximal_disconnected_subsets(SimpleGraph([f"v{i:02d}" for i in range(21)], []))
+    with pytest.raises(CapExceeded):
+        raag_arrangement(F5, cap=31)
+    assert maximal_disconnected_subsets(F5, cap=32) == [tuple("abcde")]
+
+
 def test_psa_arrangement_f3():
     arr = psa_arrangement(F3)
     assert arr.ambient_dim == 6
@@ -264,19 +318,40 @@ def graphs(max_n=5):
 @settings(max_examples=60, deadline=None)
 def test_maximal_disconnected_matches_brute_force(g):
     vs = sorted(g.vertices)
-    from raagbns.bns import _connected
-
     disconnected = [
         s
         for r in range(2, len(vs) + 1)
         for s in itertools.combinations(vs, r)
-        if not _connected(g, s)
+        if not connected(g, s)
     ]
     expected = sorted(
         s for s in disconnected
         if not any(set(s) < set(t) for t in disconnected)
     )
     assert maximal_disconnected_subsets(g) == expected
+
+
+@given(graphs())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_walk_on_small_graphs(g):
+    assert_matches_walk(g)
+
+
+@given(graphs(max_n=4), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_recognizers_match_bfs_witness(g, rng):
+    gens = standard_generators(g)
+    if not gens:
+        return
+    sample = sorted(rng.sample(gens, rng.randint(1, min(6, len(gens)))))
+    counts = {}
+    for a, _ in sample:
+        counts[a] = counts.get(a, 0) + 1
+    for recognizer, cross_ok, arity in ((is_pset, _pset_cross_ok, 1), (is_delta_pset, _delta_cross_ok, 2)):
+        expected = None
+        if all(c == arity for c in counts.values()):
+            expected = partition_witness(sample, cross_ok)
+        assert recognizer(sample) == expected
 
 
 @given(graphs(max_n=4), st.randoms(use_true_random=False))

@@ -214,6 +214,20 @@ def test_cap_exceeded_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("raw", ["lots", "1.5", "-1"])
+def test_malformed_cap_exits_2(capsys, f4_file, monkeypatch, raw):
+    monkeypatch.setenv("RAAGBNS_CAP", raw)
+    assert main(["classify", f4_file]) == 2
+    assert "RAAGBNS_CAP" in one_line_error(capsys)
+
+
+def test_unknown_basepoint_key_exits_2(capsys, f3_file, tmp_path):
+    override = tmp_path / "bp.json"
+    override.write_text(json.dumps({"q": [["b"]]}))
+    assert main(["classify", f3_file, "--basepoints", str(override)]) == 2
+    assert "'q'" in one_line_error(capsys)
+
+
 def test_byte_identical_reports(capsys, f4_file):
     main(["classify", f4_file])
     first = capsys.readouterr().out
