@@ -12,31 +12,15 @@ coordinates sum to zero.
 """
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, InvariantViolation, MalformedInput
+from .errors import CapExceeded, InvariantViolation, enumeration_cap
 from .graphs import complement_components, support_graph
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
 from .linalg import QMatrix, Subspace, ZMatrix, intersect, kernel_basis
 from .words import standard_generators
-
-DEFAULT_CAP = 10 ** 6
-
-
-def enumeration_cap():
-    raw = os.environ.get("RAAGBNS_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise MalformedInput(f"RAAGBNS_CAP must be a non-negative integer, got {raw!r}")
-    return cap
 
 
 def generator_symbol(gen):

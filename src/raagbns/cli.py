@@ -11,7 +11,6 @@ import click
 
 from . import __version__
 from .bns import (
-    enumeration_cap,
     euler_report,
     generator_symbol,
     h1_witness,
@@ -20,7 +19,7 @@ from .bns import (
     pso_arrangement,
     raag_arrangement,
 )
-from .errors import MalformedInput, RaagBnsError
+from .errors import MalformedInput, RaagBnsError, enumeration_cap
 from .graphs import (
     LoopWitness,
     center_rank,

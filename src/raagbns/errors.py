@@ -1,4 +1,9 @@
-"""Exceptions shared across the toolkit, with CLI exit codes."""
+"""Exceptions shared across the toolkit, with CLI exit codes, and the
+enumeration cap behind CapExceeded."""
+
+import os
+
+DEFAULT_CAP = 10 ** 6
 
 
 class RaagBnsError(Exception):
@@ -12,7 +17,7 @@ class MalformedInput(RaagBnsError):
 
 
 class CapExceeded(RaagBnsError):
-    """An enumeration grew past the configured cap (exit 3)."""
+    """An enumeration or a word expansion would grow past the cap (exit 3)."""
 
     exit_code = 3
 
@@ -21,3 +26,16 @@ class InvariantViolation(RaagBnsError):
     """An internal consistency check failed; indicates a bug (exit 4)."""
 
     exit_code = 4
+
+
+def enumeration_cap():
+    raw = os.environ.get("RAAGBNS_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise MalformedInput(f"RAAGBNS_CAP must be a non-negative integer, got {raw!r}")
+    return cap

@@ -16,9 +16,10 @@ from .errors import MalformedInput
 
 
 class SimpleGraph:
-    """Undirected simple graph with string vertex labels."""
+    """Undirected simple graph with string vertex labels; `neighbors` maps
+    each vertex to the frozenset of vertices adjacent to it."""
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "neighbors")
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
@@ -38,7 +39,7 @@ class SimpleGraph:
             adj[w].add(u)
         self.vertices = vertices
         self.edges = frozenset(canon)
-        self._adj = adj
+        self.neighbors = {v: frozenset(s) for v, s in adj.items()}
 
     @classmethod
     def from_json(cls, data):
@@ -82,10 +83,10 @@ class SimpleGraph:
         }
 
     def has_vertex(self, v):
-        return v in self._adj
+        return v in self.neighbors
 
     def adjacent(self, u, v):
-        return v in self._adj.get(u, ())
+        return v in self.neighbors.get(u, ())
 
     def __eq__(self, other):
         return (
@@ -105,7 +106,7 @@ def link(g, v):
     """Vertices adjacent to v."""
     if not g.has_vertex(v):
         raise MalformedInput(f"unknown vertex {v!r}")
-    return set(g._adj[v])
+    return set(g.neighbors[v])
 
 
 def star(g, v):
@@ -126,7 +127,7 @@ def _components(g, allowed):
         while queue:
             u = queue.popleft()
             comp.append(u)
-            for w in g._adj[u]:
+            for w in g.neighbors[u]:
                 if w in allowed and w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -336,7 +337,7 @@ def support_components(d):
 def center_rank(g):
     """Number of vertices adjacent to every other vertex."""
     n = len(g.vertices)
-    return sum(1 for v in g.vertices if len(g._adj[v]) == n - 1)
+    return sum(1 for v in g.vertices if len(g.neighbors[v]) == n - 1)
 
 
 def graph_from_file(path):

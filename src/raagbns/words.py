@@ -1,27 +1,27 @@
 """Exact word arithmetic in a right-angled Artin group.
 
 Words are tuples of (vertex, exponent) letters with exponent +1 or -1.
-reduce() returns a canonical normal form: first a single cancellation
-pass (a letter may cancel an earlier opposite letter when everything in
-between commutes with it), then a greedy commuting shuffle to the
-lexicographically least ordering.  Two words are equal in the group iff
-their normal forms are literally equal.
+reduce() returns a canonical normal form: two words are equal in the
+group iff their normal forms are literally equal.  After a free
+reduction, which settles most short words, it makes two linear passes:
+
+1. Cancellation.  Each vertex keeps a stack of its live letters.  A
+   letter (v, e) finds the latest live letter whose vertex is v or not
+   adjacent to v; if that is (v, -e) both cancel, else (v, e) is pushed.
+2. Lex shuffle.  Each surviving letter waits on the last earlier letter
+   of each vertex that is v or not adjacent to v (its heap of pieces).
+   Kahn's algorithm emits the lex-least letter with no pending waits;
+   ready letters have distinct vertices, so there are no ties.
+
+A letter looks at each vertex seen so far once per pass, so a word of n
+letters over a graph with |V| vertices reduces in O(n * |V|) time.
 
 Partial conjugations act letterwise: the generator with multiplier a and
 component K sends x to a x a^-1 for x in K and fixes all other vertices.
 """
 
-from .errors import MalformedInput
+from .errors import CapExceeded, MalformedInput, enumeration_cap
 from .graphs import classify_pair, complement_components, is_sil_pair
-
-
-def make_word(letters):
-    out = []
-    for v, e in letters:
-        if e not in (1, -1):
-            raise ValueError("letter exponents must be +1 or -1")
-        out.append((str(v), e))
-    return tuple(out)
 
 
 def inverse(word):
@@ -29,8 +29,10 @@ def inverse(word):
 
 
 def parse_word(g, text):
-    """Tokens "v", "v^k" separated by whitespace; k may be negative."""
-    letters = []
+    """Tokens "v", "v^k" separated by whitespace; k may be negative.  The
+    expanded length is checked against the enumeration cap before any
+    letter is built."""
+    tokens = []
     for tok in text.split():
         if "^" in tok:
             v, _, power = tok.partition("^")
@@ -42,6 +44,14 @@ def parse_word(g, text):
             v, k = tok, 1
         if not g.has_vertex(v):
             raise MalformedInput(f"unknown vertex {v!r} in word")
+        tokens.append((v, k))
+    length, cap = sum(abs(k) for _, k in tokens), enumeration_cap()
+    if length > cap:
+        raise CapExceeded(
+            f"word would expand to {length} letters, over the cap of {cap}; raise RAAGBNS_CAP to insist"
+        )
+    letters = []
+    for v, k in tokens:
         letters.extend([(v, 1 if k > 0 else -1)] * abs(k))
     return tuple(letters)
 
@@ -52,51 +62,70 @@ def format_word(word):
     return " ".join(v if e == 1 else f"{v}^-1" for v, e in word)
 
 
-def _cancel_pass(g, word):
+def _cancel(neighbors, word):
+    """Pass 1: the word with its cancelling pairs removed, found with one
+    stack of live positions per vertex."""
+    live, dead = {}, set()
+    for i, (v, e) in enumerate(word):
+        nbrs = neighbors.get(v, ())
+        top = -1
+        for u, stack in live.items():
+            if stack[-1] > top and u not in nbrs:
+                top = stack[-1]
+        if top >= 0 and word[top] == (v, -e):
+            stack = live[v]
+            stack.pop()
+            if not stack:
+                del live[v]
+            dead.update((top, i))
+        elif v in live:
+            live[v].append(i)
+        else:
+            live[v] = [i]
+    return [x for i, x in enumerate(word) if i not in dead] if dead else word
+
+
+def _lex_shuffle(neighbors, letters):
+    """Pass 2: Kahn's algorithm on the heap of pieces, lex-least ready
+    letter first."""
+    waits, later, last, ready = [], [], {}, {}
+    for i, (v, _) in enumerate(letters):
+        nbrs = neighbors.get(v, ())
+        count = 0
+        for u, j in last.items():
+            if u not in nbrs:
+                later[j].append(i)
+                count += 1
+        if not count:
+            ready[v] = i
+        waits.append(count)
+        later.append([])
+        last[v] = i
     out = []
-    for v, e in word:
-        j = len(out) - 1
-        placed = False
-        while j >= 0:
-            u, f = out[j]
-            if u == v:
-                if f == -e:
-                    del out[j]
-                    placed = True
-                break
-            if not g.adjacent(u, v):
-                break
-            j -= 1
-        if not placed:
-            out.append((v, e))
-    return out
-
-
-def _lex_shuffle(g, letters):
-    remaining = list(letters)
-    result = []
-    while remaining:
-        best = None
-        for i, (v, e) in enumerate(remaining):
-            if any(not g.adjacent(u, v) for u, _ in remaining[:i]):
-                continue
-            if best is None or (v, e) < remaining[best]:
-                best = i
-        result.append(remaining.pop(best))
-    return tuple(result)
+    while ready:
+        i = ready.pop(min(ready))
+        out.append(letters[i])
+        for j in later[i]:
+            waits[j] -= 1
+            if not waits[j]:
+                ready[letters[j][0]] = j
+    return tuple(out)
 
 
 def reduce(g, word):
     """Canonical normal form of a word (reduced, then shuffled lex-least)."""
-    return _lex_shuffle(g, _cancel_pass(g, word))
-
-
-def word_eq(g, u, v):
-    return reduce(g, u) == reduce(g, v)
-
-
-def support(word):
-    return sorted({v for v, _ in word})
+    free = []
+    for v, e in word:
+        if free and free[-1] == (v, -e):
+            free.pop()
+        else:
+            free.append((v, e))
+    if len(free) < 2:
+        return tuple(free)
+    letters = _cancel(g.neighbors, free)
+    if len(letters) < 2:
+        return tuple(letters)
+    return _lex_shuffle(g.neighbors, letters)
 
 
 def apply_partial_conjugation(g, moves, word):
@@ -155,16 +184,10 @@ def commutator_trivial_in_aut(g, p, q):
     return table_is_identity(g, table)
 
 
-def _component_kind(cls, side, component):
-    if side == "a":
-        dom, shared = cls.dominating_a, cls.shared
-    else:
-        dom, shared = cls.dominating_b, cls.shared
-    if component == dom:
+def _component_kind(cls, dominating, component):
+    if component == dominating:
         return "dominating"
-    if component in shared:
-        return "shared"
-    return "subordinate"
+    return "shared" if component in cls.shared else "subordinate"
 
 
 def commutator_class_aut(g, p, q):
@@ -177,17 +200,10 @@ def commutator_class_aut(g, p, q):
     if a == b or g.adjacent(a, b):
         return False
     cls = classify_pair(g, a, b)
-    kind_k = _component_kind(cls, "a", k)
-    kind_l = _component_kind(cls, "b", l)
-    if kind_k == "dominating" and kind_l == "dominating":
-        return True
-    if kind_k == "dominating" and kind_l == "shared":
-        return True
-    if kind_k == "shared" and kind_l == "dominating":
-        return True
-    if kind_k == "shared" and kind_l == "shared" and k == l:
-        return True
-    return False
+    kinds = (_component_kind(cls, cls.dominating_a, k), _component_kind(cls, cls.dominating_b, l))
+    if kinds == ("shared", "shared"):
+        return k == l
+    return "subordinate" not in kinds
 
 
 def commutator_class_out(g, p, q):
@@ -217,26 +233,6 @@ def enumerate_reduced_words(g, max_len):
                     nxt.append(grown)
                     yield grown
         frontier = nxt
-
-
-def is_inner_bounded(g, table, max_len):
-    """Search for a conjugator h with table(v) = h v h^-1 for all v, over
-    all reduced words of length <= max_len.  Returns the word or None;
-    None is not a proof that the table is non-inner."""
-    for h in enumerate_reduced_words(g, max_len):
-        h_inv = inverse(h)
-        if all(
-            reduce(g, h + ((v, 1),) + h_inv) == table[v] for v in g.vertices
-        ):
-            return h
-    return None
-
-
-def apply_to_word_by_table(g, table, word):
-    image = []
-    for v, e in word:
-        image.extend(table[v] if e == 1 else inverse(table[v]))
-    return reduce(g, image)
 
 
 def standard_generators(g):

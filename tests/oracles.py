@@ -7,6 +7,7 @@ from fractions import Fraction
 from raagbns.bns import _per_multiplier_options
 from raagbns.errors import CapExceeded
 from raagbns.linalg import QMatrix, intersect, rref
+from raagbns.words import enumerate_reduced_words, inverse, reduce
 
 
 def rewriting_closure(g, word):
@@ -38,6 +39,65 @@ def closure_normal_form(g, word):
     closure = rewriting_closure(g, word)
     shortest = min(len(w) for w in closure)
     return min(w for w in closure if len(w) == shortest)
+
+
+def _cancel_pass(g, word):
+    out = []
+    for v, e in word:
+        j = len(out) - 1
+        placed = False
+        while j >= 0:
+            u, f = out[j]
+            if u == v:
+                if f == -e:
+                    del out[j]
+                    placed = True
+                break
+            if not g.adjacent(u, v):
+                break
+            j -= 1
+        if not placed:
+            out.append((v, e))
+    return out
+
+
+def _lex_shuffle(g, letters):
+    remaining = list(letters)
+    result = []
+    while remaining:
+        best = None
+        for i, (v, e) in enumerate(remaining):
+            if any(not g.adjacent(u, v) for u, _ in remaining[:i]):
+                continue
+            if best is None or (v, e) < remaining[best]:
+                best = i
+        result.append(remaining.pop(best))
+    return tuple(result)
+
+
+def shuffle_normal_form(g, word):
+    """The normal form as reduce() used to compute it, in quadratic time
+    and worse: one backward-scanning cancellation pass with list
+    deletions, then a greedy shuffle that rescans every remaining prefix
+    for the lex-least letter commuting with all letters before it."""
+    return _lex_shuffle(g, _cancel_pass(g, word))
+
+
+def word_eq(g, u, v):
+    return reduce(g, u) == reduce(g, v)
+
+
+def is_inner_bounded(g, table, max_len):
+    """Search for a conjugator h with table(v) = h v h^-1 for all v, over
+    all reduced words of length <= max_len.  Returns the word or None;
+    None is not a proof that the table is non-inner."""
+    for h in enumerate_reduced_words(g, max_len):
+        h_inv = inverse(h)
+        if all(
+            reduce(g, h + ((v, 1),) + h_inv) == table[v] for v in g.vertices
+        ):
+            return h
+    return None
 
 
 def all_words(g, length):
@@ -131,7 +191,7 @@ def connected(g, subset):
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for w in g._adj[u]:
+        for w in g.neighbors[u]:
             if w in subset and w not in seen:
                 seen.add(w)
                 queue.append(w)

@@ -9,7 +9,6 @@ from oracles import brute_force_partition_witness, connected, partition_witness,
 from test_acceptance import STAR7, corpus
 
 from raagbns.bns import (
-    DEFAULT_CAP,
     CharacterBasis,
     _choice_tree_size,
     _delta_cross_ok,
@@ -29,7 +28,7 @@ from raagbns.bns import (
     psa_arrangement,
     raag_arrangement,
 )
-from raagbns.errors import CapExceeded
+from raagbns.errors import DEFAULT_CAP, CapExceeded
 from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
 from raagbns.homology import betti_numbers, build_chain_complex, maximal_filter
 from raagbns.linalg import Subspace, subspace_leq

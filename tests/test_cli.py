@@ -133,6 +133,18 @@ def test_word_reduce(capsys, f3_file):
     assert report["reduced"] == "c"
 
 
+def test_word_reduce_admission_cap(capsys, f3_file, monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", "1000")
+    code, report = run(capsys, "word-reduce", f3_file, "a^1000")
+    assert code == 0
+    assert report["reduced"] == " ".join(["a"] * 1000)
+    assert main(["word-reduce", f3_file, "a^1001"]) == 3
+    assert "1001 letters" in one_line_error(capsys)
+    monkeypatch.delenv("RAAGBNS_CAP")
+    assert main(["word-reduce", f3_file, "b a^1000000000000"]) == 3
+    assert "1000000000001 letters" in one_line_error(capsys)
+
+
 def test_support_graphs(capsys, f4_file):
     code, report = run(capsys, "support-graphs", f4_file)
     assert code == 0

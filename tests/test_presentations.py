@@ -2,6 +2,7 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from oracles import is_inner_bounded
 
 from raagbns.errors import MalformedInput
 from raagbns.graphs import SimpleGraph, support_components, support_graph
@@ -21,12 +22,7 @@ from raagbns.presentations import (
     raag_presentation,
     verify_relators_killed,
 )
-from raagbns.words import (
-    automorphism_table,
-    inverse,
-    is_inner_bounded,
-    standard_generators,
-)
+from raagbns.words import automorphism_table, inverse, standard_generators
 
 
 def edgeless(n):

@@ -1,9 +1,16 @@
 import itertools
+import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closure_normal_form, rewriting_closure
+from oracles import closure_normal_form, is_inner_bounded, rewriting_closure, shuffle_normal_form, word_eq
+from test_acceptance import K33, cycle
+
+import raagbns.words
+from raagbns.errors import CapExceeded
 from raagbns.graphs import SimpleGraph
 from raagbns.words import (
     apply_partial_conjugation,
@@ -15,11 +22,9 @@ from raagbns.words import (
     enumerate_reduced_words,
     format_word,
     inverse,
-    is_inner_bounded,
     parse_word,
     reduce,
     standard_generators,
-    word_eq,
 )
 
 FREE2 = SimpleGraph("ab", [])
@@ -210,3 +215,87 @@ def test_reduce_idempotent(gw):
 def test_inverse_concatenation_reduces_to_empty(gw):
     g, word = gw
     assert reduce(g, word + inverse(word)) == ()
+
+
+@st.composite
+def planted_graph_and_word(draw, max_n=8, max_len=80):
+    """A graph on up to max_n vertices and a signed word of up to max_len
+    letters, with inverse pairs planted a few letters apart as in the
+    word-reduce benchmark, so that the cancellation pass has work to do."""
+    n = draw(st.integers(1, max_n))
+    vs = "abcdefgh"[:n]
+    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    letter = st.tuples(st.sampled_from(vs), st.sampled_from([1, -1]))
+    letters = draw(st.lists(letter, max_size=max_len))
+    for _ in range(draw(st.integers(0, (max_len - len(letters)) // 2))):
+        i = draw(st.integers(0, len(letters)))
+        j = min(len(letters) + 1, i + draw(st.integers(1, 4)))
+        v, e = draw(letter)
+        letters.insert(i, (v, e))
+        letters.insert(j, (v, -e))
+    return SimpleGraph(vs, edges), tuple(letters)
+
+
+@given(planted_graph_and_word())
+@settings(max_examples=400, deadline=None)
+def test_reduce_matches_shuffle_oracle(gw):
+    g, word = gw
+    assert reduce(g, word) == shuffle_normal_form(g, word)
+
+
+def adversarial(k):
+    """v u^k (v^-1 v)^k on the edge u-v: a cancellation pass that scans
+    back letter by letter crosses the whole commuting run u^k for every
+    letter of the tail."""
+    return (("v", 1),) + (("u", 1),) * k + (("v", -1), ("v", 1)) * k
+
+
+def buried_inverses(k):
+    """v u^k v^-1 u^-k w: no two neighbouring letters cancel, so the
+    cancellations happen across the commuting run u^k."""
+    return (("v", 1),) + (("u", 1),) * k + (("v", -1),) + (("u", -1),) * k + (("w", 1),)
+
+
+EDGE_UVW = SimpleGraph("uvw", [("u", "v")])
+
+
+def test_adversarial_families_match_shuffle_oracle():
+    for k in (0, 1, 2, 3, 10, 50, 300):
+        for word in (adversarial(k), buried_inverses(k)):
+            assert reduce(EDGE_UVW, word) == shuffle_normal_form(EDGE_UVW, word), k
+
+
+def test_enumeration_order_matches_oracle_driven_enumeration(monkeypatch):
+    expected = {}
+    with monkeypatch.context() as m:
+        m.setattr(raagbns.words, "reduce", shuffle_normal_form)
+        for name, g in (("cycle6", cycle(6)), ("K33", K33)):
+            expected[name] = list(enumerate_reduced_words(g, 3))
+    for name, g in (("cycle6", cycle(6)), ("K33", K33)):
+        assert list(enumerate_reduced_words(g, 3)) == expected[name], name
+
+
+def test_reduce_is_linear_on_100k_letters():
+    g = cycle(6)
+    rng = random.Random(4)
+    letters = [(v, e) for v in g.vertices for e in (1, -1)]
+    cases = [
+        (EDGE_UVW, adversarial(33_333)),
+        (EDGE_UVW, buried_inverses(50_000)),
+        (g, tuple(rng.choice(letters) for _ in range(100_000))),
+    ]
+    for graph, word in cases:
+        t0 = time.perf_counter()
+        nf = reduce(graph, word)
+        assert time.perf_counter() - t0 < 10.0, len(word)
+        assert reduce(graph, nf) == nf
+
+
+def test_parse_word_admission_cap(monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", "1000")
+    assert parse_word(FREE2, "a^1000") == (("a", 1),) * 1000
+    assert parse_word(FREE2, "a^500 b^-500") == (("a", 1),) * 500 + (("b", -1),) * 500
+    for text in ("a^1001", "a^500 b^-501", "a^-1000000000000"):
+        with pytest.raises(CapExceeded, match=r"\d+ letters, over the cap of 1000"):
+            parse_word(FREE2, text)
