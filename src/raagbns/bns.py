@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import CapExceeded, InvariantViolation, enumeration_cap
 from .graphs import complement_components, support_graph
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
-from .linalg import QMatrix, Subspace, ZMatrix, intersect, kernel_basis
+from .linalg import QMatrix, Subspace, intersect, kernel_basis
 from .words import standard_generators
 
 
@@ -361,13 +361,9 @@ def h1_witness(g, loop, cap=None):
     if any(x != 0 for x in total):
         raise InvariantViolation("witness chain components do not sum to zero")
 
-    complex_data = build_chain_complex(arrangement)
-    offsets = {}
-    run = 0
-    for idx, d in complex_data.index_sets[0] if complex_data.index_sets else ():
-        offsets[idx[0]] = run
-        run += d
-    column = {}
+    # degree-one boundaries are inclusions, so d_1 of the chain is the sum
+    # over its components of local coordinates times summand basis rows
+    boundary = [Fraction(0)] * w.dim
     for j, vec in chain:
         sub = arrangement.subspaces[j]
         in_w = w.coordinates(list(vec))
@@ -376,11 +372,9 @@ def h1_witness(g, loop, cap=None):
         local = sub.coordinates(in_w)
         if local is None:
             raise InvariantViolation("chain component escapes its summand")
-        base = offsets[j]
-        for r, x in enumerate(local):
-            column[base + r] = column.get(base + r, 0) + x
-    cycle = ZMatrix.scaled(complex_data.dims[1], [column])
-    if not complex_data.boundaries[1].mul(cycle).is_zero():
+        for c, row in zip(local, sub.basis.entries):
+            boundary = [x + c * y for x, y in zip(boundary, row)]
+    if any(boundary):
         raise InvariantViolation("witness chain is not a cycle of the complex")
 
     # cocycle: the (a, K_1) coordinate functional on every delta-p-set

@@ -122,8 +122,8 @@ def _load_basepoints(path):
     if path is None:
         return None
     try:
-        raw = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"unreadable basepoint file: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedInput("basepoint file must map vertices to node lists")

@@ -15,6 +15,23 @@ from dataclasses import dataclass
 from .errors import MalformedInput
 
 
+# characters that delimit vertex labels inside generator symbols and words
+_RESERVED = set(",[]|{};^")
+
+
+def _checked_labels(labels):
+    """Labels read from a file, refused when empty or when they hold
+    whitespace or a reserved character, which would make two generator
+    symbols print alike."""
+    labels = [str(v) for v in labels]
+    for v in labels:
+        if not v or any(c.isspace() or c in _RESERVED for c in v):
+            raise MalformedInput(
+                f"vertex label {v!r} is empty or holds whitespace or one of , [ ] | {{ }} ; ^"
+            )
+    return labels
+
+
 class SimpleGraph:
     """Undirected simple graph with string vertex labels; `neighbors` maps
     each vertex to the frozenset of vertices adjacent to it."""
@@ -48,7 +65,7 @@ class SimpleGraph:
         edges = data.get("edges", [])
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise MalformedInput("graph JSON edges must be a list of two-vertex lists")
-        return cls(data["vertices"], edges)
+        return cls(_checked_labels(data["vertices"]), edges)
 
     @classmethod
     def from_text(cls, text):
@@ -74,7 +91,7 @@ class SimpleGraph:
                     seen.add(v)
                     vertices.append(v)
             edges.append(tuple(parts))
-        return cls(vertices, edges)
+        return cls(_checked_labels(vertices), edges)
 
     def to_json(self):
         return {
@@ -113,31 +130,31 @@ def star(g, v):
     return link(g, v) | {v}
 
 
-def _components(g, allowed):
-    """Connected components of the induced subgraph on `allowed`."""
-    allowed = set(allowed)
-    out = []
+def components(nodes, neighbours):
+    """Connected components of the graph on `nodes` that joins each node u
+    to the members of `nodes` among neighbours[u].  Each component is a
+    sorted tuple; roots are taken in sorted order, so the list is in lex
+    order."""
+    nodes = set(nodes)
     seen = set()
-    for root in sorted(allowed):
+    out = []
+    for root in sorted(nodes):
         if root in seen:
             continue
-        queue = deque([root])
         seen.add(root)
-        comp = []
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.neighbors[u]:
-                if w in allowed and w not in seen:
+        comp = [root]
+        for u in comp:
+            for w in neighbours[u]:
+                if w in nodes and w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    comp.append(w)
         out.append(tuple(sorted(comp)))
-    return sorted(out)
+    return out
 
 
 def complement_components(g, a):
     """Components of the graph minus the closed star of a, lex ordered."""
-    return _components(g, set(g.vertices) - star(g, a))
+    return components(set(g.vertices) - star(g, a), g.neighbors)
 
 
 @dataclass(frozen=True)
@@ -180,15 +197,6 @@ def is_sil_pair(g, a, b):
     return bool(classify_pair(g, a, b).shared)
 
 
-def is_sil_pair_by_links(g, a, b):
-    """Independent route: some component of the graph minus the common
-    link of a and b contains neither a nor b."""
-    if a == b or g.adjacent(a, b):
-        return False
-    allowed = set(g.vertices) - (link(g, a) & link(g, b))
-    return any(a not in c and b not in c for c in _components(g, allowed))
-
-
 @dataclass(frozen=True)
 class SupportGraph:
     """Per-vertex graph: one node per component of the star complement of
@@ -198,15 +206,6 @@ class SupportGraph:
     owner: str
     nodes: tuple
     edges: tuple
-
-    def neighbors(self, node):
-        out = []
-        for u, w in self.edges:
-            if u == node:
-                out.append(w)
-            elif w == node:
-                out.append(u)
-        return sorted(out)
 
     def is_discrete(self):
         return not self.edges
@@ -314,24 +313,7 @@ def forest_certificate(d):
 
 def support_components(d):
     """Connected components of a support graph, as sorted node tuples."""
-    adj = _adjacency(d)
-    seen = set()
-    trees = []
-    for root in d.nodes:
-        if root in seen:
-            continue
-        queue = deque([root])
-        seen.add(root)
-        tree = []
-        while queue:
-            u = queue.popleft()
-            tree.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        trees.append(tuple(sorted(tree)))
-    return tuple(sorted(trees))
+    return tuple(components(d.nodes, _adjacency(d)))
 
 
 def center_rank(g):
@@ -341,8 +323,11 @@ def center_rank(g):
 
 
 def graph_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

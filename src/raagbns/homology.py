@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, MalformedInput
-from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, span_sum, subspace_leq
+from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, subspace_leq
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ def arrangement_from_file(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"bad arrangement JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
     return Arrangement.from_json(data)
 
 
@@ -185,11 +187,6 @@ def betti_numbers(c):
     betti = tuple(c.dims[k] - ranks[k] - ranks[k + 1] for k in range(len(c.dims)))
     euler = sum((-1) ** k * b for k, b in enumerate(betti))
     return BettiProfile(betti, euler)
-
-
-def h0_dim(a):
-    """Codimension of the joint span: dim of degree-zero homology."""
-    return a.ambient_dim - span_sum(a.subspaces, ambient_dim=a.ambient_dim).dim
 
 
 def maximal_filter(a):

@@ -43,15 +43,6 @@ class QMatrix:
         self.cols = cols
 
     @classmethod
-    def parse(cls, text):
-        """Rows of whitespace-separated "p/q" tokens, one row per line."""
-        rows = []
-        for line in text.splitlines():
-            if line.strip():
-                rows.append([parse_rational(tok) for tok in line.split()])
-        return cls(rows)
-
-    @classmethod
     def identity(cls, n):
         one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
@@ -326,16 +317,6 @@ def _check_common_ambient(subspaces, ambient_dim):
     if ambient_dim is None:
         raise ValueError("ambient dimension unknown for an empty list")
     return ambient_dim
-
-
-def span_sum(subspaces, ambient_dim=None):
-    """Sum of subspaces; ambient_dim is required when the list is empty."""
-    subspaces = list(subspaces)
-    ambient_dim = _check_common_ambient(subspaces, ambient_dim)
-    rows = []
-    for s in subspaces:
-        rows.extend(s.basis.entries)
-    return Subspace.from_vectors(ambient_dim, rows)
 
 
 def intersect(subspaces):

@@ -18,8 +18,8 @@ non-preferred maximal subtree, and the two generator dictionaries
 translate between this generating set and the standard one.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bns import h1_witness
 from .errors import InvariantViolation, MalformedInput, RaagBnsError
@@ -29,10 +29,10 @@ from .graphs import (
     center_rank,
     classify_pair,
     complement_components,
+    components,
     forest_certificate,
     support_graph,
 )
-from .linalg import QMatrix
 from .words import inverse, reduce, standard_generators
 
 
@@ -112,16 +112,6 @@ def pso_presentation(g):
         if comps:
             relators.append(tuple(((a, k), 1) for k in comps))
     return GroupPresentation(base.generators, tuple(relators), "pso")
-
-
-def raag_presentation(graph):
-    """Graphical presentation: one generator per vertex, one expanded
-    commutator per edge."""
-    gens = tuple(graph.vertices)
-    relators = tuple(
-        _commutator(u, w) for u, w in sorted(graph.edges)
-    )
-    return GroupPresentation(gens, relators, "raag")
 
 
 @dataclass(frozen=True)
@@ -278,53 +268,22 @@ def _tree_of(th, owner, node):
     raise KeyError((owner, node))
 
 
-def _side_components(th, owner, tree, cut):
-    """Node sets of the two pieces a subtree splits into at edge `cut`."""
-    adjacency = {n: set() for n in tree}
-    for u, w in th.edges_of(owner):
-        if u in adjacency and (u, w) != cut:
-            adjacency[u].add(w)
-            adjacency[w].add(u)
-    sides = []
-    for root in cut:
-        seen = {root}
-        stack = [root]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        sides.append(tuple(sorted(seen)))
-    return sides
-
-
 def edge_far_side(th, edge_gen):
     """Nodes of the subtree piece cut off by the edge that misses the
     basepoint; the product of their partial conjugations is the element
     the edge generator names."""
-    tree = _tree_of(th, edge_gen.owner, edge_gen.edge[0])
-    base = th.basepoint(edge_gen.owner, tree)
-    for side in _side_components(th, edge_gen.owner, tree, edge_gen.edge):
+    owner, cut = edge_gen.owner, edge_gen.edge
+    tree = _tree_of(th, owner, cut[0])
+    base = th.basepoint(owner, tree)
+    adjacency = {n: [] for n in tree}
+    for u, w in th.edges_of(owner):
+        if u in adjacency and (u, w) != cut:
+            adjacency[u].append(w)
+            adjacency[w].append(u)
+    for side in components(tree, adjacency):
         if base not in side:
             return side
     raise InvariantViolation("edge does not separate its subtree")
-
-
-def _toward_basepoint(th, owner, tree, node, base):
-    adjacency = {n: set() for n in tree}
-    for u, w in th.edges_of(owner):
-        if u in adjacency:
-            adjacency[u].add(w)
-            adjacency[w].add(u)
-    parent = {base: None}
-    stack = [base]
-    while stack:
-        u = stack.pop()
-        for w in sorted(adjacency[u]):
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
-    return tuple(sorted((node, parent[node])))
 
 
 def _psi_word(th, gen):
@@ -335,7 +294,8 @@ def _psi_word(th, gen):
     incident = sorted(e for e in th.edges_of(a) if k in e)
     word = []
     if k != base:
-        toward = _toward_basepoint(th, a, tree, k, base)
+        # the incident edge whose cut leaves the basepoint on the far side
+        toward = next(e for e in incident if k in edge_far_side(th, EdgeGen(a, e)))
         word.append((EdgeGen(a, toward).symbol, 1))
         word.extend((EdgeGen(a, e).symbol, -1) for e in incident if e != toward)
     elif k != pref:
@@ -350,63 +310,53 @@ def _psi_word(th, gen):
 @dataclass(frozen=True)
 class GeneratorDictionary:
     """Both translation tables between the standard generating set and
-    the graphical one, with their abelianizations."""
+    the graphical one."""
 
     to_standard: tuple  # (symbol, word in standard generators) rows
     from_standard: tuple  # (standard generator, word in symbols) rows
-    to_standard_matrix: QMatrix  # standard x symbol exponent sums
-    from_standard_matrix: QMatrix  # symbol x standard exponent sums
-
-
-def _exponent_matrix(row_labels, columns):
-    index = {label: i for i, label in enumerate(row_labels)}
-    cols = []
-    for _, word in columns:
-        col = [0] * len(row_labels)
-        for sym, exp in word:
-            col[index[sym]] += exp
-        cols.append(col)
-    return QMatrix(
-        tuple(
-            tuple(Fraction(col[i]) for col in cols) for i in range(len(row_labels))
-        ),
-        cols=len(cols),
-    )
 
 
 def generator_dictionary(g, th):
     gens = standard_generators(g)
-    records = th.records()
     to_standard = []
-    for r in records:
+    for r in th.records():
         if isinstance(r, TreeGen):
             members = r.tree
         else:
             members = edge_far_side(th, r)
         to_standard.append((r.symbol, tuple(((r.owner, k), 1) for k in members)))
     from_standard = [(gen, _psi_word(th, gen)) for gen in gens]
-    symbols = [r.symbol for r in records]
-    d = GeneratorDictionary(
-        tuple(to_standard),
-        tuple(from_standard),
-        _exponent_matrix(gens, to_standard),
-        _exponent_matrix(symbols, from_standard),
-    )
-    _check_round_trips(gens, symbols, d)
+    d = GeneratorDictionary(tuple(to_standard), tuple(from_standard))
+    _check_round_trips(gens, d)
     return d
 
 
-def _check_round_trips(gens, symbols, d):
-    m_phi = d.to_standard_matrix
-    m_psi = d.from_standard_matrix
-    if m_psi.mul(m_phi) != QMatrix.identity(len(symbols)):
-        raise InvariantViolation("abelianized round trip on symbols is not the identity")
-    back = m_phi.mul(m_psi)
-    for j, gen in enumerate(gens):
+def _composed_sums(word, table):
+    """Exponent sums of `word` after each letter is replaced by its word
+    in `table`: the abelianized composite of the two translations."""
+    sums = Counter()
+    for letter, exp in word:
+        for x, e in table[letter]:
+            sums[x] += exp * e
+    return sums
+
+
+def _check_round_trips(gens, d):
+    """Abelianized, symbols -> standard -> symbols is the identity, and
+    standard -> symbols -> standard is the identity up to one value per
+    multiplier (a multiple of the product relation)."""
+    phi, psi = dict(d.to_standard), dict(d.from_standard)
+    for sym, word in d.to_standard:
+        back = _composed_sums(word, psi)
+        back[sym] -= 1
+        if any(back.values()):
+            raise InvariantViolation("abelianized round trip on symbols is not the identity")
+    for gen, word in d.from_standard:
+        back = _composed_sums(word, phi)
+        back[gen] -= 1
         residue = {}
-        for i, other in enumerate(gens):
-            value = back.entries[i][j] - (1 if i == j else 0)
-            residue.setdefault(other[0], set()).add(value)
+        for other in gens:
+            residue.setdefault(other[0], set()).add(back[other])
         if any(len(vals) != 1 for vals in residue.values()):
             raise InvariantViolation(
                 "abelianized round trip on standard generators is not the identity "

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 from raagbns.bns import _per_multiplier_options
 from raagbns.errors import CapExceeded
-from raagbns.linalg import QMatrix, intersect, rref
-from raagbns.words import enumerate_reduced_words, inverse, reduce
+from raagbns.graphs import components, link
+from raagbns.linalg import QMatrix, Subspace, _check_common_ambient, intersect, parse_rational, rref
+from raagbns.presentations import GroupPresentation, _commutator
+from raagbns.words import enumerate_reduced_words, inverse, reduce, standard_generators
 
 
 def rewriting_closure(g, word):
@@ -271,3 +273,70 @@ def walk_maximal(g, arity, cross_ok):
         out.append((members, witness))
     out.sort(key=lambda mw: mw[0])
     return out
+
+
+def parse_qmatrix(text):
+    """Rows of whitespace-separated "p/q" tokens, one row per line."""
+    rows = []
+    for line in text.splitlines():
+        if line.strip():
+            rows.append([parse_rational(tok) for tok in line.split()])
+    return QMatrix(rows)
+
+
+def span_sum(subspaces, ambient_dim=None):
+    """Sum of subspaces; ambient_dim is required when the list is empty."""
+    subspaces = list(subspaces)
+    ambient_dim = _check_common_ambient(subspaces, ambient_dim)
+    rows = []
+    for s in subspaces:
+        rows.extend(s.basis.entries)
+    return Subspace.from_vectors(ambient_dim, rows)
+
+
+def h0_dim(a):
+    """Codimension of the joint span: dim of degree-zero homology."""
+    return a.ambient_dim - span_sum(a.subspaces, ambient_dim=a.ambient_dim).dim
+
+
+def is_sil_pair_by_links(g, a, b):
+    """Independent route: some component of the graph minus the common
+    link of a and b contains neither a nor b."""
+    if a == b or g.adjacent(a, b):
+        return False
+    allowed = set(g.vertices) - (link(g, a) & link(g, b))
+    return any(a not in c and b not in c for c in components(allowed, g.neighbors))
+
+
+def raag_presentation(graph):
+    """Graphical presentation: one generator per vertex, one expanded
+    commutator per edge."""
+    gens = tuple(graph.vertices)
+    relators = tuple(
+        _commutator(u, w) for u, w in sorted(graph.edges)
+    )
+    return GroupPresentation(gens, relators, "raag")
+
+
+def _exponent_matrix(row_labels, columns):
+    index = {label: i for i, label in enumerate(row_labels)}
+    cols = []
+    for _, word in columns:
+        col = [0] * len(row_labels)
+        for sym, exp in word:
+            col[index[sym]] += exp
+        cols.append(col)
+    return QMatrix(
+        tuple(
+            tuple(Fraction(col[i]) for col in cols) for i in range(len(row_labels))
+        ),
+        cols=len(cols),
+    )
+
+
+def dictionary_matrices(g, th, d):
+    """(standard x symbol, symbol x standard) exponent-sum matrices of the
+    two tables of a generator dictionary, as QMatrix values."""
+    symbols = [r.symbol for r in th.records()]
+    gens = standard_generators(g)
+    return _exponent_matrix(gens, d.to_standard), _exponent_matrix(symbols, d.from_standard)

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import networkx as nx
-from oracles import closure_normal_form
+from oracles import closure_normal_form, dictionary_matrices
 
 from raagbns.bns import (
     generator_basis,
@@ -296,7 +296,8 @@ def test_criterion_06(note):
         assert verify_relators_killed(g, th, d), g.edges
 
         symbols = len(th.records())
-        round_trip = d.from_standard_matrix.mul(d.to_standard_matrix)
+        to_standard_matrix, from_standard_matrix = dictionary_matrices(g, th, d)
+        round_trip = from_standard_matrix.mul(to_standard_matrix)
         assert round_trip == QMatrix.identity(symbols), g.edges
 
         profile = arrangement_betti(pso_arrangement(g)[1])

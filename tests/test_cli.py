@@ -268,3 +268,54 @@ def test_corpus_runner(capsys, tmp_path):
     f4_row = next(r for r in report["files"] if r["file"] == "f4.json")
     assert f4_row["pso_is_raag"] is False
     assert f4_row["checks"]["witness_pairing_is_one"] is True
+
+
+LATIN1_GRAPH = '{"vertices": ["a", "\xe9"], "edges": []}'.encode("latin-1")
+LATIN1_ARRANGEMENT = '{"ambient_dim": 1, "subspaces": [[["1"]]], "note": "\xe9"}'.encode("latin-1")
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("classify", LATIN1_GRAPH),
+        ("euler-report", LATIN1_GRAPH),
+        ("homology", LATIN1_ARRANGEMENT),
+    ],
+)
+def test_non_utf8_file_exits_2(capsys, tmp_path, command, content):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(content)
+    assert main([command, str(bad)]) == 2
+    assert "not UTF-8" in one_line_error(capsys)
+
+
+def test_non_utf8_basepoint_file_exits_2(capsys, f3_file, tmp_path):
+    override = tmp_path / "bp.json"
+    override.write_bytes('{"a": [["\xe9"]]}'.encode("latin-1"))
+    assert main(["classify", f3_file, "--basepoints", str(override)]) == 2
+    one_line_error(capsys)
+
+
+def test_corpus_reports_non_utf8_file_as_a_row(capsys, tmp_path):
+    corpus = tmp_path / "graphs"
+    corpus.mkdir()
+    (corpus / "f3.json").write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
+    (corpus / "latin1.txt").write_bytes("a \xe9\n".encode("latin-1"))
+    code, report = run(capsys, "corpus", str(corpus))
+    assert code == 1
+    rows = {r["file"]: r for r in report["files"]}
+    assert rows["f3.json"]["ok"] is True
+    assert rows["latin1.txt"]["ok"] is False
+    assert "not UTF-8" in rows["latin1.txt"]["error"]
+
+
+def test_ambiguous_vertex_label_exits_2(capsys, tmp_path):
+    # x's components {a, b} and {"a,b"} would both print as x[a,b]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": ["x", "a", "b", "a,b"], "edges": [["a", "b"]]}))
+    assert main(["presentation", str(graph), "--group", "psa"]) == 2
+    assert "'a,b'" in one_line_error(capsys)
+    text = tmp_path / "g.txt"
+    text.write_text("vertices: x\na|b c\n")
+    assert main(["classify", str(text)]) == 2
+    assert "'a|b'" in one_line_error(capsys)

@@ -1,6 +1,9 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import is_sil_pair_by_links
 
 from raagbns.errors import MalformedInput
 from raagbns.graphs import (
@@ -10,9 +13,9 @@ from raagbns.graphs import (
     center_rank,
     classify_pair,
     complement_components,
+    components,
     forest_certificate,
     is_sil_pair,
-    is_sil_pair_by_links,
     link,
     star,
     support_components,
@@ -52,6 +55,24 @@ def test_text_format():
 def test_json_round_trip():
     g = path("abc")
     assert SimpleGraph.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("label", ["", "a b", "x,y", "a[", "b]", "p|q", "c{", "d}", "e;f", "g^2", "t\tu"])
+def test_json_rejects_ambiguous_labels(label):
+    with pytest.raises(MalformedInput, match="vertex label"):
+        SimpleGraph.from_json({"vertices": ["a", label], "edges": []})
+
+
+@pytest.mark.parametrize("label", ["x,y", "a[b]", "p|q", "{c}", "e;f", "g^2"])
+def test_text_rejects_ambiguous_labels(label):
+    with pytest.raises(MalformedInput, match="vertex label"):
+        SimpleGraph.from_text(f"a {label}\n")
+
+
+def test_constructor_keeps_symbol_labels():
+    # presentation graphs are built from generator symbols directly
+    g = SimpleGraph(["a[b|c]", "a{b;c}"], [("a[b|c]", "a{b;c}")])
+    assert g.adjacent("a[b|c]", "a{b;c}")
 
 
 def test_link_edgeless():
@@ -249,3 +270,14 @@ def test_no_sil_iff_all_support_graphs_discrete(g):
     )
     all_discrete = all(support_graph(g, a).is_discrete() for a in g.vertices)
     assert has_sil == (not all_discrete)
+
+
+@given(graphs(min_n=0, max_n=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_components_match_networkx(g, data):
+    nodes = data.draw(st.sets(st.sampled_from(sorted(g.vertices))) if g.vertices else st.just(set()))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges)
+    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(nxg.subgraph(nodes)))
+    assert components(nodes, g.neighbors) == expected

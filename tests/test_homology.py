@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_betti, dense_chain_complex, dense_product_is_zero
+from oracles import dense_betti, dense_chain_complex, dense_product_is_zero, h0_dim
 from raagbns.bns import pso_arrangement, psa_arrangement, raag_arrangement
 from raagbns.errors import InvariantViolation
 from raagbns.graphs import SimpleGraph
@@ -15,7 +15,6 @@ from raagbns.homology import (
     arrangement_betti,
     betti_numbers,
     build_chain_complex,
-    h0_dim,
     maximal_filter,
     verify_complex,
 )

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_product_is_zero, rref_rank
+from oracles import dense_product_is_zero, parse_qmatrix, rref_rank, span_sum
 from raagbns.linalg import (
     QMatrix,
     Subspace,
@@ -13,7 +13,6 @@ from raagbns.linalg import (
     parse_rational,
     rank,
     rref,
-    span_sum,
     subspace_leq,
 )
 
@@ -21,7 +20,7 @@ X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
 def mat(text):
-    return QMatrix.parse(text)
+    return parse_qmatrix(text)
 
 
 def test_parse_rational():

@@ -2,9 +2,10 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from oracles import is_inner_bounded
+from oracles import dictionary_matrices, is_inner_bounded, raag_presentation
 
-from raagbns.errors import MalformedInput
+from raagbns import presentations
+from raagbns.errors import InvariantViolation, MalformedInput
 from raagbns.graphs import SimpleGraph, support_components, support_graph
 from raagbns.linalg import QMatrix
 from raagbns.presentations import (
@@ -19,7 +20,6 @@ from raagbns.presentations import (
     presentation_graph,
     psa_presentation,
     pso_presentation,
-    raag_presentation,
     verify_relators_killed,
 )
 from raagbns.words import automorphism_table, inverse, standard_generators
@@ -147,7 +147,8 @@ def test_dictionary_f3():
     th = presentation_graph(F3)
     d = generator_dictionary(F3, th)
     assert dict(d.to_standard)["a[b|c]"] == ((gen("a", "c"), 1),)
-    assert d.from_standard_matrix.mul(d.to_standard_matrix) == QMatrix.identity(3)
+    to_standard_matrix, from_standard_matrix = dictionary_matrices(F3, th, d)
+    assert from_standard_matrix.mul(to_standard_matrix) == QMatrix.identity(3)
 
 
 def test_dictionary_empty_theta():
@@ -164,11 +165,12 @@ def test_psi_multiplier_columns_sum_to_zero():
         th = presentation_graph(g)
         d = generator_dictionary(g, th)
         gens = standard_generators(g)
+        _, from_standard_matrix = dictionary_matrices(g, th, d)
         for a in sorted(g.vertices):
             cols = [j for j, x in enumerate(gens) if x[0] == a]
             if not cols:
                 continue
-            for row in d.from_standard_matrix.entries:
+            for row in from_standard_matrix.entries:
                 assert sum(row[j] for j in cols) == 0
 
 
@@ -187,6 +189,39 @@ def test_corrupted_dictionary_fails_verification():
     rows[0] = (target, tuple((sym, -exp) for sym, exp in word))
     bad = dataclasses.replace(d, from_standard=tuple(rows))
     assert not verify_relators_killed(F3, th, bad)
+
+
+def _single_letter_corruptions(word):
+    """The word with one letter dropped, inverted or doubled."""
+    for i, (sym, exp) in enumerate(word):
+        yield word[:i] + word[i + 1:]
+        yield word[:i] + ((sym, -exp),) + word[i + 1:]
+        yield word[:i + 1] + word[i:]
+
+
+def test_round_trip_check_catches_every_single_letter_corruption():
+    corrupted = 0
+    for g in (F3, K33, PATH5):
+        d = generator_dictionary(g, presentation_graph(g))
+        gens = standard_generators(g)
+        for field in ("to_standard", "from_standard"):
+            rows = getattr(d, field)
+            for i, (key, word) in enumerate(rows):
+                for bad in _single_letter_corruptions(word):
+                    broken = rows[:i] + ((key, bad),) + rows[i + 1:]
+                    with pytest.raises(InvariantViolation, match="round trip"):
+                        presentations._check_round_trips(gens, dataclasses.replace(d, **{field: broken}))
+                    corrupted += 1
+    assert corrupted == 3 * 30  # three corruptions of each of the 30 letters
+
+
+def test_round_trip_check_catches_an_unreachable_symbol():
+    # the standard side still round-trips; only symbols -> standard ->
+    # symbols sees a symbol whose image does not come back
+    d = generator_dictionary(F3, presentation_graph(F3))
+    extra = dataclasses.replace(d, to_standard=d.to_standard + (("z[a|b]", ()),))
+    with pytest.raises(InvariantViolation, match="round trip on symbols"):
+        presentations._check_round_trips(standard_generators(F3), extra)
 
 
 def test_round_trip_single_letters():
