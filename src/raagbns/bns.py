@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, InvariantViolation, enumeration_cap
+from .errors import InvariantViolation, admit
 from .graphs import complement_components, support_graph
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
-from .linalg import QMatrix, Subspace, intersect, kernel_basis
+from .linalg import Subspace, intersect
 from .words import standard_generators
 
 
@@ -43,8 +43,8 @@ class CharacterBasis:
         return self.labels.index(label)
 
     def unit(self, label):
-        v = [Fraction(0)] * self.dim
-        v[self.index(label)] = Fraction(1)
+        v = [0] * self.dim
+        v[self.index(label)] = 1
         return v
 
 
@@ -87,7 +87,7 @@ def maximal_disconnected_subsets(g, cap=None):
     vertex keeps it disconnected."""
     vs = sorted(g.vertices)
     n = len(vs)
-    _admit(2 ** n, cap, f"disconnected-subset enumeration over {n} vertices would scan {2 ** n} subsets")
+    admit(2 ** n, cap, f"disconnected-subset enumeration over {n} vertices would scan {2 ** n} subsets")
     adjacency = _neighbour_masks(vs, g.adjacent)
     disconnected = {s for s in range(1 << n) if _component(s, adjacency) != s}
     return sorted(
@@ -178,15 +178,6 @@ def _choice_tree_size(options):
     return nodes
 
 
-def _admit(size, cap, claim):
-    """Refuse, before any work, an enumeration of `size` steps over the
-    cap (the configured one when `cap` is None); `claim` says what it
-    would do."""
-    cap = enumeration_cap() if cap is None else cap
-    if size > cap:
-        raise CapExceeded(f"{claim}, over the cap of {cap}; raise RAAGBNS_CAP to insist")
-
-
 def _unions(option_masks):
     out = [0]
     for choices in option_masks:
@@ -205,7 +196,7 @@ def _maximal_valid(g, arity, cross_ok, name, cap):
     """
     options = _per_multiplier_options(g, arity)
     nodes = _choice_tree_size(options)
-    _admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
+    admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
     failure = _neighbour_masks(members, lambda x, y: not cross_ok(x, y))
@@ -272,24 +263,21 @@ def psa_arrangement(g, cap=None, deltas=None):
     return Arrangement(basis.dim, tuple(subs))
 
 
-def pso_relator_matrix(g):
-    basis = generator_basis(g)
-    rows = []
-    for a in sorted(g.vertices):
-        comps = complement_components(g, a)
-        if not comps:
-            continue
-        row = [Fraction(0)] * basis.dim
-        for k in comps:
-            row[basis.index((a, k))] = Fraction(1)
-        rows.append(row)
-    return QMatrix(rows, cols=basis.dim)
-
-
 def pso_hom_space(g):
     """Characters of the outer group: each multiplier's coordinates sum
-    to zero."""
-    return kernel_basis(pso_relator_matrix(g))
+    to zero.  The basis is written down, not computed: a multiplier's
+    generators take consecutive coordinates i..j, and its RREF rows are
+    e_t - e_j for i <= t < j, already primitive."""
+    labels = generator_basis(g).labels
+    rows, start = [], 0
+    for _, gens in itertools.groupby(labels, key=lambda gen: gen[0]):
+        last = start + len(list(gens)) - 1
+        for t in range(start, last):
+            row = [0] * len(labels)
+            row[t], row[last] = 1, -1
+            rows.append(row)
+        start = last + 1
+    return Subspace.from_rref(len(labels), rows)
 
 
 def pso_arrangement(g, cap=None, deltas=None):
@@ -306,9 +294,8 @@ def pso_arrangement(g, cap=None, deltas=None):
         deltas = maximal_delta_psets(g, cap)
     subs = []
     for d in deltas:
-        ambient_sub = _delta_subspace(basis, d.members)
         rows = []
-        for v in ambient_sub.basis.entries:
+        for v in _delta_subspace(basis, d.members).rows:
             coords = w.coordinates(v)
             if coords is None:
                 raise InvariantViolation("delta-p-set subspace escapes the outer character space")
@@ -355,7 +342,7 @@ def h1_witness(g, loop, cap=None):
         v2 = basis.unit((a, nodes[(i + 1) % n]))
         chain.append((j, tuple(x - y for x, y in zip(v1, v2))))
 
-    total = [Fraction(0)] * basis.dim
+    total = [0] * basis.dim
     for _, vec in chain:
         total = [x + y for x, y in zip(total, vec)]
     if any(x != 0 for x in total):
@@ -363,7 +350,7 @@ def h1_witness(g, loop, cap=None):
 
     # degree-one boundaries are inclusions, so d_1 of the chain is the sum
     # over its components of local coordinates times summand basis rows
-    boundary = [Fraction(0)] * w.dim
+    boundary = [0] * w.dim
     for j, vec in chain:
         sub = arrangement.subspaces[j]
         in_w = w.coordinates(list(vec))
@@ -372,8 +359,7 @@ def h1_witness(g, loop, cap=None):
         local = sub.coordinates(in_w)
         if local is None:
             raise InvariantViolation("chain component escapes its summand")
-        for c, row in zip(local, sub.basis.entries):
-            boundary = [x + c * y for x, y in zip(boundary, row)]
+        boundary = [x + y for x, y in zip(boundary, _from_coordinates(sub, local))]
     if any(boundary):
         raise InvariantViolation("witness chain is not a cycle of the complex")
 
@@ -387,8 +373,8 @@ def h1_witness(g, loop, cap=None):
         if in_i == in_j:
             continue
         meet = intersect([arrangement.subspaces[i], arrangement.subspaces[j]])
-        for row in meet.basis.entries:
-            ambient = _w_to_ambient(w, row)
+        for row in meet.rows:
+            ambient = _from_coordinates(w, row)
             if ambient[functional_index] != 0:
                 raise InvariantViolation("cocycle patching fails on a pairwise intersection")
 
@@ -401,21 +387,24 @@ def h1_witness(g, loop, cap=None):
     return H1Witness(loop, tuple(chain), support, pairing)
 
 
-def _w_to_ambient(w, coords):
-    out = [Fraction(0)] * w.ambient_dim
-    for c, row in zip(coords, w.basis.entries):
+def _from_coordinates(s, coords):
+    """The vector of subspace s with RREF coordinates `coords`: ints while
+    the coordinates are ints and each pivot entry met is 1."""
+    out = [0] * s.ambient_dim
+    for c, row, p in zip(coords, s.rows, s.pivots):
         if c:
+            c = c if row[p] == 1 else Fraction(c, row[p])
             out = [x + c * y for x, y in zip(out, row)]
     return out
 
 
 def euler_report(g, cap=None):
     """Betti profiles for the three groups' arrangements."""
-    raag = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g, cap))))
+    raag = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g, cap)), cap))
     deltas = maximal_delta_psets(g, cap)
-    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap, deltas))))
+    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap, deltas)), cap))
     _, pso_arr, _ = pso_arrangement(g, cap, deltas)
-    pso = betti_numbers(build_chain_complex(maximal_filter(pso_arr)))
+    pso = betti_numbers(build_chain_complex(maximal_filter(pso_arr), cap))
     return {"raag": raag, "psa": psa, "pso": pso}
 
 

@@ -39,3 +39,11 @@ def enumeration_cap():
     if cap < 0:
         raise MalformedInput(f"RAAGBNS_CAP must be a non-negative integer, got {raw!r}")
     return cap
+
+
+def admit(size, cap, claim):
+    """Refuse, before the work, a computation of `size` steps over the cap
+    (the configured one when `cap` is None); `claim` says what it would do."""
+    cap = enumeration_cap() if cap is None else cap
+    if size > cap:
+        raise CapExceeded(f"{claim}, over the cap of {cap}; raise RAAGBNS_CAP to insist")

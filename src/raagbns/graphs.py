@@ -65,6 +65,11 @@ class SimpleGraph:
         edges = data.get("edges", [])
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
             raise MalformedInput("graph JSON edges must be a list of two-vertex lists")
+        for label in data["vertices"] + [v for e in edges for v in e]:
+            if not isinstance(label, str):
+                raise MalformedInput(
+                    f"graph JSON vertex labels and edge endpoints must be strings, not {json.dumps(label)}"
+                )
         return cls(_checked_labels(data["vertices"]), edges)
 
     @classmethod

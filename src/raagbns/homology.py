@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation, MalformedInput
+from .errors import InvariantViolation, MalformedInput, admit, enumeration_cap
 from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, subspace_leq
 
 
@@ -77,7 +77,7 @@ class BettiProfile:
 
 
 def _support(s):
-    return frozenset(j for row in s.basis.entries for j, x in enumerate(row) if x != 0)
+    return frozenset(j for row in s.rows for j, x in enumerate(row) if x)
 
 
 def arrangement_from_file(path):
@@ -91,19 +91,24 @@ def arrangement_from_file(path):
     return Arrangement.from_json(data)
 
 
-def build_chain_complex(a):
+def build_chain_complex(a, cap=None):
     """Chain complex with one degree-k summand per k-subset J of subspace
     indices with nonzero intersection; zero summands are dropped and
-    enumeration stops at the first empty degree."""
+    enumeration stops at the first empty degree.  CapExceeded as soon as
+    the summands counted so far pass the cap (the configured one when
+    `cap` is None)."""
     n = a.ambient_dim
     subs = list(a.subspaces)
     supports = [_support(s) for s in subs]
+    cap = enumeration_cap() if cap is None else cap
 
     # degree 1: one summand per nonzero listed subspace
-    levels = []
+    levels, total = [], 0
     level = [((i,), subs[i]) for i in range(len(subs)) if subs[i].dim > 0]
+    admit(len(level), cap, f"the chain complex reaches {len(level)} summands at degree 1")
     while level:
         levels.append(level)
+        total += len(level)
         nxt = []
         for idx, space in level:
             sup = _support(space)
@@ -113,6 +118,9 @@ def build_chain_complex(a):
                 meet = intersect([space, subs[j]])
                 if meet.dim > 0:
                     nxt.append((idx + (j,), meet))
+                    count = total + len(nxt)
+                    if count > cap:
+                        admit(count, cap, f"the chain complex reaches {count} summands at degree {len(idx) + 1}")
         level = nxt
 
     dims = [n] + [sum(space.dim for _, space in level) for level in levels]
@@ -124,12 +132,15 @@ def build_chain_complex(a):
             run += space.dim
         offsets.append(offs)
 
+    # the basis of a summand is its RREF basis: each stored integer row v
+    # over its pivot entry, so each column below is exact over that entry
     boundaries = [ZMatrix(0, [{}] * n)]  # d_0 : C_0 -> 0
     for k, level in enumerate(levels, start=1):
         parent = dict(levels[k - 2]) if k >= 2 else {}
-        columns = []
+        columns, denominators = [], []
         for idx, space in level:
-            for v in space.basis.entries:
+            for v, p in zip(space.rows, space.pivots):
+                denominators.append(v[p])
                 if k == 1:
                     columns.append({r: x for r, x in enumerate(v) if x})
                     continue
@@ -145,7 +156,7 @@ def build_chain_complex(a):
                         if x:
                             column[base + r] = column.get(base + r, 0) + sign * x
                 columns.append(column)
-        boundaries.append(ZMatrix.scaled(dims[k - 1], columns))
+        boundaries.append(ZMatrix.scaled(dims[k - 1], columns, denominators))
 
     index_sets = tuple(
         tuple((idx, space.dim) for idx, space in level) for level in levels

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Everything is built on fractions.Fraction and Python ints; there are no
-floats anywhere.  Subspaces are stored as RREF bases so that equality of
-subspaces is literal equality of the stored data.  Chain-complex
-boundaries use ZMatrix, a sparse integer matrix held by columns, whose
-products and ranks never leave the integers.
+There are no floats anywhere.  A Subspace holds its RREF basis with
+each row stored as its primitive integer multiple, so equality of
+subspaces is literal equality of the stored data, and meets and
+membership tests run on Python ints.  One fraction-free Gauss-Jordan
+routine, `_echelon`, puts rows in that form.  Chain-complex boundaries
+use ZMatrix, a sparse integer matrix held by columns, whose products
+and ranks never leave the integers.  fractions.Fraction is left to the
+edges: parsed input, and the QMatrix bases built for printing.
 """
 
 from fractions import Fraction
@@ -47,10 +50,6 @@ class QMatrix:
         one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
     def transpose(self):
         if self.entries:
             return QMatrix(list(zip(*self.entries)), cols=self.rows)
@@ -64,11 +63,6 @@ class QMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
             cols=other.cols,
         )
-
-    def stack(self, other):
-        if other.rows and self.rows and self.cols != other.cols:
-            raise ValueError("dimension mismatch in row stack")
-        return QMatrix(self.entries + other.entries, cols=max(self.cols, other.cols))
 
     def to_token_rows(self):
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -96,16 +90,19 @@ class ZMatrix:
         self.cols = len(self.columns)
 
     @classmethod
-    def scaled(cls, rows, columns):
-        """Integer matrix from columns of rational {row: value} maps, the
-        whole matrix multiplied by the LCM of its denominators.  A scalar
+    def scaled(cls, rows, columns, denominators):
+        """Column j is the integer {row: value} map columns[j] over the
+        positive integer denominators[j], the whole matrix multiplied by the
+        least positive integer that clears every quotient.  A scalar
         multiple keeps the rank and whether a product with it is zero."""
-        scale = lcm(*{x.denominator for col in columns for x in col.values()})
-        return cls(rows, [{r: x.numerator * (scale // x.denominator) for r, x in col.items() if x} for col in columns])
+        scale = lcm(*(d // gcd(d, *col.values()) for col, d in zip(columns, denominators) if d > 1))
+        return cls(rows, [{r: x * scale // d for r, x in col.items() if x} for col, d in zip(columns, denominators)])
 
     @classmethod
     def from_qmatrix(cls, m):
-        return cls.scaled(m.rows, [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)])
+        """The QMatrix times the LCM of its denominators."""
+        flat = _int_row([x for row in m.entries for x in row])
+        return cls(m.rows, [{i: x for i, x in enumerate(flat[j::m.cols]) if x} for j in range(m.cols)])
 
     @property
     def entries(self):
@@ -135,31 +132,65 @@ class ZMatrix:
         return f"ZMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} nonzero)"
 
 
-def rref(m):
-    """Reduced row-echelon form with zero rows dropped; returns (QMatrix, rank)."""
-    work = [list(row) for row in m.entries]
-    nrows, ncols = len(work), m.cols
-    pivot_row = 0
+def _int_row(row):
+    """The row times the LCM of its denominators: the same span, in ints."""
+    scale = lcm(*(x.denominator for x in row))
+    return [int(x * scale) for x in row] if scale > 1 else list(map(int, row))
+
+
+def _echelon(rows, ncols):
+    """(rows, pivots) of the RREF of rational rows, each RREF row held as
+    its primitive integer multiple (gcd 1, positive pivot), a unique form.
+    Fraction-free Gauss-Jordan: against a pivot p, a row with x in that
+    column becomes (p*row - x*pivot_row) / gcd(p, x), then loses the gcd
+    of its entries."""
+    work = [row for row in map(_int_row, rows) if any(row)]
+    pivots = []
     for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, nrows):
-            if work[r][col] != 0:
-                sel = r
-                break
+        top = len(pivots)
+        sel = next((i for i in range(top, len(work)) if work[i][col]), None)
         if sel is None:
             continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                prow = work[pivot_row]
-                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
-        pivot_row += 1
-        if pivot_row == nrows:
+        work[top], work[sel] = work[sel], work[top]
+        prow = work[top]
+        p = prow[col]
+        for i, row in enumerate(work):
+            x = row[col]
+            if x and i != top:
+                g = gcd(p, x)
+                a, b = p // g, x // g
+                row = [a * y - b * z for y, z in zip(row, prow)]
+                g = gcd(*row)
+                work[i] = [y // g for y in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(work):
             break
-    return QMatrix(work[:pivot_row], cols=ncols), pivot_row
+    # each row over its content, signed so that the pivot turns positive
+    contents = [gcd(*row) if row[col] > 0 else -gcd(*row) for row, col in zip(work, pivots)]
+    return tuple(tuple(y // c for y in row) for row, c in zip(work, contents)), tuple(pivots)
+
+
+def _kernel(rows, pivots, ncols):
+    """Primitive integer basis of {x : row . x = 0 for every row}, for rows
+    from _echelon: one vector per free column j, set there to the LCM of
+    the pivots of the rows nonzero at j, its pivot entries solved."""
+    out = []
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        hits = [(row[j], row[p], p) for row, p in zip(rows, pivots) if row[j]]
+        scale = lcm(*(m for _, m, _ in hits))
+        v = [0] * ncols
+        v[j] = scale
+        for x, m, p in hits:
+            v[p] = -x * (scale // m)
+        g = gcd(*v)  # at least 1: v[j] is not 0
+        out.append([y // g for y in v])
+    return out
+
+
+def rref(m):
+    """Reduced row-echelon form with zero rows dropped; returns (QMatrix, rank)."""
+    s = Subspace(m.cols, m)
+    return s.basis, s.dim
 
 
 def rank(m):
@@ -196,97 +227,83 @@ def rank(m):
     return len(pivots)
 
 
-def pivot_columns(reduced):
-    """Pivot column indices of a matrix already in RREF."""
-    pivots = []
-    for row in reduced.entries:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    return pivots
-
-
 class Subspace:
-    """A subspace of Q^n held as an RREF basis (zero rows dropped).
+    """A subspace of Q^n held as its RREF basis, each row stored as its
+    primitive integer multiple (`rows`, with pivot columns `pivots`).
+    That form is unique, so == and hash are structural."""
 
-    Two Subspace values describe the same subspace exactly when their
-    stored bases are identical, so == and hash are structural.
-    """
-
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator")
 
     def __init__(self, ambient_dim, basis):
-        reduced, _ = rref(basis)
-        if reduced.cols not in (0, ambient_dim) or (reduced.rows and reduced.cols != ambient_dim):
+        rows = basis.entries if isinstance(basis, QMatrix) else basis
+        if any(len(row) != ambient_dim for row in rows) or getattr(basis, "cols", 0) not in (0, ambient_dim):
             raise ValueError("basis width disagrees with ambient dimension")
         self.ambient_dim = ambient_dim
-        self.basis = QMatrix(reduced.entries, cols=ambient_dim)
+        self.rows, self.pivots = _echelon(rows, ambient_dim)
+        self._annihilator = None
+
+    @classmethod
+    def from_rref(cls, ambient_dim, rows):
+        """A subspace from rows already in the stored form: primitive
+        integer RREF rows in pivot order.  They are not checked."""
+        s = cls.__new__(cls)
+        s.ambient_dim, s.rows, s._annihilator = ambient_dim, tuple(map(tuple, rows)), None
+        s.pivots = tuple(next(j for j, x in enumerate(row) if x) for row in s.rows)
+        return s
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        return cls(ambient_dim, QMatrix(list(vectors), cols=ambient_dim))
+        return cls(ambient_dim, list(vectors))
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls(ambient_dim, QMatrix([], cols=ambient_dim))
+        return cls.from_rref(ambient_dim, [])
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(ambient_dim, QMatrix.identity(ambient_dim))
+        return cls.from_rref(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
 
     @property
     def dim(self):
-        return self.basis.rows
+        return len(self.rows)
 
-    def pivots(self):
-        return pivot_columns(self.basis)
-
-    def reduce_vector(self, v):
-        """Remainder of v after elimination against the RREF basis."""
-        v = [Fraction(x) for x in v]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        for row, p in zip(self.basis.entries, self.pivots()):
-            if v[p] != 0:
-                c = v[p]
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def contains_vector(self, v):
-        return all(x == 0 for x in self.reduce_vector(v))
+    @property
+    def basis(self):
+        """The RREF basis as a QMatrix of Fractions, built on each access:
+        each stored row over its pivot entry."""
+        return QMatrix([[Fraction(x, r[p]) for x in r] for r, p in zip(self.rows, self.pivots)], cols=self.ambient_dim)
 
     def coordinates(self, v):
-        """Coefficients of v in the RREF basis; None if v lies outside.
-
-        Because the basis is in RREF, the coefficient on row i is just
-        the entry of v at that row's pivot column.
-        """
-        v = [Fraction(x) for x in v]
+        """Coefficients of v in the RREF basis: the entries of v at the
+        pivot columns.  None if v lies outside: clearing each pivot column
+        by the integer step m*v - c*row, with m the row's pivot entry and
+        c v's entry there, leaves a nonzero rest."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length disagrees with ambient dimension")
-        coords = [v[p] for p in self.pivots()]
-        residue = list(v)
-        for c, row in zip(coords, self.basis.entries):
-            if c != 0:
-                residue = [x - c * y for x, y in zip(residue, row)]
-        if any(x != 0 for x in residue):
-            return None
-        return coords
+        rest = v
+        for row, p in zip(self.rows, self.pivots):
+            c = rest[p]
+            if c:
+                m = row[p]
+                rest = [m * x - c * y for x, y in zip(rest, row)]
+        return None if any(rest) else [v[p] for p in self.pivots]
+
+    def contains_vector(self, v):
+        return self.coordinates(v) is not None
 
     def annihilator(self):
-        """Matrix whose kernel is exactly this subspace."""
-        return kernel_basis(self.basis).basis
+        """Sparse integer rows, as (column, value) pairs, whose common
+        kernel is exactly this subspace; computed once and kept."""
+        if self._annihilator is None:
+            kernel = _kernel(self.rows, self.pivots, self.ambient_dim)
+            self._annihilator = tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in kernel)
+        return self._annihilator
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -294,51 +311,33 @@ class Subspace:
 
 def kernel_basis(m):
     """Null space {x : m x = 0} of a matrix acting on column vectors."""
-    reduced, _ = rref(m)
-    pivots = pivot_columns(reduced)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vectors = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for row, p in zip(reduced.entries, pivots):
-            v[p] = -row[j]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
-
-
-def _check_common_ambient(subspaces, ambient_dim):
-    for s in subspaces:
-        if ambient_dim is None:
-            ambient_dim = s.ambient_dim
-        elif s.ambient_dim != ambient_dim:
-            raise ValueError("mismatched ambient dimensions")
-    if ambient_dim is None:
-        raise ValueError("ambient dimension unknown for an empty list")
-    return ambient_dim
+    s = Subspace(m.cols, m)
+    return Subspace(m.cols, _kernel(s.rows, s.pivots, m.cols))
 
 
 def intersect(subspaces):
-    """Intersection of a nonempty list of subspaces of one ambient space.
-
-    Each subspace is cut out by its annihilator rows; the intersection is
-    the kernel of all the rows stacked together.
-    """
+    """Intersection of a nonempty list of subspaces of one ambient space,
+    met two at a time inside the smaller space S: the combinations of
+    S's rows that the larger space's annihilator kills span the meet."""
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("intersect needs at least one subspace")
-    ambient_dim = _check_common_ambient(subspaces, None)
-    if len(subspaces) == 1:
-        return subspaces[0]
-    constraints = QMatrix([], cols=ambient_dim)
-    for s in subspaces:
-        constraints = constraints.stack(s.annihilator())
-    return kernel_basis(constraints)
+    if len({s.ambient_dim for s in subspaces}) > 1:
+        raise ValueError("mismatched ambient dimensions")
+    meet = subspaces[0]
+    for other in subspaces[1:]:
+        small, big = (meet, other) if meet.dim <= other.dim else (other, meet)
+        constraints = [[sum(x * row[j] for j, x in f) for row in small.rows] for f in big.annihilator()]
+        rows, pivots = _echelon(constraints, small.dim)
+        meet = small if not rows else Subspace(small.ambient_dim, [
+            [sum(c * y for c, y in zip(coeffs, column)) for column in zip(*small.rows)]
+            for coeffs in _kernel(rows, pivots, small.dim)
+        ])
+    return meet
 
 
 def subspace_leq(a, b):
     """True iff a is contained in b."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("mismatched ambient dimensions")
-    return all(b.contains_vector(row) for row in a.basis.entries)
+    return a.dim <= b.dim and all(b.contains_vector(row) for row in a.rows)

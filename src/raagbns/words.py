@@ -20,7 +20,7 @@ Partial conjugations act letterwise: the generator with multiplier a and
 component K sends x to a x a^-1 for x in K and fixes all other vertices.
 """
 
-from .errors import CapExceeded, MalformedInput, enumeration_cap
+from .errors import MalformedInput, admit
 from .graphs import classify_pair, complement_components, is_sil_pair
 
 
@@ -45,11 +45,8 @@ def parse_word(g, text):
         if not g.has_vertex(v):
             raise MalformedInput(f"unknown vertex {v!r} in word")
         tokens.append((v, k))
-    length, cap = sum(abs(k) for _, k in tokens), enumeration_cap()
-    if length > cap:
-        raise CapExceeded(
-            f"word would expand to {length} letters, over the cap of {cap}; raise RAAGBNS_CAP to insist"
-        )
+    length = sum(abs(k) for _, k in tokens)
+    admit(length, None, f"word would expand to {length} letters")
     letters = []
     for v, k in tokens:
         letters.extend([(v, 1 if k > 0 else -1)] * abs(k))

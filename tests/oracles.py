@@ -4,10 +4,11 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from raagbns.bns import _per_multiplier_options
+from raagbns.bns import _per_multiplier_options, generator_basis
 from raagbns.errors import CapExceeded
-from raagbns.graphs import components, link
-from raagbns.linalg import QMatrix, Subspace, _check_common_ambient, intersect, parse_rational, rref
+from raagbns.graphs import complement_components, components, link
+from raagbns import linalg
+from raagbns.linalg import QMatrix, parse_rational
 from raagbns.presentations import GroupPresentation, _commutator
 from raagbns.words import enumerate_reduced_words, inverse, reduce, standard_generators
 
@@ -135,8 +136,9 @@ def dense_product_is_zero(a, b):
 def dense_chain_complex(a):
     """(dims, boundaries) of the chain complex of arrangement `a`, with
     each boundary d_k a dense QMatrix of Fractions, unscaled: the same
-    summands and bases as homology.build_chain_complex."""
-    subs = list(a.subspaces)
+    summands and bases as homology.build_chain_complex, computed with the
+    Fraction Subspace and intersect below."""
+    subs = [Subspace(s.ambient_dim, s.basis) for s in a.subspaces]
     levels = []
     level = [((i,), s) for i, s in enumerate(subs) if s.dim > 0]
     while level:
@@ -291,7 +293,7 @@ def span_sum(subspaces, ambient_dim=None):
     rows = []
     for s in subspaces:
         rows.extend(s.basis.entries)
-    return Subspace.from_vectors(ambient_dim, rows)
+    return linalg.Subspace.from_vectors(ambient_dim, rows)
 
 
 def h0_dim(a):
@@ -340,3 +342,217 @@ def dictionary_matrices(g, th, d):
     symbols = [r.symbol for r in th.records()]
     gens = standard_generators(g)
     return _exponent_matrix(gens, d.to_standard), _exponent_matrix(symbols, d.from_standard)
+
+
+def pso_relator_matrix(g):
+    """One row per multiplier with components: ones on its generators'
+    coordinates.  Its kernel is the outer character space W."""
+    basis = generator_basis(g)
+    rows = []
+    for a in sorted(g.vertices):
+        comps = complement_components(g, a)
+        if not comps:
+            continue
+        row = [Fraction(0)] * basis.dim
+        for k in comps:
+            row[basis.index((a, k))] = Fraction(1)
+        rows.append(row)
+    return QMatrix(rows, cols=basis.dim)
+
+
+# The Fraction subspace code that raagbns.linalg replaced with integer
+# rows, kept as the differential oracle: rref, pivot_columns, Subspace,
+# kernel_basis, _check_common_ambient, intersect and subspace_leq, with
+# QMatrix.stack as the function `stack`.
+
+
+def stack(a, b):
+    """QMatrix.stack of the Fraction code: rows of a, then rows of b."""
+    if b.rows and a.rows and a.cols != b.cols:
+        raise ValueError("dimension mismatch in row stack")
+    return QMatrix(a.entries + b.entries, cols=max(a.cols, b.cols))
+
+
+def rref(m):
+    """Reduced row-echelon form with zero rows dropped; returns (QMatrix, rank)."""
+    work = [list(row) for row in m.entries]
+    nrows, ncols = len(work), m.cols
+    pivot_row = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(pivot_row, nrows):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[pivot_row], work[sel] = work[sel], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and work[r][col] != 0:
+                factor = work[r][col]
+                prow = work[pivot_row]
+                work[r] = [x - factor * y for x, y in zip(work[r], prow)]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return QMatrix(work[:pivot_row], cols=ncols), pivot_row
+
+
+def pivot_columns(reduced):
+    """Pivot column indices of a matrix already in RREF."""
+    pivots = []
+    for row in reduced.entries:
+        for j, x in enumerate(row):
+            if x != 0:
+                pivots.append(j)
+                break
+    return pivots
+
+
+class Subspace:
+    """A subspace of Q^n held as an RREF basis (zero rows dropped).
+
+    Two Subspace values describe the same subspace exactly when their
+    stored bases are identical, so == and hash are structural.
+    """
+
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim, basis):
+        reduced, _ = rref(basis)
+        if reduced.cols not in (0, ambient_dim) or (reduced.rows and reduced.cols != ambient_dim):
+            raise ValueError("basis width disagrees with ambient dimension")
+        self.ambient_dim = ambient_dim
+        self.basis = QMatrix(reduced.entries, cols=ambient_dim)
+
+    @classmethod
+    def from_vectors(cls, ambient_dim, vectors):
+        return cls(ambient_dim, QMatrix(list(vectors), cols=ambient_dim))
+
+    @classmethod
+    def zero(cls, ambient_dim):
+        return cls(ambient_dim, QMatrix([], cols=ambient_dim))
+
+    @classmethod
+    def full(cls, ambient_dim):
+        return cls(ambient_dim, QMatrix.identity(ambient_dim))
+
+    @property
+    def dim(self):
+        return self.basis.rows
+
+    def pivots(self):
+        return pivot_columns(self.basis)
+
+    def reduce_vector(self, v):
+        """Remainder of v after elimination against the RREF basis."""
+        v = [Fraction(x) for x in v]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length disagrees with ambient dimension")
+        for row, p in zip(self.basis.entries, self.pivots()):
+            if v[p] != 0:
+                c = v[p]
+                v = [x - c * y for x, y in zip(v, row)]
+        return v
+
+    def contains_vector(self, v):
+        return all(x == 0 for x in self.reduce_vector(v))
+
+    def coordinates(self, v):
+        """Coefficients of v in the RREF basis; None if v lies outside.
+
+        Because the basis is in RREF, the coefficient on row i is just
+        the entry of v at that row's pivot column.
+        """
+        v = [Fraction(x) for x in v]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length disagrees with ambient dimension")
+        coords = [v[p] for p in self.pivots()]
+        residue = list(v)
+        for c, row in zip(coords, self.basis.entries):
+            if c != 0:
+                residue = [x - c * y for x, y in zip(residue, row)]
+        if any(x != 0 for x in residue):
+            return None
+        return coords
+
+    def annihilator(self):
+        """Matrix whose kernel is exactly this subspace."""
+        return kernel_basis(self.basis).basis
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis
+        )
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
+
+
+def kernel_basis(m):
+    """Null space {x : m x = 0} of a matrix acting on column vectors."""
+    reduced, _ = rref(m)
+    pivots = pivot_columns(reduced)
+    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivot_set]
+    vectors = []
+    for j in free:
+        v = [Fraction(0)] * m.cols
+        v[j] = Fraction(1)
+        for row, p in zip(reduced.entries, pivots):
+            v[p] = -row[j]
+        vectors.append(v)
+    return Subspace.from_vectors(m.cols, vectors)
+
+
+def _check_common_ambient(subspaces, ambient_dim):
+    for s in subspaces:
+        if ambient_dim is None:
+            ambient_dim = s.ambient_dim
+        elif s.ambient_dim != ambient_dim:
+            raise ValueError("mismatched ambient dimensions")
+    if ambient_dim is None:
+        raise ValueError("ambient dimension unknown for an empty list")
+    return ambient_dim
+
+
+def intersect(subspaces):
+    """Intersection of a nonempty list of subspaces of one ambient space.
+
+    Each subspace is cut out by its annihilator rows; the intersection is
+    the kernel of all the rows stacked together.
+    """
+    subspaces = list(subspaces)
+    if not subspaces:
+        raise ValueError("intersect needs at least one subspace")
+    ambient_dim = _check_common_ambient(subspaces, None)
+    if len(subspaces) == 1:
+        return subspaces[0]
+    constraints = QMatrix([], cols=ambient_dim)
+    for s in subspaces:
+        constraints = stack(constraints, s.annihilator())
+    return kernel_basis(constraints)
+
+
+def subspace_leq(a, b):
+    """True iff a is contained in b."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("mismatched ambient dimensions")
+    return all(b.contains_vector(row) for row in a.basis.entries)
+
+
+def maximal_filter(subspaces):
+    """homology.maximal_filter on a list of Fraction subspaces: drop
+    duplicates and subspaces strictly contained in another."""
+    unique = []
+    for s in subspaces:
+        if s not in unique:
+            unique.append(s)
+    return [s for s in unique if not any(t is not s and subspace_leq(s, t) for t in unique)]

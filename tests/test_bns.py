@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import networkx as nx
+import oracles
 from oracles import brute_force_partition_witness, connected, partition_witness, walk_maximal, walk_valid
 from test_acceptance import STAR7, corpus
 
@@ -401,3 +403,22 @@ def test_raag_homology_is_center_rank(g):
     profile = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g))))
     assert profile.betti[0] == center_rank(g)
     assert all(b == 0 for b in profile.betti[1:])
+
+
+def atlas_up_to_six():
+    """The 208 graphs of networkx's atlas with one to six vertices."""
+    out = []
+    for G in nx.graph_atlas_g()[1:209]:
+        names = {v: "abcdef"[i] for i, v in enumerate(sorted(G.nodes()))}
+        out.append(SimpleGraph(sorted(names.values()), [(names[u], names[w]) for u, w in G.edges()]))
+    return out
+
+
+def test_pso_hom_space_closed_form_matches_kernel_oracle():
+    graphs = corpus() + atlas_up_to_six()
+    assert len(graphs) == 59 + 208
+    for g in graphs:
+        w = pso_hom_space(g)
+        expected = oracles.kernel_basis(oracles.pso_relator_matrix(g))
+        assert w.basis == expected.basis  # what `bns --group pso` prints as outer_space
+        assert w == Subspace(w.ambient_dim, expected.basis)

@@ -319,3 +319,39 @@ def test_ambiguous_vertex_label_exits_2(capsys, tmp_path):
     text.write_text("vertices: x\na|b c\n")
     assert main(["classify", str(text)]) == 2
     assert "'a|b'" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "graph, shown",
+    [
+        ({"vertices": [True, 1.5], "edges": []}, "true"),
+        ({"vertices": ["a", 1.5], "edges": []}, "1.5"),
+        ({"vertices": [1, "1"], "edges": []}, "1"),
+        ({"vertices": ["1", "2"], "edges": [[1, "2"]]}, "1"),
+        ({"vertices": ["a", "b"], "edges": [["a", None]]}, "null"),
+        ({"vertices": [["a"], "b"]}, '["a"]'),
+    ],
+)
+def test_non_string_json_label_exits_2(capsys, tmp_path, graph, shown):
+    # before, labels were stringified: true became vertex "True", [1, "1"]
+    # read as a duplicate and the endpoint 1 matched vertex "1"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    assert main(["classify", str(path)]) == 2
+    err = one_line_error(capsys)
+    assert err == f"error: graph JSON vertex labels and edge endpoints must be strings, not {shown}\n"
+
+
+def test_homology_chain_complex_admission_cap(capsys, tmp_path, monkeypatch):
+    # four copies of one line: every nonempty index subset is a summand,
+    # 4 + 6 + 4 + 1 = 15 in all, the last one in degree 4
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [[["1", "-1/2"]]] * 4}))
+    monkeypatch.setenv("RAAGBNS_CAP", "14")
+    assert main(["homology", str(path), "--raw"]) == 3
+    err = one_line_error(capsys)
+    assert "15 summands at degree 4, over the cap of 14" in err
+    monkeypatch.setenv("RAAGBNS_CAP", "15")
+    code, report = run(capsys, "homology", str(path), "--raw")
+    assert code == 0
+    assert report["dims"] == [2, 4, 6, 4, 1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import dense_betti, dense_chain_complex, dense_product_is_zero, h0_dim
 from raagbns.bns import pso_arrangement, psa_arrangement, raag_arrangement
 from raagbns.errors import InvariantViolation
@@ -283,3 +284,31 @@ def test_graph_arrangements_match_dense_oracle(name):
     g = BENCH_GRAPHS[name]
     for a in (raag_arrangement(g), psa_arrangement(g), pso_arrangement(g)[1]):
         assert_matches_dense_oracle(maximal_filter(a))
+
+
+# p/q entries with non-unit denominators and either sign: the benchmark's
+# arrangements have only 0/±1 entries, so only these reach pivot entries
+# other than 1 and the per-column denominators of the boundaries
+pq_entry = st.one_of(st.just(0), st.fractions(-7, 7, max_denominator=9))
+
+
+@given(arrangements(max_dim=4, max_subspaces=4, entry=pq_entry), st.data())
+@settings(max_examples=80, deadline=None)
+def test_complex_and_filter_match_fraction_oracle(a, data):
+    # pad with a duplicate and a p/q line inside a listed subspace, so the
+    # filter has something to drop
+    padded = list(a.subspaces)
+    if padded:
+        victim = data.draw(st.sampled_from(padded))
+        coeffs = data.draw(st.lists(pq_entry, min_size=victim.dim, max_size=victim.dim))
+        line = [
+            sum((c * row[j] for c, row in zip(coeffs, victim.basis.entries)), Fraction(0))
+            for j in range(a.ambient_dim)
+        ]
+        padded += [victim, Subspace.from_vectors(a.ambient_dim, [line])]
+    a = Arrangement(a.ambient_dim, tuple(padded))
+    kept = maximal_filter(a)
+    expected = oracles.maximal_filter([oracles.Subspace(s.ambient_dim, s.basis) for s in a.subspaces])
+    assert [s.basis for s in kept.subspaces] == [o.basis for o in expected]
+    for arr in (a, kept):
+        assert_matches_dense_oracle(arr)  # dims, boundaries up to scale, Betti numbers

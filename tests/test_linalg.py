@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import dense_product_is_zero, parse_qmatrix, rref_rank, span_sum
 from raagbns.linalg import (
     QMatrix,
@@ -44,7 +47,7 @@ def test_rref_rank_two_rows():
 
 
 def test_rref_zero_matrix():
-    reduced, rk = rref(QMatrix.zero(3, 4))
+    reduced, rk = rref(QMatrix([[0] * 4] * 3))
     assert rk == 0
     assert reduced.rows == 0
 
@@ -225,3 +228,96 @@ def test_sparse_product_matches_dense(a, data):
         product = ZMatrix.from_qmatrix(a).mul(ZMatrix.from_qmatrix(right))
         assert product.is_zero() == dense_product_is_zero(a, right)
         assert rank(product) == rref_rank(a.mul(right))
+
+
+# Differential tests against the Fraction code in oracles.  The entries
+# are p/q with non-unit denominators and either sign; 0/1 data alone
+# would never exercise a pivot entry other than 1.
+pq_entry = st.one_of(st.just(Fraction(0)), st.fractions(-7, 7, max_denominator=9))
+
+
+def pq_spanning_sets(n):
+    """Rows spanning a subspace of Q^n: p/q rows, none, or the identity."""
+    rows = st.lists(st.lists(pq_entry, min_size=n, max_size=n), min_size=1, max_size=n)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return st.one_of(rows, rows, rows, st.just([]), st.just(identity))
+
+
+def pq_families(min_size=1, max_size=4):
+    return st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(pq_spanning_sets(n), min_size=min_size, max_size=max_size))
+    )
+
+
+def both(n, rows):
+    return Subspace.from_vectors(n, rows), oracles.Subspace.from_vectors(n, rows)
+
+
+def assert_same(s, o):
+    assert s.basis == o.basis and s.dim == o.dim and s.ambient_dim == o.ambient_dim
+    assert all(type(x) is int for row in s.rows for x in row)
+
+
+@given(pq_families(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_subspace_matches_fraction_oracle(family, rng):
+    n, sets = family
+    spaces = [both(n, rows) for rows in sets]
+    for (s, o), rows in zip(spaces, sets):
+        assert_same(s, o)
+        # the same space from a shuffled, rescaled and row-operated spanning set
+        scales = [Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4])) for _ in rows]
+        again = [[c * x for x in row] for c, row in zip(scales, rows)]
+        rng.shuffle(again)
+        if len(again) > 1:
+            k = Fraction(rng.randint(-3, 3), 2)
+            again[0] = [x + k * y for x, y in zip(again[0], again[1])]
+        t, p = both(n, again)
+        assert s == t and o == p and hash(s) == hash(t)
+    for (s, o), (t, p) in itertools.product(spaces, repeat=2):
+        assert (s == t) == (o == p)
+        assert s != o  # the two representations never compare equal
+
+
+@given(pq_families(min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_fraction_oracle(family):
+    n, sets = family
+    ours, theirs = zip(*(both(n, rows) for rows in sets))
+    for k in range(1, len(ours) + 1):
+        assert_same(intersect(ours[:k]), oracles.intersect(theirs[:k]))
+    assert intersect(ours + (Subspace.zero(n),)) == Subspace.zero(n)
+    assert intersect(ours + (Subspace.full(n),)) == intersect(ours)
+    assert intersect(reversed(ours)) == intersect(ours)
+
+
+@given(pq_families(max_size=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_coordinates_match_fraction_oracle(family, data):
+    n, (rows,) = family
+    s, o = both(n, rows)
+    coeffs = data.draw(st.lists(pq_entry, min_size=o.dim, max_size=o.dim))
+    inside = [sum((c * row[j] for c, row in zip(coeffs, o.basis.entries)), Fraction(0)) for j in range(n)]
+    anywhere = data.draw(st.lists(pq_entry, min_size=n, max_size=n))
+    integral = [int(x * 3 * lcm(*(y.denominator for y in inside))) for x in inside]
+    for v in (inside, anywhere, integral, [0] * n):
+        assert s.coordinates(v) == o.coordinates(v)
+        assert s.contains_vector(v) == o.contains_vector(v)
+    assert s.contains_vector(inside) and s.contains_vector(integral)
+
+
+@given(any_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_and_kernel_match_fraction_oracle(m):
+    assert rref(m) == oracles.rref(m)
+    assert_same(kernel_basis(m), oracles.kernel_basis(m))
+
+
+@given(pq_families(min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_subspace_leq_matches_fraction_oracle(family):
+    n, sets = family
+    (a, oa), (b, ob) = both(n, sets[0]), both(n, sets[1])
+    meet, omeet = intersect([a, b]), oracles.intersect([oa, ob])
+    for x, y, ox, oy in [(a, b, oa, ob), (b, a, ob, oa), (meet, a, omeet, oa), (a, meet, oa, omeet)]:
+        assert subspace_leq(x, y) == oracles.subspace_leq(ox, oy)
