@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, admit
-from .graphs import complement_components, support_graph
+from .graphs import complement_components, memoised, support_graph
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
 from .linalg import Subspace, intersect
 from .words import standard_generators
@@ -187,7 +187,16 @@ def _unions(option_masks):
 
 def _maximal_valid(g, arity, cross_ok, name, cap):
     """(members, witness) of every inclusion-maximal valid set among the
-    choice tree's leaves, sorted by members.
+    choice tree's leaves, sorted by members.  The tree's size is admitted
+    against `cap` on every call; the sets are found once per graph."""
+    nodes = _choice_tree_size(_per_multiplier_options(g, arity))
+    admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
+    return _maximal_sets(g, frozenset(arity), cross_ok)
+
+
+@memoised
+def _maximal_sets(g, arity, cross_ok):
+    """The enumeration behind `_maximal_valid`.
 
     A valid set is non-maximal iff one option at one unused multiplier
     extends it to a valid set: if T > S is valid with sides A | B, either
@@ -195,8 +204,6 @@ def _maximal_valid(g, arity, cross_ok, name, cap):
     in A and the option holding a member of B does.
     """
     options = _per_multiplier_options(g, arity)
-    nodes = _choice_tree_size(options)
-    admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
     failure = _neighbour_masks(members, lambda x, y: not cross_ok(x, y))
@@ -288,10 +295,15 @@ def pso_arrangement(g, cap=None, deltas=None):
     maximal_filter themselves.  `deltas` are the maximal delta-p-sets,
     when the caller already has them.
     """
-    basis = generator_basis(g)
-    w = pso_hom_space(g)
     if deltas is None:
         deltas = maximal_delta_psets(g, cap)
+    return (*_pso_arrangement(g, tuple(deltas)), deltas)
+
+
+@memoised
+def _pso_arrangement(g, deltas):
+    basis = generator_basis(g)
+    w = pso_hom_space(g)
     subs = []
     for d in deltas:
         rows = []
@@ -301,7 +313,7 @@ def pso_arrangement(g, cap=None, deltas=None):
                 raise InvariantViolation("delta-p-set subspace escapes the outer character space")
             rows.append(coords)
         subs.append(Subspace.from_vectors(w.dim, rows))
-    return w, Arrangement(w.dim, tuple(subs)), deltas
+    return w, Arrangement(w.dim, tuple(subs))
 
 
 @dataclass(frozen=True)

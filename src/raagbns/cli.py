@@ -364,6 +364,9 @@ def main(argv=None):
         return 130
     except click.exceptions.Exit as err:
         return err.exit_code
+    except Exception as err:
+        click.echo(f"error: internal error: {type(err).__name__}: {err}", err=True)
+        return 4
     return result if isinstance(result, int) else 0
 
 

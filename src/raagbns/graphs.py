@@ -8,6 +8,7 @@ A "component" is represented throughout as a sorted tuple of vertex
 labels; all sequences of components are ordered lexicographically.
 """
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -34,9 +35,11 @@ def _checked_labels(labels):
 
 class SimpleGraph:
     """Undirected simple graph with string vertex labels; `neighbors` maps
-    each vertex to the frozenset of vertices adjacent to it."""
+    each vertex to the frozenset of vertices adjacent to it.  A graph is
+    never changed after it is built, so `_memo` holds what the
+    `memoised` functions computed from it."""
 
-    __slots__ = ("vertices", "edges", "neighbors")
+    __slots__ = ("vertices", "edges", "neighbors", "_memo")
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
@@ -57,6 +60,7 @@ class SimpleGraph:
         self.vertices = vertices
         self.edges = frozenset(canon)
         self.neighbors = {v: frozenset(s) for v, s in adj.items()}
+        self._memo = {}
 
     @classmethod
     def from_json(cls, data):
@@ -124,6 +128,25 @@ class SimpleGraph:
         return f"SimpleGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+def memoised(fn):
+    """Compute fn(g, *args) once per graph object and keep it in g's memo.
+    A list result is kept as a tuple and every call gets a fresh list, so
+    no caller can change what the next one sees; other results must be
+    immutable."""
+
+    @functools.wraps(fn)
+    def cached(g, *args):
+        key = (fn, args)
+        hit = g._memo.get(key)
+        if hit is None:
+            value = fn(g, *args)
+            hit = g._memo[key] = (tuple(value), list) if isinstance(value, list) else (value, None)
+        value, fresh = hit
+        return fresh(value) if fresh else value
+
+    return cached
+
+
 def link(g, v):
     """Vertices adjacent to v."""
     if not g.has_vertex(v):
@@ -157,6 +180,7 @@ def components(nodes, neighbours):
     return out
 
 
+@memoised
 def complement_components(g, a):
     """Components of the graph minus the closed star of a, lex ordered."""
     return components(set(g.vertices) - star(g, a), g.neighbors)
@@ -181,6 +205,7 @@ class PairClassification:
     shared: tuple
 
 
+@memoised
 def classify_pair(g, a, b):
     if a == b or g.adjacent(a, b):
         raise ValueError(f"classify_pair needs a nonadjacent distinct pair, got {a!r},{b!r}")
@@ -216,6 +241,7 @@ class SupportGraph:
         return not self.edges
 
 
+@memoised
 def support_graph(g, a):
     nodes = complement_components(g, a)
     edges = set()

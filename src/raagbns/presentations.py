@@ -31,6 +31,7 @@ from .graphs import (
     complement_components,
     components,
     forest_certificate,
+    memoised,
     support_graph,
 )
 from .words import inverse, reduce, standard_generators
@@ -75,6 +76,7 @@ def _commuting_schema(g, x, y):
     return set((a,) + k) <= set(l) or set((b,) + l) <= set(k)
 
 
+@memoised
 def psa_presentation(g):
     gens = standard_generators(g)
     relators = []
@@ -286,7 +288,9 @@ def edge_far_side(th, edge_gen):
     raise InvariantViolation("edge does not separate its subtree")
 
 
-def _psi_word(th, gen):
+def _psi_word(th, gen, far):
+    """The word in symbols for a standard generator; `far` maps each edge
+    generator to its far side."""
     a, k = gen
     tree = _tree_of(th, a, k)
     base = th.basepoint(a, tree)
@@ -295,7 +299,7 @@ def _psi_word(th, gen):
     word = []
     if k != base:
         # the incident edge whose cut leaves the basepoint on the far side
-        toward = next(e for e in incident if k in edge_far_side(th, EdgeGen(a, e)))
+        toward = next(e for e in incident if k in far[EdgeGen(a, e)])
         word.append((EdgeGen(a, toward).symbol, 1))
         word.extend((EdgeGen(a, e).symbol, -1) for e in incident if e != toward)
     elif k != pref:
@@ -318,14 +322,12 @@ class GeneratorDictionary:
 
 def generator_dictionary(g, th):
     gens = standard_generators(g)
+    far = {r: edge_far_side(th, r) for r in th.edge_gens}
     to_standard = []
     for r in th.records():
-        if isinstance(r, TreeGen):
-            members = r.tree
-        else:
-            members = edge_far_side(th, r)
+        members = r.tree if isinstance(r, TreeGen) else far[r]
         to_standard.append((r.symbol, tuple(((r.owner, k), 1) for k in members)))
-    from_standard = [(gen, _psi_word(th, gen)) for gen in gens]
+    from_standard = [(gen, _psi_word(th, gen, far)) for gen in gens]
     d = GeneratorDictionary(tuple(to_standard), tuple(from_standard))
     _check_round_trips(gens, d)
     return d

@@ -21,7 +21,7 @@ component K sends x to a x a^-1 for x in K and fixes all other vertices.
 """
 
 from .errors import MalformedInput, admit
-from .graphs import classify_pair, complement_components, is_sil_pair
+from .graphs import classify_pair, complement_components, is_sil_pair, memoised
 
 
 def inverse(word):
@@ -232,6 +232,7 @@ def enumerate_reduced_words(g, max_len):
         frontier = nxt
 
 
+@memoised
 def standard_generators(g):
     """All (multiplier, component) pairs, lex ordered."""
     gens = []

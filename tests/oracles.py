@@ -4,12 +4,22 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
+import networkx as nx
+
 from raagbns.bns import _per_multiplier_options, generator_basis
 from raagbns.errors import CapExceeded
-from raagbns.graphs import complement_components, components, link
+from raagbns.graphs import (
+    PairClassification,
+    SimpleGraph,
+    SupportGraph,
+    complement_components,
+    components,
+    link,
+    star,
+)
 from raagbns import linalg
 from raagbns.linalg import QMatrix, parse_rational
-from raagbns.presentations import GroupPresentation, _commutator
+from raagbns.presentations import GroupPresentation, _commutator, _commuting_schema
 from raagbns.words import enumerate_reduced_words, inverse, reduce, standard_generators
 
 
@@ -37,11 +47,36 @@ def rewriting_closure(g, word):
     return seen
 
 
-def closure_normal_form(g, word):
-    """Lex-least shortest member of the rewriting closure."""
-    closure = rewriting_closure(g, word)
+def _lex_least_shortest(closure):
     shortest = min(len(w) for w in closure)
     return min(w for w in closure if len(w) == shortest)
+
+
+def per_word_closure_normal_form(g, word):
+    """Lex-least shortest member of the word's own rewriting closure."""
+    return _lex_least_shortest(rewriting_closure(g, word))
+
+
+# the latest graph closure_normal_form saw, and its labelled words
+_closure_labels = {"graph": None, "answers": {}}
+
+
+def closure_normal_form(g, word):
+    """Lex-least shortest member of the rewriting closure.
+
+    Every member of a closure has the closure's answer: its own closure
+    reaches the same reduced forms, and those are all swap-equivalent.
+    So each closure built labels all of its members, and a word's closure
+    is built at most once per graph.  Only the latest graph's labels are
+    kept."""
+    if _closure_labels["graph"] is not g:
+        _closure_labels["graph"], _closure_labels["answers"] = g, {}
+    answers = _closure_labels["answers"]
+    word = tuple(word)
+    if word not in answers:
+        closure = rewriting_closure(g, word)
+        answers.update(dict.fromkeys(closure, _lex_least_shortest(closure)))
+    return answers[word]
 
 
 def _cancel_pass(g, word):
@@ -299,6 +334,85 @@ def span_sum(subspaces, ambient_dim=None):
 def h0_dim(a):
     """Codimension of the joint span: dim of degree-zero homology."""
     return a.ambient_dim - span_sum(a.subspaces, ambient_dim=a.ambient_dim).dim
+
+
+def atlas_up_to_six():
+    """The 208 graphs of networkx's atlas with one to six vertices."""
+    out = []
+    for G in nx.graph_atlas_g()[1:209]:
+        names = {v: "abcdef"[i] for i, v in enumerate(sorted(G.nodes()))}
+        out.append(SimpleGraph(sorted(names.values()), [(names[u], names[w]) for u, w in G.edges()]))
+    return out
+
+
+# The per-graph functions as they were before graphs.memoised cached
+# them on the graph, kept as the differential oracle of the memo.
+
+
+def plain_complement_components(g, a):
+    return components(set(g.vertices) - star(g, a), g.neighbors)
+
+
+def plain_classify_pair(g, a, b):
+    if a == b or g.adjacent(a, b):
+        raise ValueError(f"classify_pair needs a nonadjacent distinct pair, got {a!r},{b!r}")
+    comps_a = plain_complement_components(g, a)
+    comps_b = plain_complement_components(g, b)
+    dom_a = next(c for c in comps_a if b in c)
+    dom_b = next(c for c in comps_b if a in c)
+    common = set(comps_a) & set(comps_b)
+    shared = tuple(c for c in comps_a if c in common)
+    sub_a = tuple(c for c in comps_a if c != dom_a and c not in common)
+    sub_b = tuple(c for c in comps_b if c != dom_b and c not in common)
+    return PairClassification(a, b, dom_a, dom_b, sub_a, sub_b, shared)
+
+
+def plain_support_graph(g, a):
+    nodes = plain_complement_components(g, a)
+    edges = set()
+    for k in nodes:
+        for b in k:
+            shared = plain_classify_pair(g, a, b).shared
+            for l in shared:
+                edges.add((min(k, l), max(k, l)))
+    return SupportGraph(a, tuple(nodes), tuple(sorted(edges)))
+
+
+def plain_standard_generators(g):
+    gens = []
+    for a in sorted(g.vertices):
+        for k in plain_complement_components(g, a):
+            gens.append((a, k))
+    return gens
+
+
+def plain_psa_presentation(g):
+    gens = plain_standard_generators(g)
+    relators = []
+    seen = set()
+
+    def emit(word):
+        if word not in seen:
+            seen.add(word)
+            relators.append(word)
+
+    for i, x in enumerate(gens):
+        for y in gens[i + 1:]:
+            if _commuting_schema(g, x, y):
+                emit(_commutator(x, y))
+    vs = sorted(g.vertices)
+    for a in vs:
+        for b in vs:
+            if a == b or g.adjacent(a, b):
+                continue
+            cls = plain_classify_pair(g, a, b)
+            k = cls.dominating_a
+            for l in cls.shared:
+                emit((
+                    ((a, k), 1), ((a, l), 1), ((b, l), 1),
+                    ((a, l), -1), ((a, k), -1), ((b, l), -1),
+                ))
+    return GroupPresentation(tuple(gens), tuple(relators), "psa")
 
 
 def is_sil_pair_by_links(g, a, b):

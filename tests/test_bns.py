@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import networkx as nx
 import oracles
-from oracles import brute_force_partition_witness, connected, partition_witness, walk_maximal, walk_valid
+from oracles import (
+    atlas_up_to_six,
+    brute_force_partition_witness,
+    connected,
+    partition_witness,
+    walk_maximal,
+    walk_valid,
+)
 from test_acceptance import STAR7, corpus
 
 from raagbns.bns import (
@@ -207,6 +213,19 @@ def test_cap_boundary_matches_walk(arity, cross_ok, fast):
     fast(F5, cap=count)
     with pytest.raises(CapExceeded):
         walk_valid(F5, arity, cross_ok, cap=count - 1)
+
+
+@pytest.mark.parametrize("arity, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
+def test_memoised_enumeration_still_admits_each_call(arity, cross_ok, fast):
+    g = edgeless(5)
+    count = _choice_tree_size(_per_multiplier_options(g, arity))
+    found = fast(g, cap=count)
+    assert fast(g) == found
+    with pytest.raises(CapExceeded):
+        fast(g, cap=count - 1)
+    found.clear()
+    assert fast(g, cap=count) == fast(edgeless(5))
+
     walk_valid(F5, arity, cross_ok, cap=count)
 
 
@@ -403,15 +422,6 @@ def test_raag_homology_is_center_rank(g):
     profile = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g))))
     assert profile.betti[0] == center_rank(g)
     assert all(b == 0 for b in profile.betti[1:])
-
-
-def atlas_up_to_six():
-    """The 208 graphs of networkx's atlas with one to six vertices."""
-    out = []
-    for G in nx.graph_atlas_g()[1:209]:
-        names = {v: "abcdef"[i] for i, v in enumerate(sorted(G.nodes()))}
-        out.append(SimpleGraph(sorted(names.values()), [(names[u], names[w]) for u, w in G.edges()]))
-    return out
 
 
 def test_pso_hom_space_closed_form_matches_kernel_oracle():

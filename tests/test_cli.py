@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from raagbns import bns, cli
 from raagbns.cli import main
-from raagbns.graphs import SimpleGraph
+from raagbns.graphs import SimpleGraph, memoised
 
 
 @pytest.fixture
@@ -355,3 +356,39 @@ def test_homology_chain_complex_admission_cap(capsys, tmp_path, monkeypatch):
     code, report = run(capsys, "homology", str(path), "--raw")
     assert code == 0
     assert report["dims"] == [2, 4, 6, 4, 1]
+
+
+def test_stray_exception_exits_4_with_one_line(capsys, f3_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "classify_pso", broken)
+    assert main(["classify", f3_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: something broke\n"
+
+
+def test_corpus_reuses_euler_report_delta_psets_and_pso_arrangement(capsys, tmp_path, monkeypatch):
+    calls = {"_maximal_sets": [], "_pso_arrangement": []}
+
+    def count_body_runs(name):
+        body = getattr(bns, name).__wrapped__
+
+        def counted(g, *args):
+            calls[name].append(args)
+            return body(g, *args)
+
+        monkeypatch.setattr(bns, name, memoised(counted))
+
+    count_body_runs("_maximal_sets")
+    count_body_runs("_pso_arrangement")
+    corpus = tmp_path / "graphs"
+    corpus.mkdir()
+    (corpus / "f5.json").write_text(json.dumps({"vertices": list("abcde"), "edges": []}))
+    code, report = run(capsys, "corpus", str(corpus))
+    assert code == 0 and report["ok"]
+    assert report["files"][0]["checks"]["witness_pairing_is_one"] is True
+    delta_runs = [args for args in calls["_maximal_sets"] if args[0] == frozenset({2})]
+    assert len(delta_runs) == 1
+    assert len(calls["_pso_arrangement"]) == 1

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_sil_pair_by_links
+from oracles import (
+    atlas_up_to_six,
+    is_sil_pair_by_links,
+    plain_classify_pair,
+    plain_complement_components,
+    plain_support_graph,
+)
 
 from raagbns.errors import MalformedInput
 from raagbns.graphs import (
@@ -281,3 +287,47 @@ def test_components_match_networkx(g, data):
     nxg.add_edges_from(g.edges)
     expected = sorted(tuple(sorted(c)) for c in nx.connected_components(nxg.subgraph(nodes)))
     assert components(nodes, g.neighbors) == expected
+
+
+def test_memoised_graph_functions_match_plain_bodies_on_atlas():
+    graphs = atlas_up_to_six()
+    assert len(graphs) == 208
+    for g in graphs:
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            for a in g.vertices:
+                assert complement_components(g, a) == plain_complement_components(g, a), (g.edges, a)
+                assert support_graph(g, a) == plain_support_graph(g, a), (g.edges, a)
+                for b in g.vertices:
+                    if a != b and not g.adjacent(a, b):
+                        assert classify_pair(g, a, b) == plain_classify_pair(g, a, b), (g.edges, a, b)
+
+
+def test_mutating_a_memoised_list_leaves_the_memo_alone():
+    g = SimpleGraph("abcd", [("a", "b")])
+    first = complement_components(g, "a")
+    assert first == [("c",), ("d",)]
+    first.append(("b",))
+    first[0] = ("x",)
+    assert complement_components(g, "a") == [("c",), ("d",)]
+    assert complement_components(g, "a") is not complement_components(g, "a")
+
+
+def test_equal_graphs_do_not_share_memo_entries():
+    g1 = SimpleGraph("abc", [("a", "b")])
+    g2 = SimpleGraph("abc", [("a", "b")])
+    assert g1 == g2 and g1 is not g2
+    cls = classify_pair(g1, "a", "c")
+    assert classify_pair(g1, "a", "c") is cls
+    assert g2._memo == {}
+    assert classify_pair(g2, "a", "c") == cls
+    assert classify_pair(g2, "a", "c") is not cls
+
+
+def test_memo_keeps_no_failed_call():
+    g = SimpleGraph("abc", [("a", "b")])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            classify_pair(g, "a", "b")
+        with pytest.raises(MalformedInput):
+            complement_components(g, "z")
+    assert g._memo == {}

@@ -2,7 +2,14 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from oracles import dictionary_matrices, is_inner_bounded, raag_presentation
+from oracles import (
+    atlas_up_to_six,
+    dictionary_matrices,
+    is_inner_bounded,
+    plain_psa_presentation,
+    plain_standard_generators,
+    raag_presentation,
+)
 
 from raagbns import presentations
 from raagbns.errors import InvariantViolation, MalformedInput
@@ -338,3 +345,28 @@ def test_k33_defining_graph_is_k33_again():
     for i, u in enumerate(th.graph.vertices):
         for w in th.graph.vertices[i + 1:]:
             assert th.graph.adjacent(u, w) == (frozenset((u, w)) not in missing)
+
+
+def test_memoised_presentation_inputs_match_plain_bodies_on_atlas():
+    graphs = atlas_up_to_six()
+    assert len(graphs) == 208
+    for g in graphs:
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            assert standard_generators(g) == plain_standard_generators(g), g.edges
+            assert psa_presentation(g) == plain_psa_presentation(g), g.edges
+
+
+def test_mutating_memoised_generators_leaves_the_memo_alone():
+    expected = plain_standard_generators(F3)
+    gens = standard_generators(F3)
+    gens.reverse()
+    gens.append(("z", ("z",)))
+    assert standard_generators(F3) == expected
+
+
+def test_equal_graphs_do_not_share_presentations():
+    g1, g2 = edgeless(3), edgeless(3)
+    p = psa_presentation(g1)
+    assert psa_presentation(g1) is p
+    assert psa_presentation(g2) == p
+    assert psa_presentation(g2) is not p

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closure_normal_form, is_inner_bounded, rewriting_closure, shuffle_normal_form, word_eq
-from test_acceptance import K33, cycle
+from oracles import (
+    closure_normal_form,
+    is_inner_bounded,
+    per_word_closure_normal_form,
+    rewriting_closure,
+    shuffle_normal_form,
+    word_eq,
+)
+from test_acceptance import K33, atlas_graphs, cycle
 
 import raagbns.words
 from raagbns.errors import CapExceeded
@@ -193,6 +200,26 @@ def random_graph_and_word(max_n=4, max_len=8):
         return st.tuples(graph, st.lists(letter, max_size=max_len).map(tuple))
 
     return st.integers(2, max_n).flatmap(build)
+
+
+def test_labelled_closure_oracle_matches_per_word_oracle_on_criterion_9_samples():
+    # the 2,250 sampled length-7/8 words of criterion 9, drawn the same way;
+    # one random member of each closure is asked too, so answers that
+    # were labelled while another word's closure was built are checked
+    rng = random.Random(99)
+    member_rng = random.Random(7)
+    sampled = 0
+    for g in atlas_graphs():
+        if len(g.vertices) not in (3, 4):
+            continue
+        letters = [(v, e) for v in g.vertices for e in (1, -1)]
+        for _ in range(150):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(7, 8)))
+            assert closure_normal_form(g, w) == per_word_closure_normal_form(g, w), (g.edges, w)
+            member = member_rng.choice(sorted(rewriting_closure(g, w)))
+            assert closure_normal_form(g, member) == per_word_closure_normal_form(g, member), (g.edges, member)
+            sampled += 1
+    assert sampled == 2250
 
 
 @given(random_graph_and_word())
