@@ -12,7 +12,6 @@ coordinates sum to zero.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,28 +127,6 @@ def _delta_cross_ok(x, y):
     return a in l or b in k or k == l
 
 
-def _witness(chosen, cross_ok, per_multiplier):
-    members = [(a, tuple(k)) for a, k in chosen]
-    if any(c != per_multiplier for c in Counter(a for a, _ in members).values()):
-        return None
-    members = sorted(set(members))
-    full = (1 << len(members)) - 1
-    comp = _component(full, _neighbour_masks(members, lambda x, y: not cross_ok(x, y)))
-    if comp == full:
-        return None
-    return _members_of(members, comp), _members_of(members, full & ~comp)
-
-
-def is_pset(s):
-    """Partition witness for the one-per-multiplier family, or None."""
-    return _witness(s, _pset_cross_ok, 1)
-
-
-def is_delta_pset(s):
-    """Partition witness for the two-per-multiplier family, or None."""
-    return _witness(s, _delta_cross_ok, 2)
-
-
 def _per_multiplier_options(g, arity):
     """For each vertex: the ways to pick no, one, or a pair of its
     components, per the requested arity set."""
@@ -258,15 +235,12 @@ def _delta_subspace(basis, members):
     return Subspace.from_vectors(basis.dim, vectors)
 
 
-def psa_arrangement(g, cap=None, deltas=None):
+def psa_arrangement(g, cap=None):
     """Coordinate subspaces of the maximal p-sets, then difference
-    subspaces of the maximal delta-p-sets (`deltas`, when the caller
-    already has them)."""
+    subspaces of the maximal delta-p-sets."""
     basis = generator_basis(g)
     subs = [_pset_subspace(basis, p.members) for p in maximal_psets(g, cap)]
-    if deltas is None:
-        deltas = maximal_delta_psets(g, cap)
-    subs += [_delta_subspace(basis, d.members) for d in deltas]
+    subs += [_delta_subspace(basis, d.members) for d in maximal_delta_psets(g, cap)]
     return Arrangement(basis.dim, tuple(subs))
 
 
@@ -287,16 +261,14 @@ def pso_hom_space(g):
     return Subspace.from_rref(len(labels), rows)
 
 
-def pso_arrangement(g, cap=None, deltas=None):
+def pso_arrangement(g, cap=None):
     """(W, arrangement in W coordinates, delta-p-sets in matching order).
 
     The arrangement is deliberately unfiltered so that subspace indices
     line up with the delta-p-set list; homology callers apply
-    maximal_filter themselves.  `deltas` are the maximal delta-p-sets,
-    when the caller already has them.
+    maximal_filter themselves.
     """
-    if deltas is None:
-        deltas = maximal_delta_psets(g, cap)
+    deltas = maximal_delta_psets(g, cap)
     return (*_pso_arrangement(g, tuple(deltas)), deltas)
 
 
@@ -413,9 +385,8 @@ def _from_coordinates(s, coords):
 def euler_report(g, cap=None):
     """Betti profiles for the three groups' arrangements."""
     raag = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g, cap)), cap))
-    deltas = maximal_delta_psets(g, cap)
-    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap, deltas)), cap))
-    _, pso_arr, _ = pso_arrangement(g, cap, deltas)
+    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap)), cap))
+    _, pso_arr, _ = pso_arrangement(g, cap)
     pso = betti_numbers(build_chain_complex(maximal_filter(pso_arr), cap))
     return {"raag": raag, "psa": psa, "pso": pso}
 

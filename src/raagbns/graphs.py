@@ -1,8 +1,8 @@
 """Finite simple graphs and the combinatorics driving everything else:
 links and stars, components of the star complement of a vertex, the
-dominating/subordinate/shared classification for a nonadjacent pair,
-SIL-pair detection, and per-vertex support graphs with forest or
-shortest-loop certificates.
+dominating/subordinate/shared classification for a nonadjacent pair
+(an SIL-pair is one with a shared component), and per-vertex support
+graphs with forest or shortest-loop certificates.
 
 A "component" is represented throughout as a sorted tuple of vertex
 labels; all sequences of components are ordered lexicographically.
@@ -218,13 +218,6 @@ def classify_pair(g, a, b):
     sub_a = tuple(c for c in comps_a if c != dom_a and c not in common)
     sub_b = tuple(c for c in comps_b if c != dom_b and c not in common)
     return PairClassification(a, b, dom_a, dom_b, sub_a, sub_b, shared)
-
-
-def is_sil_pair(g, a, b):
-    """True iff a,b are nonadjacent and have a shared component."""
-    if a == b or g.adjacent(a, b):
-        return False
-    return bool(classify_pair(g, a, b).shared)
 
 
 @dataclass(frozen=True)

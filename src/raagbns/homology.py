@@ -212,10 +212,3 @@ def maximal_filter(a):
         if not any(t is not s and subspace_leq(s, t) for t in unique)
     )
     return Arrangement(a.ambient_dim, kept)
-
-
-def arrangement_betti(a, filter_maximal=True):
-    """Betti profile of an arrangement, via the chain complex."""
-    if filter_maximal:
-        a = maximal_filter(a)
-    return betti_numbers(build_chain_complex(a))

@@ -45,11 +45,6 @@ class QMatrix:
         self.rows = len(rows)
         self.cols = cols
 
-    @classmethod
-    def identity(cls, n):
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
-
     def transpose(self):
         if self.entries:
             return QMatrix(list(zip(*self.entries)), cols=self.rows)
@@ -254,14 +249,6 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
         return cls(ambient_dim, list(vectors))
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls.from_rref(ambient_dim, [])
-
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls.from_rref(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
 
     @property
     def dim(self):

@@ -68,6 +68,8 @@ def _commutator(x, y):
 
 
 def _commuting_schema(g, x, y):
+    """The commutation rule: partial conjugations x and y commute in the
+    automorphism group exactly when one of R1-R3 applies."""
     (a, k), (b, l) = x, y
     if a == b or g.adjacent(a, b):
         return True

@@ -15,13 +15,10 @@ reduction, which settles most short words, it makes two linear passes:
 
 A letter looks at each vertex seen so far once per pass, so a word of n
 letters over a graph with |V| vertices reduces in O(n * |V|) time.
-
-Partial conjugations act letterwise: the generator with multiplier a and
-component K sends x to a x a^-1 for x in K and fixes all other vertices.
 """
 
 from .errors import MalformedInput, admit
-from .graphs import classify_pair, complement_components, is_sil_pair, memoised
+from .graphs import complement_components, memoised
 
 
 def inverse(word):
@@ -123,113 +120,6 @@ def reduce(g, word):
     if len(letters) < 2:
         return tuple(letters)
     return _lex_shuffle(g.neighbors, letters)
-
-
-def apply_partial_conjugation(g, moves, word):
-    """Apply a product of (signed) partial conjugations to a word.
-
-    moves is a sequence of ((multiplier, component), exponent) pairs, or
-    a single (multiplier, component) pair; the leftmost move is the
-    outermost automorphism, so the rightmost acts first.
-    """
-    moves = _as_moves(moves)
-    current = tuple(word)
-    for (a, component), exp in reversed(moves):
-        k = set(component)
-        image = []
-        for v, e in current:
-            if v in k:
-                image.extend([(a, exp), (v, e), (a, -exp)])
-            else:
-                image.append((v, e))
-        current = tuple(image)
-    return reduce(g, current)
-
-
-def _as_moves(moves):
-    if isinstance(moves, tuple) and len(moves) == 2 and isinstance(moves[0], str):
-        return [((moves[0], tuple(moves[1])), 1)]
-    out = []
-    for m in moves:
-        if len(m) == 2 and isinstance(m[0], str):
-            out.append(((m[0], tuple(m[1])), 1))
-        else:
-            (a, comp), exp = m
-            if exp not in (1, -1):
-                raise ValueError("move exponents must be +1 or -1")
-            out.append(((a, tuple(comp)), exp))
-    return out
-
-
-def automorphism_table(g, moves):
-    """Vertex-image table of a product of partial conjugations."""
-    return {v: apply_partial_conjugation(g, moves, ((v, 1),)) for v in g.vertices}
-
-
-def table_is_identity(g, table):
-    return all(table[v] == ((v, 1),) for v in g.vertices)
-
-
-def commutator_moves(p, q):
-    return [(p, 1), (q, 1), (p, -1), (q, -1)]
-
-
-def commutator_trivial_in_aut(g, p, q):
-    """Word-level check that the commutator of two partial conjugations
-    fixes every vertex."""
-    table = automorphism_table(g, commutator_moves(p, q))
-    return table_is_identity(g, table)
-
-
-def _component_kind(cls, dominating, component):
-    if component == dominating:
-        return "dominating"
-    return "shared" if component in cls.shared else "subordinate"
-
-
-def commutator_class_aut(g, p, q):
-    """Combinatorial verdict: is the commutator nontrivial in Aut?
-
-    Nontrivial exactly for dominating-dominating, dominating-shared and
-    equal-shared configurations of a nonadjacent pair.
-    """
-    (a, k), (b, l) = (p[0], tuple(p[1])), (q[0], tuple(q[1]))
-    if a == b or g.adjacent(a, b):
-        return False
-    cls = classify_pair(g, a, b)
-    kinds = (_component_kind(cls, cls.dominating_a, k), _component_kind(cls, cls.dominating_b, l))
-    if kinds == ("shared", "shared"):
-        return k == l
-    return "subordinate" not in kinds
-
-
-def commutator_class_out(g, p, q):
-    """Outer-class verdict for the commutator of two partial conjugations:
-    "nontrivial" iff an Aut-nontrivial configuration occurs for an
-    SIL-pair, else "trivial"."""
-    a, b = p[0], q[0]
-    if not commutator_class_aut(g, p, q):
-        return "trivial"
-    return "nontrivial" if is_sil_pair(g, a, b) else "trivial"
-
-
-def enumerate_reduced_words(g, max_len):
-    """All group elements of reduced length <= max_len, one normal form
-    each, in a deterministic order."""
-    letters = sorted((v, e) for v in g.vertices for e in (1, -1))
-    seen = {(): None}
-    frontier = [()]
-    yield ()
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                grown = reduce(g, w + (letter,))
-                if len(grown) == len(w) + 1 and grown not in seen:
-                    seen[grown] = None
-                    nxt.append(grown)
-                    yield grown
-        frontier = nxt
 
 
 @memoised

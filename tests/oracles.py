@@ -12,15 +12,16 @@ from raagbns.graphs import (
     PairClassification,
     SimpleGraph,
     SupportGraph,
+    classify_pair,
     complement_components,
     components,
     link,
     star,
 )
-from raagbns import linalg
+from raagbns import homology, linalg
 from raagbns.linalg import QMatrix, parse_rational
 from raagbns.presentations import GroupPresentation, _commutator, _commuting_schema
-from raagbns.words import enumerate_reduced_words, inverse, reduce, standard_generators
+from raagbns.words import inverse, reduce, standard_generators
 
 
 def rewriting_closure(g, word):
@@ -125,6 +126,95 @@ def word_eq(g, u, v):
     return reduce(g, u) == reduce(g, v)
 
 
+def enumerate_reduced_words(g, max_len):
+    """All group elements of reduced length <= max_len, one normal form
+    each, in a deterministic order."""
+    letters = sorted((v, e) for v in g.vertices for e in (1, -1))
+    seen = {(): None}
+    frontier = [()]
+    yield ()
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for letter in letters:
+                grown = reduce(g, w + (letter,))
+                if len(grown) == len(w) + 1 and grown not in seen:
+                    seen[grown] = None
+                    nxt.append(grown)
+                    yield grown
+        frontier = nxt
+
+
+# The word-level automorphism layer: partial conjugations act letterwise,
+# the generator with multiplier a and component K sending x to a x a^-1
+# for x in K and fixing every other vertex.
+
+
+def apply_partial_conjugation(g, moves, word):
+    """Apply a product of (signed) partial conjugations to a word.
+
+    moves is a sequence of ((multiplier, component), exponent) pairs, or
+    a single (multiplier, component) pair; the leftmost move is the
+    outermost automorphism, so the rightmost acts first.
+    """
+    moves = _as_moves(moves)
+    current = tuple(word)
+    for (a, component), exp in reversed(moves):
+        k = set(component)
+        image = []
+        for v, e in current:
+            if v in k:
+                image.extend([(a, exp), (v, e), (a, -exp)])
+            else:
+                image.append((v, e))
+        current = tuple(image)
+    return reduce(g, current)
+
+
+def _as_moves(moves):
+    if isinstance(moves, tuple) and len(moves) == 2 and isinstance(moves[0], str):
+        return [((moves[0], tuple(moves[1])), 1)]
+    out = []
+    for m in moves:
+        if len(m) == 2 and isinstance(m[0], str):
+            out.append(((m[0], tuple(m[1])), 1))
+        else:
+            (a, comp), exp = m
+            if exp not in (1, -1):
+                raise ValueError("move exponents must be +1 or -1")
+            out.append(((a, tuple(comp)), exp))
+    return out
+
+
+def automorphism_table(g, moves):
+    """Vertex-image table of a product of partial conjugations."""
+    return {v: apply_partial_conjugation(g, moves, ((v, 1),)) for v in g.vertices}
+
+
+def table_is_identity(g, table):
+    return all(table[v] == ((v, 1),) for v in g.vertices)
+
+
+def commutator_moves(p, q):
+    return [(p, 1), (q, 1), (p, -1), (q, -1)]
+
+
+def commutator_trivial_in_aut(g, p, q):
+    """Word-level check that the commutator of two partial conjugations
+    fixes every vertex."""
+    table = automorphism_table(g, commutator_moves(p, q))
+    return table_is_identity(g, table)
+
+
+def commutator_class_out(g, p, q):
+    """Outer-class verdict for the commutator of two partial conjugations:
+    "nontrivial" iff no relator schema makes them commute and their
+    multipliers share a component, else "trivial"."""
+    if _commuting_schema(g, p, q) or not classify_pair(g, p[0], q[0]).shared:
+        return "trivial"
+    return "nontrivial"
+
+
 def is_inner_bounded(g, table, max_len):
     """Search for a conjugator h with table(v) = h v h^-1 for all v, over
     all reduced words of length <= max_len.  Returns the word or None;
@@ -211,6 +301,13 @@ def dense_chain_complex(a):
                 col += 1
         boundaries.append(QMatrix(cells, cols=dims[k]))
     return tuple(dims), boundaries
+
+
+def arrangement_betti(a, filter_maximal=True):
+    """Betti profile of an arrangement, via the chain complex."""
+    if filter_maximal:
+        a = homology.maximal_filter(a)
+    return homology.betti_numbers(homology.build_chain_complex(a))
 
 
 def dense_betti(dims, boundaries):
@@ -544,14 +641,6 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
         return cls(ambient_dim, QMatrix(list(vectors), cols=ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim, QMatrix([], cols=ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls(ambient_dim, QMatrix.identity(ambient_dim))
 
     @property
     def dim(self):

@@ -18,6 +18,7 @@ from test_acceptance import STAR7, corpus
 
 from raagbns.bns import (
     CharacterBasis,
+    PSet,
     _choice_tree_size,
     _delta_cross_ok,
     _per_multiplier_options,
@@ -26,8 +27,6 @@ from raagbns.bns import (
     generator_basis,
     h1_witness,
     has_sil,
-    is_delta_pset,
-    is_pset,
     maximal_delta_psets,
     maximal_disconnected_subsets,
     maximal_psets,
@@ -81,7 +80,7 @@ def test_maximal_disconnected_complete_bipartite():
 def test_raag_arrangement_edgeless3():
     arr = raag_arrangement(F3)
     assert arr.ambient_dim == 3
-    assert arr.subspaces == (Subspace.full(3),)
+    assert arr.subspaces == (Subspace.from_rref(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),)
 
 
 def test_raag_arrangement_complete():
@@ -96,34 +95,39 @@ def test_raag_arrangement_path():
 
 
 def test_is_pset_mutual_pair():
-    witness = is_pset({gen("a", "b"), gen("b", "a")})
-    assert witness is not None
-    side1, side2 = witness
-    assert set(side1) | set(side2) == {gen("a", "b"), gen("b", "a")}
+    # the mutual pair of the edgeless pair is its one maximal p-set
+    assert maximal_psets(edgeless(2)) == [
+        PSet((gen("a", "b"), gen("b", "a")), ((gen("a", "b"),), (gen("b", "a"),)))
+    ]
 
 
 def test_is_pset_singleton():
-    assert is_pset({gen("a", "b")}) is None
+    # a p-set splits into two nonempty sides, so no singleton is one
+    for g in (F3, F4, PATH3):
+        for p in maximal_psets(g):
+            side1, side2 = p.partition
+            assert side1 and side2
 
 
 def test_is_pset_rejects_second_gen_of_multiplier():
-    assert is_pset({gen("a", "b"), gen("a", "c")}) is None
+    for g in (F3, F4):
+        for p in maximal_psets(g):
+            multipliers = [a for a, _ in p.members]
+            assert len(set(multipliers)) == len(multipliers)
+            assert not {gen("a", "b"), gen("a", "c")} <= set(p.members)
 
 
 def test_is_delta_pset_four_member():
     s = {gen("a", "b"), gen("a", "c"), gen("b", "a"), gen("b", "c")}
-    assert is_delta_pset(s) is not None
+    assert any(s <= set(d.members) for d in maximal_delta_psets(F3))
 
 
 def test_is_delta_pset_full_six_on_f3():
-    s = set(standard_generators(F3))
-    witness = is_delta_pset(s)
-    assert witness is not None
-    side1, side2 = witness
-    for x in side1:
-        for y in side2:
-            a, k = x
-            b, l = y
+    (d,) = maximal_delta_psets(F3)
+    assert set(d.members) == set(standard_generators(F3))
+    side1, side2 = d.partition
+    for a, k in side1:
+        for b, l in side2:
             assert a in l or b in k or k == l
 
 
@@ -357,41 +361,41 @@ def test_enumeration_matches_walk_on_small_graphs(g):
     assert_matches_walk(g)
 
 
-@given(graphs(max_n=4), st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-def test_recognizers_match_bfs_witness(g, rng):
+def sample_with_counts(g, rng):
+    """A random sorted sample of g's standard generators, and the number
+    of members per multiplier."""
     gens = standard_generators(g)
-    if not gens:
-        return
-    sample = sorted(rng.sample(gens, rng.randint(1, min(6, len(gens)))))
+    sample = sorted(rng.sample(gens, rng.randint(1, min(6, len(gens))))) if gens else []
     counts = {}
     for a, _ in sample:
         counts[a] = counts.get(a, 0) + 1
-    for recognizer, cross_ok, arity in ((is_pset, _pset_cross_ok, 1), (is_delta_pset, _delta_cross_ok, 2)):
-        expected = None
-        if all(c == arity for c in counts.values()):
-            expected = partition_witness(sample, cross_ok)
-        assert recognizer(sample) == expected
+    return sample, counts
+
+
+@given(graphs(max_n=4), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_recognizers_match_bfs_witness(g, rng):
+    # every sample the BFS witness accepts lies in a maximal set of its family
+    sample, counts = sample_with_counts(g, rng)
+    for (per_multiplier,), cross_ok, fast in FAMILIES:
+        valid = partition_witness(sample, cross_ok) is not None
+        if valid and all(c == per_multiplier for c in counts.values()):
+            assert any(set(sample) <= set(p.members) for p in fast(g))
 
 
 @given(graphs(max_n=4), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_delta_pset_recognizer_matches_brute_force(g, rng):
-    gens = standard_generators(g)
-    if not gens:
-        return
-    sample = sorted(rng.sample(gens, rng.randint(1, min(6, len(gens)))))
-    counts = {}
-    for a, _ in sample:
-        counts[a] = counts.get(a, 0) + 1
-    fast = is_delta_pset(sample)
+    # the BFS witness behind walk_maximal agrees with trying every partition
+    sample, counts = sample_with_counts(g, rng)
     if any(c != 2 for c in counts.values()) or len(sample) < 2:
-        assert fast is None
         return
     slow = brute_force_partition_witness(
         sample, lambda x, y: x[0] in y[1] or y[0] in x[1] or x[1] == y[1]
     )
-    assert (fast is None) == (slow is None)
+    assert (partition_witness(sample, _delta_cross_ok) is None) == (slow is None)
+    if slow is not None:
+        assert any(set(sample) <= set(d.members) for d in maximal_delta_psets(g))
 
 
 @given(graphs(max_n=4))

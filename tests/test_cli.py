@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from raagbns import bns, cli
 from raagbns.cli import main
@@ -392,3 +394,120 @@ def test_corpus_reuses_euler_report_delta_psets_and_pso_arrangement(capsys, tmp_
     delta_runs = [args for args in calls["_maximal_sets"] if args[0] == frozenset({2})]
     assert len(delta_runs) == 1
     assert len(calls["_pso_arrangement"]) == 1
+
+
+# A fuzz of the input boundary: graph JSON, graph text and arrangement
+# JSON, valid or not, go through main() for every command that reads
+# them.  Inputs stay small: at most 6 vertices, ambient dimension at most
+# 4 and at most 6 subspaces.
+
+LABELS = list("abcdef")
+JUNK_TEXT = ["", "a b", "x,y", "[", "^", "{", "1"]
+JUNK = JUNK_TEXT + [1, 0.5, True, None, ["a"]]
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(LABELS + JUNK_TEXT)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(["vertices", "edges", "ambient_dim", "subspaces"]), kids, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def file_bytes(draw, documents):
+    """A serialized document, sometimes cut short, or stray bytes."""
+    mode = draw(st.integers(0, 5))
+    if mode == 5:
+        return draw(st.binary(max_size=30))
+    text = json.dumps(draw(documents))
+    return (text[: draw(st.integers(0, len(text)))] if mode == 4 else text).encode()
+
+
+@st.composite
+def graph_documents(draw):
+    n = draw(st.integers(0, 6))
+    vertices = LABELS[:n]
+    pairs = [[u, w] for i, u in enumerate(vertices) for w in vertices[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple)) if pairs else []
+    if draw(st.booleans()):
+        return {"vertices": vertices, "edges": edges}
+    label = st.sampled_from(LABELS + JUNK)
+    return draw(st.one_of(
+        st.fixed_dictionaries({"vertices": st.lists(label, max_size=6), "edges": st.lists(st.lists(label, max_size=3), max_size=4)}),
+        st.fixed_dictionaries({"vertices": st.just(vertices), "edges": st.lists(st.lists(label, max_size=3), max_size=4)}),
+        JSON_VALUES,
+    ))
+
+
+GRAPH_TEXTS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(LABELS[:5] + ["é", "a,b", "x^", "{", "#"]), max_size=3).map(" ".join),
+        st.lists(st.sampled_from(LABELS[:5] + ["é", "a;b"]), max_size=4).map(lambda vs: "vertices: " + " ".join(vs)),
+    ),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode())
+
+
+@st.composite
+def arrangement_documents(draw):
+    n = draw(st.integers(0, 4))
+    good = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-1", "0", "3/4"]))
+    entry = good if draw(st.integers(0, 2)) else st.one_of(good, st.sampled_from(["1/0", "x", "", True, 1.5, None, [1]]))
+    width = st.just(n) if draw(st.integers(0, 3)) else st.integers(0, 5)
+    row = width.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+    document = {"ambient_dim": n, "subspaces": draw(st.lists(st.lists(row, max_size=3), max_size=6))}
+    return document if draw(st.integers(0, 3)) else draw(JSON_VALUES)
+
+
+WORDS = st.lists(st.sampled_from(["a", "b", "a^-1", "c^2", "b^0", "z", "a^x", "^", "a^99999999999"]), max_size=5).map(" ".join)
+GRAPH_COMMANDS = st.one_of(
+    st.sampled_from([
+        ["classify"], ["support-graphs"], ["euler-report"],
+        ["bns", "--group", "raag"], ["bns", "--group", "psa"], ["bns", "--group", "pso", "--witness"],
+        ["presentation", "--group", "psa"], ["presentation", "--group", "pso"],
+    ]),
+    WORDS.map(lambda word: ["word-reduce", word]),
+)
+ARRANGEMENT_COMMANDS = st.sampled_from([["homology"], ["homology", "--raw"]])
+FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_clean_and_stable(capsys, path, content, command):
+    """Run the command on a file holding `content` twice: exit 0, 2 or 3,
+    no traceback, one stderr line on failure, the same bytes both times."""
+    path.write_bytes(content)
+    argv = [command[0], str(path), *command[1:]]
+    runs = []
+    for _ in range(2):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            json.loads(out)
+        runs.append((code, out, err))
+    assert runs[0] == runs[1]
+
+
+@given(file_bytes(graph_documents()), GRAPH_COMMANDS)
+@FUZZ
+def test_fuzz_graph_json(capsys, tmp_path, monkeypatch, content, command):
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    assert_clean_and_stable(capsys, tmp_path / "g.json", content, command)
+
+
+@given(GRAPH_TEXTS, GRAPH_COMMANDS)
+@FUZZ
+def test_fuzz_graph_text(capsys, tmp_path, monkeypatch, content, command):
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    assert_clean_and_stable(capsys, tmp_path / "g.txt", content, command)
+
+
+@given(file_bytes(arrangement_documents()), ARRANGEMENT_COMMANDS)
+@FUZZ
+def test_fuzz_arrangement_json(capsys, tmp_path, monkeypatch, content, command):
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    assert_clean_and_stable(capsys, tmp_path / "a.json", content, command)

@@ -21,7 +21,6 @@ from raagbns.graphs import (
     complement_components,
     components,
     forest_certificate,
-    is_sil_pair,
     link,
     star,
     support_components,
@@ -136,17 +135,18 @@ def test_classify_pair_rejects_adjacent():
 
 
 def test_sil_pair_edgeless3():
-    assert is_sil_pair(edgeless(3), "a", "b")
+    assert classify_pair(edgeless(3), "a", "b").shared == (("c",),)
 
 
 def test_sil_pair_path():
-    assert not is_sil_pair(path("axb"), "a", "b")
+    assert classify_pair(path("axb"), "a", "b").shared == ()
     assert not is_sil_pair_by_links(path("axb"), "a", "b")
 
 
 def test_sil_pair_adjacent_false():
-    assert not is_sil_pair(path("ab"), "a", "b")
-    assert not is_sil_pair(path("ab"), "a", "a")
+    assert not is_sil_pair_by_links(path("ab"), "a", "b")
+    assert not is_sil_pair_by_links(path("ab"), "a", "a")
+    assert support_graph(path("ab"), "a").is_discrete()
 
 
 def test_support_graph_edgeless3():
@@ -244,8 +244,10 @@ def test_classification_cross_containment(g):
 def test_sil_routes_agree(g):
     for a in g.vertices:
         for b in g.vertices:
-            if a != b:
-                assert is_sil_pair(g, a, b) == is_sil_pair_by_links(g, a, b)
+            if a == b or g.adjacent(a, b):
+                assert not is_sil_pair_by_links(g, a, b)
+            else:
+                assert bool(classify_pair(g, a, b).shared) == is_sil_pair_by_links(g, a, b)
 
 
 @given(graphs())
@@ -272,7 +274,7 @@ def test_star_lemma(g):
 @settings(max_examples=150, deadline=None)
 def test_no_sil_iff_all_support_graphs_discrete(g):
     has_sil = any(
-        is_sil_pair(g, a, b) for a in g.vertices for b in g.vertices if a != b
+        is_sil_pair_by_links(g, a, b) for a in g.vertices for b in g.vertices if a != b
     )
     all_discrete = all(support_graph(g, a).is_discrete() for a in g.vertices)
     assert has_sil == (not all_discrete)

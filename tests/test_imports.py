@@ -1,12 +1,15 @@
-"""Every name a raagbns module imports is used in that module, so code
-deleted from one layer leaves no stale import behind in another."""
+"""Source lints.  Every name a raagbns module imports is used in that
+module, so code deleted from one layer leaves no stale import behind in
+another; and every top-level function or class is referenced from
+`src/`, so code that only the tests use lives in `tests/`."""
 
 import ast
 import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "raagbns").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "raagbns").glob("*.py"))
 
 
 def unused_imports(source):
@@ -21,6 +24,52 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _is_click_command(node):
+    """Decorated with a call of some `.command` or `.group`, as click's
+    `cli.command(...)` and `click.group()` are."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def unreferenced_definitions(sources, exempt=frozenset()):
+    """(module, name) of every top-level function or class of the modules
+    in `sources` (module name -> source) that no source refers to by name
+    or attribute, except click commands and the (module, name) pairs in
+    `exempt`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in referenced
+        and (module, node.name) not in exempt
+        and not _is_click_command(node)
+    )
+
+
+def traced_names():
+    """(module, name) of each top-level function that the benchmark's
+    perfbench/spans.py TARGETS traces by its "module.name" key."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    keys = [key.value.split(".") for key in targets.keys]
+    return {tuple(parts) for parts in keys if len(parts) == 2}
+
+
 def test_sources_found():
     assert len(SOURCES) >= 8
 
@@ -32,3 +81,20 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == [(1, "os"), (2, "c")]
+
+
+def test_no_test_only_definitions():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_definitions(sources, traced_names()) == []
+
+
+def test_detects_an_unreferenced_definition():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef orphan():\n    pass\n\n\nclass Orphan:\n    pass\n",
+        "b": (
+            "from .a import used\n\n\n@cli.command('x')\ndef cmd():\n    used()\n\n\n"
+            "@click.group()\ndef cli():\n    pass\n\n\ndef traced():\n    pass\n"
+        ),
+    }
+    assert unreferenced_definitions(sources, {("b", "traced")}) == [("a", "Orphan"), ("a", "orphan")]
+    assert unreferenced_definitions(sources) == [("a", "Orphan"), ("a", "orphan"), ("b", "traced")]
