@@ -2,12 +2,18 @@
 files, runs one computation, and prints a deterministic JSON report:
 dictionary keys are sorted, lists are emitted in a fixed order and
 rationals are "p/q" strings, so identical inputs give identical bytes.
+
+One table, COMMANDS, drives both the argument parsing (one argparse
+parser per command, built at import) and the `--help` texts.  Usage
+errors exit 2 with one line, like malformed input.
 """
 
+import argparse
 import json
 import pathlib
-
-import click
+import sys
+import textwrap
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .bns import (
@@ -54,17 +60,7 @@ def _dump(payload, pretty):
 def _emit(payload, pretty):
     body = {"tool": {"name": "raagbns", "version": __version__}}
     body.update(payload)
-    click.echo(_dump(body, pretty))
-
-
-def _pretty_option(fn):
-    return click.option("--pretty", is_flag=True, help="Indent the JSON report.")(fn)
-
-
-def _graph_argument(fn):
-    return click.argument(
-        "graph_file", type=click.Path(exists=True, dir_okay=False)
-    )(fn)
+    print(_dump(body, pretty))
 
 
 def _profile_json(profile):
@@ -136,18 +132,7 @@ def _load_basepoints(path):
     return out
 
 
-@click.group()
-def cli():
-    """Arrangement homology, presentations and the RAAG verdict for the
-    partial-conjugation automorphism groups of a graph."""
-    enumeration_cap()  # a malformed RAAGBNS_CAP fails every command alike
-
-
-@cli.command("support-graphs")
-@_graph_argument
-@_pretty_option
 def support_graphs_cmd(graph_file, pretty):
-    """Per-vertex support graphs with forest or loop certificates."""
     g = graph_from_file(graph_file)
     per = {}
     for a in sorted(g.vertices):
@@ -167,30 +152,13 @@ def support_graphs_cmd(graph_file, pretty):
     _emit({"input": g.to_json(), "support_graphs": per}, pretty)
 
 
-@cli.command("classify")
-@_graph_argument
-@click.option(
-    "--basepoints",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="JSON file mapping a vertex to support-graph nodes; each named "
-    "node becomes its subtree's basepoint, the first marks the "
-    "preferred subtree.",
-)
-@_pretty_option
 def classify_cmd(graph_file, basepoints, pretty):
-    """Decide whether the outer quotient is a RAAG."""
     g = graph_from_file(graph_file)
     verdict = classify_pso(g, _load_basepoints(basepoints))
     _emit({"input": g.to_json(), **_verdict_json(g, verdict)}, pretty)
 
 
-@cli.command("homology")
-@click.argument("arrangement_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--raw", is_flag=True, help="Keep subspaces contained in others.")
-@_pretty_option
 def homology_cmd(arrangement_file, raw, pretty):
-    """Betti profile of a subspace arrangement file."""
     arr = arrangement_from_file(arrangement_file)
     kept = arr if raw else maximal_filter(arr)
     data = build_chain_complex(kept)
@@ -206,17 +174,7 @@ def homology_cmd(arrangement_file, raw, pretty):
     )
 
 
-@cli.command("bns")
-@_graph_argument
-@click.option("--group", type=click.Choice(["raag", "psa", "pso"]), required=True)
-@click.option(
-    "--witness",
-    is_flag=True,
-    help="Attach the degree-one certificate when a support graph has a loop.",
-)
-@_pretty_option
 def bns_cmd(graph_file, group, witness, pretty):
-    """Excluded character subspaces and their homology for one group."""
     g = graph_from_file(graph_file)
     payload = {"input": g.to_json(), "group": group}
     if group == "raag":
@@ -245,12 +203,7 @@ def _first_loop_witness(g):
     return None
 
 
-@cli.command("presentation")
-@_graph_argument
-@click.option("--group", type=click.Choice(["psa", "pso"]), required=True)
-@_pretty_option
 def presentation_cmd(graph_file, group, pretty):
-    """Finite presentation on the standard generating set."""
     g = graph_from_file(graph_file)
     p = psa_presentation(g) if group == "psa" else pso_presentation(g)
     _emit(
@@ -266,11 +219,7 @@ def presentation_cmd(graph_file, group, pretty):
     )
 
 
-@cli.command("euler-report")
-@_graph_argument
-@_pretty_option
 def euler_report_cmd(graph_file, pretty):
-    """Betti profiles of all three arrangements."""
     g = graph_from_file(graph_file)
     report = euler_report(g)
     _emit(
@@ -284,12 +233,7 @@ def euler_report_cmd(graph_file, pretty):
     )
 
 
-@cli.command("word-reduce")
-@_graph_argument
-@click.argument("word")
-@_pretty_option
 def word_reduce_cmd(graph_file, word, pretty):
-    """Normal form of a word in the RAAG of the graph."""
     g = graph_from_file(graph_file)
     reduced = reduce(g, parse_word(g, word))
     _emit({"input": g.to_json(), "word": word, "reduced": format_word(reduced)}, pretty)
@@ -321,17 +265,14 @@ def _corpus_checks(g):
     return isinstance(verdict, RaagVerdict), checks
 
 
-@cli.command("corpus")
-@click.argument(
-    "directory", type=click.Path(exists=True, file_okay=False, dir_okay=True)
-)
-@_pretty_option
 def corpus_cmd(directory, pretty):
-    """Run the per-graph invariant checks over a directory of graphs."""
     root = pathlib.Path(directory)
-    files = sorted(
-        p for p in root.iterdir() if p.suffix in (".json", ".txt") and p.is_file()
-    )
+    try:
+        files = sorted(
+            p for p in root.iterdir() if p.suffix in (".json", ".txt") and p.is_file()
+        )
+    except OSError as exc:
+        raise MalformedInput(f"unreadable corpus directory: {exc}") from exc
     rows = []
     for path in files:
         try:
@@ -351,23 +292,171 @@ def corpus_cmd(directory, pretty):
     return 0 if ok else 1
 
 
+class Option(NamedTuple):
+    """A command's option.  One with neither `metavar` nor `choices` is a
+    flag; the others take a value."""
+
+    flag: str
+    help: str = ""
+    metavar: str = ""
+    choices: tuple = ()
+    required: bool = False
+
+
+class Command(NamedTuple):
+    body: Callable
+    help: str
+    arguments: tuple  # the positional arguments' names, in order
+    options: tuple  # in --help order
+
+
+PRETTY = Option("--pretty", "Indent the JSON report.")
+BASEPOINTS = Option(
+    "--basepoints",
+    "JSON file mapping a vertex to support-graph nodes; each named node becomes its "
+    "subtree's basepoint, the first marks the preferred subtree.",
+    metavar="FILE",
+)
+WITNESS = Option("--witness", "Attach the degree-one certificate when a support graph has a loop.")
+COMMANDS = {
+    "support-graphs": Command(
+        support_graphs_cmd, "Per-vertex support graphs with forest or loop certificates.", ("GRAPH_FILE",), (PRETTY,)
+    ),
+    "classify": Command(
+        classify_cmd, "Decide whether the outer quotient is a RAAG.", ("GRAPH_FILE",), (BASEPOINTS, PRETTY)
+    ),
+    "homology": Command(
+        homology_cmd,
+        "Betti profile of a subspace arrangement file.",
+        ("ARRANGEMENT_FILE",),
+        (Option("--raw", "Keep subspaces contained in others."), PRETTY),
+    ),
+    "bns": Command(
+        bns_cmd,
+        "Excluded character subspaces and their homology for one group.",
+        ("GRAPH_FILE",),
+        (Option("--group", choices=("raag", "psa", "pso"), required=True), WITNESS, PRETTY),
+    ),
+    "presentation": Command(
+        presentation_cmd,
+        "Finite presentation on the standard generating set.",
+        ("GRAPH_FILE",),
+        (Option("--group", choices=("psa", "pso"), required=True), PRETTY),
+    ),
+    "euler-report": Command(euler_report_cmd, "Betti profiles of all three arrangements.", ("GRAPH_FILE",), (PRETTY,)),
+    "word-reduce": Command(
+        word_reduce_cmd, "Normal form of a word in the RAAG of the graph.", ("GRAPH_FILE", "WORD"), (PRETTY,)
+    ),
+    "corpus": Command(
+        corpus_cmd, "Run the per-graph invariant checks over a directory of graphs.", ("DIRECTORY",), (PRETTY,)
+    ),
+}
+DESCRIPTION = (
+    "Arrangement homology, presentations and the RAAG verdict for the "
+    "partial-conjugation automorphism groups of a graph."
+)
+HELP = Option("--help", "Show this message and exit.")
+WIDTH = 78  # --help is laid out at a fixed width, whatever the terminal
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _parser(name, command):
+    parser = _Parser(prog=f"raagbns {name}", add_help=False, allow_abbrev=False)
+    for argument in command.arguments:
+        parser.add_argument(argument.lower(), metavar=argument)
+    for option in command.options:
+        if option.metavar or option.choices:
+            parser.add_argument(option.flag, choices=option.choices or None, required=option.required)
+        else:
+            parser.add_argument(option.flag, action="store_true")
+    return parser
+
+
+PARSERS = {name: _parser(name, command) for name, command in COMMANDS.items()}
+
+
+def _rows(rows):
+    """Help rows: each term padded to a common column, its text wrapped
+    beside it."""
+    column = max(len(term) for term, _ in rows) + 2
+    lines = []
+    for term, text in rows:
+        first, *rest = textwrap.wrap(text, WIDTH - column - 2)
+        lines.append(f"  {term:<{column}}{first}")
+        lines += [" " * (column + 2) + line for line in rest]
+    return lines
+
+
+def _option_row(option):
+    term = option.flag
+    if option.metavar:
+        term += " " + option.metavar
+    if option.choices:
+        term += f" [{'|'.join(option.choices)}]"
+    text = "  ".join(filter(None, [option.help, "[required]" if option.required else ""]))
+    return term, text
+
+
+def _help(name):
+    """The --help text of one command, or of the program when `name` is
+    None."""
+    if name is None:
+        usage, text, options = "raagbns [OPTIONS] COMMAND [ARGS]...", DESCRIPTION, (HELP,)
+        width = WIDTH - 6 - max(map(len, COMMANDS))
+        listing = [(n, textwrap.shorten(c.help, width, placeholder="...")) for n, c in sorted(COMMANDS.items())]
+        tail = ["", "Commands:", *_rows(listing)]
+    else:
+        command = COMMANDS[name]
+        usage = " ".join(["raagbns", name, "[OPTIONS]", *command.arguments])
+        text, options, tail = command.help, (*command.options, HELP), []
+    lines = [
+        f"Usage: {usage}",
+        "",
+        textwrap.fill(text, WIDTH, initial_indent="  ", subsequent_indent="  "),
+        "",
+        "Options:",
+        *_rows([_option_row(option) for option in options]),
+        *tail,
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _run(args):
+    """Parse `args`, then print help or run the command; returns its exit
+    code."""
+    name = args[0] if args else None
+    if name == "--help":
+        sys.stdout.write(_help(None))
+        return 0
+    if name not in COMMANDS:
+        if name is None:
+            raise MalformedInput(f"raagbns: missing command, one of {', '.join(sorted(COMMANDS))}")
+        kind = "option" if name.startswith("-") else "command"
+        raise MalformedInput(f"raagbns: no such {kind} {name!r}")
+    rest = args[1:]
+    if "--help" in (rest[: rest.index("--")] if "--" in rest else rest):
+        sys.stdout.write(_help(name))
+        return 0
+    values = vars(PARSERS[name].parse_args(rest))
+    enumeration_cap()  # a malformed RAAGBNS_CAP fails every command alike
+    return COMMANDS[name].body(**values) or 0
+
+
 def main(argv=None):
     try:
-        result = cli.main(args=argv, standalone_mode=False)
+        return _run(sys.argv[1:] if argv is None else list(argv))
     except RaagBnsError as err:
-        click.echo(f"error: {err}", err=True)
+        print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except click.ClickException as err:
-        err.show()
-        return err.exit_code
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
         return 130
-    except click.exceptions.Exit as err:
-        return err.exit_code
     except Exception as err:
-        click.echo(f"error: internal error: {type(err).__name__}: {err}", err=True)
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4
-    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

@@ -352,6 +352,8 @@ def graph_from_file(path):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise MalformedInput(f"unreadable graph file: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -81,13 +81,15 @@ def _support(s):
 
 
 def arrangement_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"bad arrangement JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"bad arrangement JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise MalformedInput(f"unreadable arrangement file: {exc}") from exc
     return Arrangement.from_json(data)
 
 

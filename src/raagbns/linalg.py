@@ -93,12 +93,6 @@ class ZMatrix:
         scale = lcm(*(d // gcd(d, *col.values()) for col, d in zip(columns, denominators) if d > 1))
         return cls(rows, [{r: x * scale // d for r, x in col.items() if x} for col, d in zip(columns, denominators)])
 
-    @classmethod
-    def from_qmatrix(cls, m):
-        """The QMatrix times the LCM of its denominators."""
-        flat = _int_row([x for row in m.entries for x in row])
-        return cls(m.rows, [{i: x for i, x in enumerate(flat[j::m.cols]) if x} for j in range(m.cols)])
-
     @property
     def entries(self):
         """Dense rows of ints, built on each access."""
@@ -189,7 +183,7 @@ def rref(m):
 
 
 def rank(m):
-    """Rank of a ZMatrix (or of a QMatrix, converted first).
+    """Rank of a ZMatrix.
 
     Fraction-free column elimination in the style of Bareiss (Math. Comp.
     22, 1968): a column whose lowest nonzero row is already owned by a
@@ -197,8 +191,6 @@ def rank(m):
     clears that row, then divided by the gcd of its entries.  The columns
     left nonzero have distinct lowest rows, so they count the rank.
     """
-    if isinstance(m, QMatrix):
-        m = ZMatrix.from_qmatrix(m)
     pivots = {}  # lowest nonzero row -> the reduced column that owns it
     for col in m.columns:
         while col:

@@ -3,6 +3,7 @@
 import itertools
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 import networkx as nx
 
@@ -246,6 +247,14 @@ def brute_force_partition_witness(members, cross_ok):
         if all(cross_ok(x, y) for x in side1 for y in side2):
             return side1, side2
     return None
+
+
+def zmatrix(m):
+    """The QMatrix times the LCM of its denominators, as a ZMatrix."""
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    return linalg.ZMatrix(
+        m.rows, [{i: int(row[j] * scale) for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
+    )
 
 
 def rref_rank(m):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -236,6 +240,20 @@ def test_malformed_cap_exits_2(capsys, f4_file, monkeypatch, raw):
     assert "RAAGBNS_CAP" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["support-graphs"], ["homology"], ["bns", "--group", "raag"], ["presentation", "--group", "psa"],
+     ["euler-report"], ["word-reduce", "a"], ["corpus"]],
+    ids=lambda command: command[0],
+)
+def test_malformed_cap_fails_every_command_before_it_runs(capsys, f4_file, monkeypatch, command):
+    # homology is given a graph file: the cap is checked before the file is read
+    monkeypatch.setenv("RAAGBNS_CAP", "lots")
+    target = str(pathlib.Path(f4_file).parent) if command == ["corpus"] else f4_file
+    assert main([command[0], target, *command[1:]]) == 2
+    assert "RAAGBNS_CAP" in one_line_error(capsys)
+
+
 def test_unknown_basepoint_key_exits_2(capsys, f3_file, tmp_path):
     override = tmp_path / "bp.json"
     override.write_text(json.dumps({"q": [["b"]]}))
@@ -369,6 +387,101 @@ def test_stray_exception_exits_4_with_one_line(capsys, f3_file, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error: RuntimeError: something broke\n"
+
+
+def test_keyboard_interrupt_exits_130(capsys, f3_file, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "classify_pso", interrupted)
+    assert main(["classify", f3_file]) == 130
+    assert capsys.readouterr().out == ""
+
+
+# Every usage error: exit 2, nothing on stdout, one stderr line naming the
+# command or the file, and the argument.  "@" stands for the test's directory.
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], ["raagbns", "missing command"]),
+        (["bogus", "@f3.json"], ["raagbns", "'bogus'"]),
+        (["--bogus", "classify"], ["raagbns", "'--bogus'"]),
+        (["classify", "--bogus", "@f3.json"], ["raagbns classify", "--bogus"]),
+        (["classify"], ["raagbns classify", "GRAPH_FILE"]),
+        (["word-reduce", "@f3.json"], ["raagbns word-reduce", "WORD"]),
+        (["bns", "@f3.json"], ["raagbns bns", "--group"]),
+        (["bns", "@f3.json", "--group"], ["raagbns bns", "--group"]),
+        (["classify", "@f3.json", "--basepoints"], ["raagbns classify", "--basepoints"]),
+        (["bns", "@f3.json", "--group", "psx"], ["raagbns bns", "--group", "'psx'"]),
+        (["presentation", "@f3.json", "--group=raag"], ["raagbns presentation", "--group", "'raag'"]),
+        (["classify", "@f3.json", "extra"], ["raagbns classify", "extra"]),
+        (["word-reduce", "@f3.json", "a", "b"], ["raagbns word-reduce", "b"]),
+        (["classify", "--pretty=yes", "@f3.json"], ["raagbns classify", "--pretty"]),
+        (["classify", "@missing.json"], ["graph file", "missing.json"]),
+        (["homology", "@missing.json"], ["arrangement file", "missing.json"]),
+        (["classify", "@f3.json", "--basepoints", "@missing.json"], ["basepoint file", "missing.json"]),
+        (["corpus", "@missing"], ["corpus directory", "missing"]),
+        (["euler-report", "@dir"], ["graph file", "dir"]),
+        (["homology", "@dir"], ["arrangement file", "dir"]),
+        (["classify", "@f3.json", "--basepoints=@dir"], ["basepoint file", "dir"]),
+        (["corpus", "@f3.json"], ["corpus directory", "f3.json"]),
+    ],
+)
+def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
+    (tmp_path / "f3.json").write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
+    (tmp_path / "dir").mkdir()
+    assert main([arg.replace("@", f"{tmp_path}/") for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(fragment in err for fragment in named), err
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["presentation", "--group=psa", "@"], ["presentation", "@", "--group", "psa"]),
+        (["bns", "--group", "raag", "--group", "pso", "@", "--witness"], ["bns", "@", "--group", "pso", "--witness"]),
+        (["classify", "--pretty", "@"], ["classify", "@", "--pretty"]),
+        (["classify", "--pretty", "@", "--pretty"], ["classify", "@", "--pretty"]),
+        (["word-reduce", "@", "--", "b a^-1 c"], ["word-reduce", "@", "b a^-1 c"]),
+        (["word-reduce", "--pretty", "@", "b"], ["word-reduce", "@", "b", "--pretty"]),
+    ],
+)
+def test_option_forms_and_places(capsys, f3_file, argv, same_as):
+    outputs = []
+    for args in (argv, same_as):
+        assert main([f3_file if arg == "@" else arg for arg in args]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["--help", "bogus"], ["--help"]),
+        (["classify", "@", "--help"], ["classify", "--help"]),
+        (["word-reduce", "--pretty", "--help", "@"], ["word-reduce", "--help"]),
+        (["bns", "@", "--group", "nonsense", "--help"], ["bns", "--help"]),
+        (["homology", "@missing.json", "--help"], ["homology", "--help"]),
+    ],
+)
+def test_help_anywhere_prints_to_stdout_and_exits_0(capsys, f3_file, argv, same_as):
+    outputs = []
+    for args in (argv, same_as):
+        assert main([f3_file if arg == "@" else arg for arg in args]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert outputs[0].out.startswith("Usage: raagbns ")
+
+
+def test_runs_without_click():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; sys.modules['click'] = None; import raagbns.cli; raise SystemExit(raagbns.cli.main(['--help']))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("Usage: raagbns [OPTIONS] COMMAND [ARGS]...\n")
 
 
 def test_corpus_reuses_euler_report_delta_psets_and_pso_arrangement(capsys, tmp_path, monkeypatch):

@@ -24,20 +24,10 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _is_click_command(node):
-    """Decorated with a call of some `.command` or `.group`, as click's
-    `cli.command(...)` and `click.group()` are."""
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
-        for d in node.decorator_list
-    )
-
-
 def unreferenced_definitions(sources, exempt=frozenset()):
     """(module, name) of every top-level function or class of the modules
     in `sources` (module name -> source) that no source refers to by name
-    or attribute, except click commands and the (module, name) pairs in
-    `exempt`."""
+    or attribute, except the (module, name) pairs in `exempt`."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced = set()
     for tree in trees.values():
@@ -53,7 +43,6 @@ def unreferenced_definitions(sources, exempt=frozenset()):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in referenced
         and (module, node.name) not in exempt
-        and not _is_click_command(node)
     )
 
 
@@ -92,9 +81,11 @@ def test_detects_an_unreferenced_definition():
     sources = {
         "a": "def used():\n    pass\n\n\ndef orphan():\n    pass\n\n\nclass Orphan:\n    pass\n",
         "b": (
-            "from .a import used\n\n\n@cli.command('x')\ndef cmd():\n    used()\n\n\n"
-            "@click.group()\ndef cli():\n    pass\n\n\ndef traced():\n    pass\n"
+            "from .a import used\n\n\ndef cmd():\n    used()\n\n\nCOMMANDS = {'x': cmd}\n\n\n"
+            "@cli.command('y')\ndef decorated():\n    pass\n\n\ndef traced():\n    pass\n"
         ),
     }
-    assert unreferenced_definitions(sources, {("b", "traced")}) == [("a", "Orphan"), ("a", "orphan")]
-    assert unreferenced_definitions(sources) == [("a", "Orphan"), ("a", "orphan"), ("b", "traced")]
+    # a command body is referenced from its command table; a decorator
+    # alone does not count as a reference
+    assert unreferenced_definitions(sources, {("b", "traced")}) == [("a", "Orphan"), ("a", "orphan"), ("b", "decorated")]
+    assert unreferenced_definitions(sources) == [("a", "Orphan"), ("a", "orphan"), ("b", "decorated"), ("b", "traced")]
