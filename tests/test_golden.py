@@ -93,12 +93,12 @@ ARRANGEMENTS = {
     },
 }
 WORDS = ("{0} {1} {0}^-1 {1}^-1", "{1}^2 {0} {2}^3 {1}^-2 {0}^-1 {2}", "")
-HELP_COMMANDS = ("", "bns", "classify", "corpus", "euler-report", "homology", "presentation", "support-graphs", "word-reduce")
+HELP_COMMANDS = ("bns", "classify", "corpus", "euler-report", "homology", "presentation", "support-graphs", "word-reduce")
 
 
 def cli_files(directory):
-    """Write the inputs of cli_cases under `directory`; return the cases,
-    each an argv whose "@name" entries name a file or directory there."""
+    """Write the inputs of cli_outputs under `directory` and return its
+    cases, each an argv in which "@" stands for `directory` and a slash."""
     from test_acceptance import K33, STAR5, TWO_TRIANGLES, cycle, edgeless, path
 
     root = pathlib.Path(directory)
@@ -150,10 +150,10 @@ def cli_outputs(directory):
     for case in cases:
         argv = [arg.replace("@", f"{directory}/") for arg in case]
         out["digests"][" ".join(case)] = digest(*run_main(argv))
-    for command in HELP_COMMANDS:
-        code, text = run_main([command, "--help"] if command else ["--help"])
-        assert code == 0, command
-        out["help"][" ".join(["raagbns", command, "--help"] if command else ["raagbns", "--help"])] = text
+    for argv in [["--help"]] + [[name, "--help"] for name in HELP_COMMANDS]:
+        code, text = run_main(argv)
+        assert code == 0, argv
+        out["help"][" ".join(["raagbns", *argv])] = text
     return out
 
 
