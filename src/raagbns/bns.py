@@ -53,12 +53,13 @@ def generator_basis(g):
 
 def _neighbour_masks(items, joined):
     """Bit of each item (by position) -> bits of the other items it is
-    joined to."""
-    bits = [1 << i for i in range(len(items))]
-    return {
-        bits[i]: sum(bits[j] for j, y in enumerate(items) if j != i and joined(x, y))
-        for i, x in enumerate(items)
-    }
+    joined to; `joined` is symmetric and asked once per pair."""
+    masks = [0] * len(items)
+    for (i, x), (j, y) in itertools.combinations(enumerate(items), 2):
+        if joined(x, y):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return {1 << i: mask for i, mask in enumerate(masks)}
 
 
 def _component(s, neighbours):
@@ -76,8 +77,16 @@ def _component(s, neighbours):
     return comp
 
 
+def _bits(s):
+    """The set bits of bitmask s, lowest first, each as a power of two."""
+    while s:
+        low = s & -s
+        yield low
+        s ^= low
+
+
 def _members_of(members, s):
-    return tuple(m for i, m in enumerate(members) if s >> i & 1)
+    return tuple(members[b.bit_length() - 1] for b in _bits(s))
 
 
 def maximal_disconnected_subsets(g, cap=None):
@@ -155,13 +164,6 @@ def _choice_tree_size(options):
     return nodes
 
 
-def _unions(option_masks):
-    out = [0]
-    for choices in option_masks:
-        out = [s | c for s in out for c in choices]
-    return out
-
-
 def _maximal_valid(g, arity, cross_ok, name, cap):
     """(members, witness) of every inclusion-maximal valid set among the
     choice tree's leaves, sorted by members.  The tree's size is admitted
@@ -173,39 +175,96 @@ def _maximal_valid(g, arity, cross_ok, name, cap):
 
 @memoised
 def _maximal_sets(g, arity, cross_ok):
-    """The enumeration behind `_maximal_valid`.
+    """The enumeration behind `_maximal_valid`, in time that follows the
+    output rather than the choice tree.
 
-    A valid set is non-maximal iff one option at one unused multiplier
-    extends it to a valid set: if T > S is valid with sides A | B, either
-    S meets both sides and any added option keeps them apart, or S lies
-    in A and the option holding a member of B does.
+    An option is a non-empty choice at one multiplier.  Its members fail
+    `cross_ok` with each other, so a leaf (at most one option per
+    multiplier) is valid iff its options split into non-empty sides A | B
+    with every cross pair compatible: the multipliers differ and every
+    member of one option passes `cross_ok` with every member of the
+    other.  Write N(X) for the options compatible with all of X.  If
+    A' | B' is a maximal valid leaf, then B' lies in N(A') and A' in
+    N(N(A')), and the leaf holds an option at every multiplier of the
+    biclique (N(N(A')), N(A')): an option at a multiplier it misses would
+    join the side it is compatible with and give a larger valid leaf.  So
+    the leaf is a full transversal of that biclique, one option per
+    multiplier present, and every such transversal is a valid leaf.
+    Close-by-One (Kuznetsov, 1993) lists each closed A = N(N(A)) with
+    N(A) non-empty once, over option bitmasks, with an explicit stack; the
+    inclusion-maximal transversals of the bicliques (A, N(A)) are then the
+    maximal valid leaves.
     """
     options = _per_multiplier_options(g, arity)
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
-    failure = _neighbour_masks(members, lambda x, y: not cross_ok(x, y))
-    option_masks = [[sum(bit[m] for m in choice) for choice in choices] for choices in options]
-    # leaves are unions of a head over the first half of the multipliers
-    # and a tail over the rest, so only the halves are ever listed
-    half = len(option_masks) // 2
-    tails = _unions(option_masks[half:])
-    valid = {}
-    for head in _unions(option_masks[:half]):
-        for tail in tails:
-            s = head | tail
-            comp = _component(s, failure)
-            if comp != s:
-                valid[s] = comp
-    # (bits of a multiplier's members, its non-empty options)
-    extensions = [
-        (sum({bit[m] for choice in choices for m in choice}), choice_masks[1:])
-        for choices, choice_masks in zip(options, option_masks)
-    ]
-    out = [
-        (_members_of(members, s), (_members_of(members, comp), _members_of(members, s & ~comp)))
-        for s, comp in valid.items()
-        if not any(s | c in valid for used, choices in extensions if not s & used for c in choices)
-    ]
+    every = (1 << len(members)) - 1
+    passes = _neighbour_masks(members, cross_ok)
+    failure = {b: every & ~b & ~ok for b, ok in passes.items()}
+    # option bit -> (multiplier, bits of its members, bits of the members
+    # that pass with all of them); member bit -> bits of the options
+    # holding it
+    flat, holders = {}, {}
+    for i, choices in enumerate(options):
+        for choice in choices[1:]:
+            option, mask, ok = 1 << len(flat), 0, every
+            for m in choice:
+                mask |= bit[m]
+                ok &= passes[bit[m]]
+                holders[bit[m]] = holders.get(bit[m], 0) | option
+            flat[option] = (i, mask, ok)
+    # the options compatible with one are among the holders of its `ok`
+    compatible = {}
+    for option, (i, _, ok) in flat.items():
+        near = 0
+        for b in _bits(ok):
+            near |= holders[b]
+        compatible[option] = sum(
+            o for o in _bits(near) if flat[o][0] != i and not flat[o][1] & ~ok
+        )
+
+    def common(s):
+        """N(s): the options compatible with every option in bitmask s."""
+        out = (1 << len(flat)) - 1
+        for o in _bits(s):
+            out &= compatible[o]
+        return out
+
+    leaves = set()
+    top = common(common(0))
+    stack = [(top, common(top), 1)]
+    while stack:
+        extent, intent, first = stack.pop()
+        # each biclique is listed as (A, N(A)) and as (N(A), A); take it once
+        if extent and intent and extent & -extent < intent & -intent:
+            by_multiplier = {}
+            for o in _bits(extent | intent):
+                i, mask, _ = flat[o]
+                by_multiplier.setdefault(i, []).append(mask)
+            partial = [0]
+            for masks in by_multiplier.values():
+                partial = [t | m for t in partial for m in masks]
+            leaves.update(partial)
+        # only an option compatible with some option of the intent keeps
+        # it non-empty; `first` is the lowest option bit still to add
+        reach = 0
+        for o in _bits(intent):
+            reach |= compatible[o]
+        for o in _bits(reach & ~extent & -first):
+            narrowed = intent & compatible[o]
+            closed = common(narrowed)
+            if closed & (o - 1) == extent & (o - 1):
+                stack.append((closed, narrowed, o << 1))
+    # a leaf is maximal iff no larger leaf holds it; any larger leaf lies
+    # in a maximal one, and those come first in order of size
+    maximal = []
+    for s in sorted(leaves, key=int.bit_count, reverse=True):
+        if not any(s & t == s for t in maximal):
+            maximal.append(s)
+    out = []
+    for s in maximal:
+        comp = _component(s, failure)
+        out.append((_members_of(members, s), (_members_of(members, comp), _members_of(members, s & ~comp))))
     out.sort(key=lambda mw: mw[0])
     return out
 

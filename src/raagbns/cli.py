@@ -438,10 +438,19 @@ def _run(args):
         kind = "option" if name.startswith("-") else "command"
         raise MalformedInput(f"raagbns: no such {kind} {name!r}")
     rest = args[1:]
-    if "--help" in (rest[: rest.index("--")] if "--" in rest else rest):
+    head = rest[: rest.index("--")] if "--" in rest else rest
+    if "--help" in head:
         sys.stdout.write(_help(name))
         return 0
-    values = vars(PARSERS[name].parse_args(rest))
+    try:
+        values = vars(PARSERS[name].parse_args(rest))
+    except MalformedInput:
+        # argparse names a missing argument before an unknown option
+        flags = {option.flag for option in COMMANDS[name].options}
+        unknown = [arg for arg in head if arg[:1] == "-" and arg != "-" and arg.split("=", 1)[0] not in flags]
+        if unknown:
+            raise MalformedInput(f"raagbns {name}: unrecognized arguments: {' '.join(unknown)}") from None
+        raise
     enumeration_cap()  # a malformed RAAGBNS_CAP fails every command alike
     return COMMANDS[name].body(**values) or 0
 

@@ -103,10 +103,13 @@ def build_chain_complex(a, cap=None):
     subs = list(a.subspaces)
     supports = [_support(s) for s in subs]
     cap = enumeration_cap() if cap is None else cap
+    # many index sets share one V_J: each meet is interned by value, so its
+    # meet with each listed subspace is found once
+    interned, meets = {}, {}
 
     # degree 1: one summand per nonzero listed subspace
     levels, total = [], 0
-    level = [((i,), subs[i]) for i in range(len(subs)) if subs[i].dim > 0]
+    level = [((i,), interned.setdefault(subs[i], subs[i])) for i in range(len(subs)) if subs[i].dim > 0]
     admit(len(level), cap, f"the chain complex reaches {len(level)} summands at degree 1")
     while level:
         levels.append(level)
@@ -117,7 +120,10 @@ def build_chain_complex(a, cap=None):
             for j in range(idx[-1] + 1, len(subs)):
                 if subs[j].dim == 0 or not sup & supports[j]:
                     continue
-                meet = intersect([space, subs[j]])
+                meet = meets.get((id(space), j))
+                if meet is None:
+                    meet = intersect([space, subs[j]])
+                    meet = meets[id(space), j] = interned.setdefault(meet, meet)
                 if meet.dim > 0:
                     nxt.append((idx + (j,), meet))
                     count = total + len(nxt)
@@ -137,6 +143,7 @@ def build_chain_complex(a, cap=None):
     # the basis of a summand is its RREF basis: each stored integer row v
     # over its pivot entry, so each column below is exact over that entry
     boundaries = [ZMatrix(0, [{}] * n)]  # d_0 : C_0 -> 0
+    coordinates = {}  # (id of an interned parent space, row) -> coordinates
     for k, level in enumerate(levels, start=1):
         parent = dict(levels[k - 2]) if k >= 2 else {}
         columns, denominators = [], []
@@ -150,7 +157,11 @@ def build_chain_complex(a, cap=None):
                 for i in range(k):
                     target = idx[:i] + idx[i + 1:]
                     sign = 1 if i % 2 == 0 else -1
-                    coords = parent[target].coordinates(v)
+                    above = parent[target]
+                    key = (id(above), v)
+                    if key not in coordinates:
+                        coordinates[key] = above.coordinates(v)
+                    coords = coordinates[key]
                     if coords is None:
                         raise InvariantViolation("intersection escaped its parent summand")
                     base = offsets[k - 2][target]

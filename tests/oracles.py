@@ -7,7 +7,13 @@ from math import lcm
 
 import networkx as nx
 
-from raagbns.bns import _per_multiplier_options, generator_basis
+from raagbns.bns import (
+    _component,
+    _members_of,
+    _neighbour_masks,
+    _per_multiplier_options,
+    generator_basis,
+)
 from raagbns.errors import CapExceeded
 from raagbns.graphs import (
     PairClassification,
@@ -418,6 +424,53 @@ def walk_maximal(g, arity, cross_ok):
     return out
 
 
+
+def _unions(option_masks):
+    out = [0]
+    for choices in option_masks:
+        out = [s | c for s in out for c in choices]
+    return out
+
+
+def leaf_maximal_sets(g, arity, cross_ok):
+    """`bns._maximal_sets` as it was before Close-by-One: every leaf of the
+    choice tree is listed and bitmask-checked.
+
+    A valid set is non-maximal iff one option at one unused multiplier
+    extends it to a valid set: if T > S is valid with sides A | B, either
+    S meets both sides and any added option keeps them apart, or S lies
+    in A and the option holding a member of B does.
+    """
+    options = _per_multiplier_options(g, arity)
+    members = sorted({m for choices in options for choice in choices for m in choice})
+    bit = {m: 1 << i for i, m in enumerate(members)}
+    failure = _neighbour_masks(members, lambda x, y: not cross_ok(x, y))
+    option_masks = [[sum(bit[m] for m in choice) for choice in choices] for choices in options]
+    # leaves are unions of a head over the first half of the multipliers
+    # and a tail over the rest, so only the halves are ever listed
+    half = len(option_masks) // 2
+    tails = _unions(option_masks[half:])
+    valid = {}
+    for head in _unions(option_masks[:half]):
+        for tail in tails:
+            s = head | tail
+            comp = _component(s, failure)
+            if comp != s:
+                valid[s] = comp
+    # (bits of a multiplier's members, its non-empty options)
+    extensions = [
+        (sum({bit[m] for choice in choices for m in choice}), choice_masks[1:])
+        for choices, choice_masks in zip(options, option_masks)
+    ]
+    out = [
+        (_members_of(members, s), (_members_of(members, comp), _members_of(members, s & ~comp)))
+        for s, comp in valid.items()
+        if not any(s | c in valid for used, choices in extensions if not s & used for c in choices)
+    ]
+    out.sort(key=lambda mw: mw[0])
+    return out
+
+
 def parse_qmatrix(text):
     """Rows of whitespace-separated "p/q" tokens, one row per line."""
     rows = []
@@ -444,9 +497,16 @@ def h0_dim(a):
 
 def atlas_up_to_six():
     """The 208 graphs of networkx's atlas with one to six vertices."""
+    return atlas(208)
+
+
+def atlas(count=1252):
+    """The first `count` graphs of networkx's atlas after the empty one, in
+    its order: by vertex count, then edge count.  All 1,252 are every
+    graph with one to seven vertices, up to isomorphism."""
     out = []
-    for G in nx.graph_atlas_g()[1:209]:
-        names = {v: "abcdef"[i] for i, v in enumerate(sorted(G.nodes()))}
+    for G in nx.graph_atlas_g()[1:count + 1]:
+        names = {v: "abcdefg"[i] for i, v in enumerate(sorted(G.nodes()))}
         out.append(SimpleGraph(sorted(names.values()), [(names[u], names[w]) for u, w in G.edges()]))
     return out
 

@@ -416,6 +416,7 @@ def test_keyboard_interrupt_exits_130(capsys, f3_file, monkeypatch):
         (["presentation", "@f3.json", "--group=raag"], ["raagbns presentation", "--group", "'raag'"]),
         (["classify", "@f3.json", "extra"], ["raagbns classify", "extra"]),
         (["word-reduce", "@f3.json", "a", "b"], ["raagbns word-reduce", "b"]),
+        (["word-reduce", "@f3.json", "-a"], ["raagbns word-reduce", "unrecognized arguments: -a"]),
         (["classify", "--pretty=yes", "@f3.json"], ["raagbns classify", "--pretty"]),
         (["classify", "@missing.json"], ["graph file", "missing.json"]),
         (["homology", "@missing.json"], ["arrangement file", "missing.json"]),
