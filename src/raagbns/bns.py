@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, admit
-from .graphs import complement_components, memoised, support_graph
+from .graphs import bits, complement_components, component, members_of, memoised, neighbour_masks, support_graph, vertex_masks
 from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
 from .linalg import Subspace, intersect
 from .words import standard_generators
@@ -51,55 +51,16 @@ def generator_basis(g):
     return CharacterBasis(tuple(standard_generators(g)))
 
 
-def _neighbour_masks(items, joined):
-    """Bit of each item (by position) -> bits of the other items it is
-    joined to; `joined` is symmetric and asked once per pair."""
-    masks = [0] * len(items)
-    for (i, x), (j, y) in itertools.combinations(enumerate(items), 2):
-        if joined(x, y):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return {1 << i: mask for i, mask in enumerate(masks)}
-
-
-def _component(s, neighbours):
-    """Bitmask of the component, inside bitmask s, of the least member
-    of s; `neighbours` maps each member's bit to its neighbours' bits."""
-    comp = frontier = s & -s
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            grow |= neighbours[low]
-            frontier ^= low
-        frontier = grow & s & ~comp
-        comp |= frontier
-    return comp
-
-
-def _bits(s):
-    """The set bits of bitmask s, lowest first, each as a power of two."""
-    while s:
-        low = s & -s
-        yield low
-        s ^= low
-
-
-def _members_of(members, s):
-    return tuple(members[b.bit_length() - 1] for b in _bits(s))
-
-
 def maximal_disconnected_subsets(g, cap=None):
     """All vertex subsets inducing a disconnected subgraph and maximal
     with that property.  A subset fails maximality iff some single added
     vertex keeps it disconnected."""
-    vs = sorted(g.vertices)
+    vs, adjacency = vertex_masks(g)
     n = len(vs)
     admit(2 ** n, cap, f"disconnected-subset enumeration over {n} vertices would scan {2 ** n} subsets")
-    adjacency = _neighbour_masks(vs, g.adjacent)
-    disconnected = {s for s in range(1 << n) if _component(s, adjacency) != s}
+    disconnected = {s for s in range(1 << n) if component(s & -s, s, adjacency) != s}
     return sorted(
-        _members_of(vs, s)
+        members_of(vs, s)
         for s in disconnected
         if not any(s | b in disconnected for b in adjacency if not s & b)
     )
@@ -199,7 +160,7 @@ def _maximal_sets(g, arity, cross_ok):
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
     every = (1 << len(members)) - 1
-    passes = _neighbour_masks(members, cross_ok)
+    passes = neighbour_masks(members, [p for p in itertools.combinations(members, 2) if cross_ok(*p)])
     failure = {b: every & ~b & ~ok for b, ok in passes.items()}
     # option bit -> (multiplier, bits of its members, bits of the members
     # that pass with all of them); member bit -> bits of the options
@@ -217,16 +178,16 @@ def _maximal_sets(g, arity, cross_ok):
     compatible = {}
     for option, (i, _, ok) in flat.items():
         near = 0
-        for b in _bits(ok):
+        for b in bits(ok):
             near |= holders[b]
         compatible[option] = sum(
-            o for o in _bits(near) if flat[o][0] != i and not flat[o][1] & ~ok
+            o for o in bits(near) if flat[o][0] != i and not flat[o][1] & ~ok
         )
 
     def common(s):
         """N(s): the options compatible with every option in bitmask s."""
         out = (1 << len(flat)) - 1
-        for o in _bits(s):
+        for o in bits(s):
             out &= compatible[o]
         return out
 
@@ -238,7 +199,7 @@ def _maximal_sets(g, arity, cross_ok):
         # each biclique is listed as (A, N(A)) and as (N(A), A); take it once
         if extent and intent and extent & -extent < intent & -intent:
             by_multiplier = {}
-            for o in _bits(extent | intent):
+            for o in bits(extent | intent):
                 i, mask, _ = flat[o]
                 by_multiplier.setdefault(i, []).append(mask)
             partial = [0]
@@ -248,9 +209,9 @@ def _maximal_sets(g, arity, cross_ok):
         # only an option compatible with some option of the intent keeps
         # it non-empty; `first` is the lowest option bit still to add
         reach = 0
-        for o in _bits(intent):
+        for o in bits(intent):
             reach |= compatible[o]
-        for o in _bits(reach & ~extent & -first):
+        for o in bits(reach & ~extent & -first):
             narrowed = intent & compatible[o]
             closed = common(narrowed)
             if closed & (o - 1) == extent & (o - 1):
@@ -263,8 +224,8 @@ def _maximal_sets(g, arity, cross_ok):
             maximal.append(s)
     out = []
     for s in maximal:
-        comp = _component(s, failure)
-        out.append((_members_of(members, s), (_members_of(members, comp), _members_of(members, s & ~comp))))
+        comp = component(s & -s, s, failure)
+        out.append((members_of(members, s), (members_of(members, comp), members_of(members, s & ~comp))))
     out.sort(key=lambda mw: mw[0])
     return out
 

@@ -10,6 +10,7 @@ errors exit 2 with one line, like malformed input.
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import textwrap
@@ -457,12 +458,21 @@ def _run(args):
 
 def main(argv=None):
     try:
-        return _run(sys.argv[1:] if argv is None else list(argv))
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except RaagBnsError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
     except KeyboardInterrupt:
         return 130
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to devnull, so
+        # the interpreter's flush at exit stays silent; 141 is 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as err:
         print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 4

@@ -1,8 +1,11 @@
 """Finite simple graphs and the combinatorics driving everything else:
-links and stars, components of the star complement of a vertex, the
+components of the star complement of a vertex, the
 dominating/subordinate/shared classification for a nonadjacent pair
 (an SIL-pair is one with a shared component), and per-vertex support
 graphs with forest or shortest-loop certificates.
+
+Every component search is one flood fill, `component`, over bitmasks
+that number the members of a sorted sequence by position.
 
 A "component" is represented throughout as a sorted tuple of vertex
 labels; all sequences of components are ordered lexicographically.
@@ -12,6 +15,7 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import MalformedInput
 
@@ -147,43 +151,78 @@ def memoised(fn):
     return cached
 
 
-def link(g, v):
-    """Vertices adjacent to v."""
-    if not g.has_vertex(v):
-        raise MalformedInput(f"unknown vertex {v!r}")
-    return set(g.neighbors[v])
+def bits(s):
+    """The set bits of bitmask s, lowest first, each as a power of two."""
+    while s:
+        low = s & -s
+        yield low
+        s ^= low
 
 
-def star(g, v):
-    return link(g, v) | {v}
-
-
-def components(nodes, neighbours):
-    """Connected components of the graph on `nodes` that joins each node u
-    to the members of `nodes` among neighbours[u].  Each component is a
-    sorted tuple; roots are taken in sorted order, so the list is in lex
-    order."""
-    nodes = set(nodes)
-    seen = set()
+def members_of(members, s):
+    """The members whose positions are the set bits of s, in order."""
     out = []
-    for root in sorted(nodes):
-        if root in seen:
-            continue
-        seen.add(root)
-        comp = [root]
-        for u in comp:
-            for w in neighbours[u]:
-                if w in nodes and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        out.append(tuple(sorted(comp)))
+    while s:
+        low = s & -s
+        out.append(members[low.bit_length() - 1])
+        s ^= low
+    return tuple(out)
+
+
+def neighbour_masks(items, pairs):
+    """Bit of each item (by position) -> bits of the items that `pairs`
+    joins it to."""
+    bit = {x: 1 << i for i, x in enumerate(items)}
+    masks = dict.fromkeys(bit.values(), 0)
+    for x, y in pairs:
+        masks[bit[x]] |= bit[y]
+        masks[bit[y]] |= bit[x]
+    return masks
+
+
+def component(seed, s, neighbours):
+    """Bitmask of the members of bitmask s joined to the bits of `seed`
+    inside s; `neighbours` maps each member's bit to its neighbours'
+    bits."""
+    comp = frontier = seed
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= neighbours[low]
+            frontier ^= low
+        frontier = grow & s & ~comp
+        comp |= frontier
+    return comp
+
+
+def _split(members, s, neighbours):
+    """The components inside bitmask s, as sorted member tuples in lex
+    order (`members` sorted, bits by position)."""
+    out = []
+    while s:
+        comp = component(s & -s, s, neighbours)
+        out.append(members_of(members, comp))
+        s &= ~comp
     return out
+
+
+@memoised
+def vertex_masks(g):
+    """The sorted labels, and a read-only map from each one's bit to its
+    neighbours' bits."""
+    labels = tuple(sorted(g.vertices))
+    return labels, MappingProxyType(neighbour_masks(labels, g.edges))
 
 
 @memoised
 def complement_components(g, a):
     """Components of the graph minus the closed star of a, lex ordered."""
-    return components(set(g.vertices) - star(g, a), g.neighbors)
+    if not g.has_vertex(a):
+        raise MalformedInput(f"unknown vertex {a!r}")
+    labels, masks = vertex_masks(g)
+    bit = 1 << labels.index(a)
+    return _split(labels, (1 << len(labels)) - 1 & ~bit & ~masks[bit], masks)
 
 
 @dataclass(frozen=True)
@@ -258,50 +297,26 @@ class LoopWitness:
     nodes: tuple  # cycle K_1..K_n, consecutive (and wraparound) edges
 
 
-def _adjacency(d):
-    adj = {n: [] for n in d.nodes}
-    for u, w in d.edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    for n in adj:
-        adj[n].sort()
-    return adj
-
-
-def _cycle_through(adj, root):
-    """Shortest cycle met while BFS-ing from root, or None."""
-    parent = {root: None}
-    depth = {root: 0}
+def _cycle_through(neighbours, root):
+    """Shortest cycle met while BFS-ing from bit root, as a list of bits,
+    or None; `neighbours` maps each bit to its neighbours' bits."""
+    path = {root: (root,)}  # each reached bit's tree path from the root
     queue = deque([root])
     best = None
     while queue:
         u = queue.popleft()
-        for w in adj[u]:
-            if w not in depth:
-                parent[w] = u
-                depth[w] = depth[u] + 1
+        for w in bits(neighbours[u]):
+            if w not in path:
+                path[w] = path[u] + (w,)
                 queue.append(w)
-            elif w != parent[u]:
-                # non-tree edge: climb to the meeting point
-                pu, pw = u, w
-                while depth[pu] > depth[pw]:
-                    pu = parent[pu]
-                while depth[pw] > depth[pu]:
-                    pw = parent[pw]
-                while pu != pw:
-                    pu, pw = parent[pu], parent[pw]
-                lca = pu
-                side_u = []
-                x = u
-                while x != lca:
-                    side_u.append(x)
-                    x = parent[x]
-                side_w = []
-                x = w
-                while x != lca:
-                    side_w.append(x)
-                    x = parent[x]
-                cycle = side_u + [lca] + list(reversed(side_w))
+            elif path[u][-2:-1] != (w,):
+                # non-tree edge: up from u to the last node of the paths'
+                # common prefix, then down to w
+                pu, pw = path[u], path[w]
+                k = 0
+                while pu[k + 1:k + 2] and pu[k + 1:k + 2] == pw[k + 1:k + 2]:
+                    k += 1
+                cycle = [*reversed(pu[k:]), *pw[k + 1:]]
                 if best is None or len(cycle) < len(best):
                     best = cycle
     return best
@@ -310,34 +325,25 @@ def _cycle_through(adj, root):
 def _canonical_cycle(nodes):
     """Rotate/reflect so the cycle starts at its least node and moves
     toward its lesser neighbor."""
-    n = len(nodes)
     i = nodes.index(min(nodes))
     rotated = nodes[i:] + nodes[:i]
-    forward = tuple(rotated)
-    backward = tuple([rotated[0]] + list(reversed(rotated[1:])))
-    return min(forward, backward)
+    return min(tuple(rotated), (rotated[0], *rotated[:0:-1]))
 
 
 def forest_certificate(d):
     """ForestData when the support graph is a forest, else a shortest
-    LoopWitness (>= 3 distinct nodes, consecutive edges closing up)."""
-    adj = _adjacency(d)
-    best = None
-    for root in d.nodes:
-        cycle = _cycle_through(adj, root)
-        if cycle is not None:
-            cand = _canonical_cycle(cycle)
-            key = (len(cand), cand)
-            if best is None or key < best:
-                best = key
-    if best is not None:
-        return LoopWitness(d.owner, best[1])
-    return ForestData(d.owner, support_components(d))
-
-
-def support_components(d):
-    """Connected components of a support graph, as sorted node tuples."""
-    return tuple(components(d.nodes, _adjacency(d)))
+    LoopWitness (>= 3 distinct nodes, consecutive edges closing up).  A
+    graph is a forest iff |edges| + |trees| = |nodes|; only a graph with
+    a loop is searched from every root."""
+    nodes = sorted(d.nodes)
+    masks = neighbour_masks(nodes, d.edges)
+    trees = _split(nodes, (1 << len(nodes)) - 1, masks)
+    if len(d.edges) + len(trees) == len(nodes):
+        return ForestData(d.owner, tuple(trees))
+    # bits follow the sorted nodes, so cycles of bits order as cycles of nodes
+    cycles = (_cycle_through(masks, root) for root in masks)
+    best = min((_canonical_cycle(c) for c in cycles if c is not None), key=lambda c: (len(c), c))
+    return LoopWitness(d.owner, tuple(nodes[b.bit_length() - 1] for b in best))
 
 
 def center_rank(g):

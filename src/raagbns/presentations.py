@@ -29,9 +29,11 @@ from .graphs import (
     center_rank,
     classify_pair,
     complement_components,
-    components,
+    component,
     forest_certificate,
+    members_of,
     memoised,
+    neighbour_masks,
     support_graph,
 )
 from .words import inverse, reduce, standard_generators
@@ -234,15 +236,19 @@ def presentation_graph(g, basepoints=None):
         edge_gens.extend(EdgeGen(a, e) for e in sorted(sg.edges))
     tree_gens.sort(key=lambda r: (r.owner, r.tree))
     edge_gens.sort(key=lambda r: (r.owner, r.edge))
-    records = tree_gens + edge_gens
-    edges = []
-    for i, x in enumerate(records):
-        for y in records[i + 1:]:
-            if isinstance(x, TreeGen) or isinstance(y, TreeGen):
-                edges.append((x.symbol, y.symbol))
-            elif _edge_gens_commute(g, x, y):
-                edges.append((x.symbol, y.symbol))
-    graph = SimpleGraph(tuple(r.symbol for r in records), edges)
+    vs = sorted(g.vertices)
+    non_edges = set()
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if not g.adjacent(a, b):
+                cls = classify_pair(g, a, b)
+                for l in cls.shared:
+                    x = EdgeGen(a, tuple(sorted((cls.dominating_a, l))))
+                    y = EdgeGen(b, tuple(sorted((cls.dominating_b, l))))
+                    non_edges.add((x.symbol, y.symbol))
+    symbols = [r.symbol for r in tree_gens + edge_gens]
+    edges = [(x, y) for i, x in enumerate(symbols) for y in symbols[i + 1:] if (x, y) not in non_edges]
+    graph = SimpleGraph(symbols, edges)
     return PresentationGraph(
         graph,
         tuple(tree_gens),
@@ -250,19 +256,6 @@ def presentation_graph(g, basepoints=None):
         tuple(basepoint_rows),
         tuple(preferred_rows),
     )
-
-
-def _edge_gens_commute(g, x, y):
-    a, b = x.owner, y.owner
-    if a == b or g.adjacent(a, b):
-        return True
-    cls = classify_pair(g, a, b)
-    for l in cls.shared:
-        e = tuple(sorted((cls.dominating_a, l)))
-        f = tuple(sorted((cls.dominating_b, l)))
-        if x.edge == e and y.edge == f:
-            return False
-    return True
 
 
 def _tree_of(th, owner, node):
@@ -279,15 +272,12 @@ def edge_far_side(th, edge_gen):
     owner, cut = edge_gen.owner, edge_gen.edge
     tree = _tree_of(th, owner, cut[0])
     base = th.basepoint(owner, tree)
-    adjacency = {n: [] for n in tree}
-    for u, w in th.edges_of(owner):
-        if u in adjacency and (u, w) != cut:
-            adjacency[u].append(w)
-            adjacency[w].append(u)
-    for side in components(tree, adjacency):
-        if base not in side:
-            return side
-    raise InvariantViolation("edge does not separate its subtree")
+    kept = [e for e in th.edges_of(owner) if e[0] in tree and e != cut]
+    every = (1 << len(tree)) - 1
+    far = every & ~component(1 << tree.index(base), every, neighbour_masks(tree, kept))
+    if not far:
+        raise InvariantViolation("edge does not separate its subtree")
+    return members_of(tree, far)
 
 
 def _psi_word(th, gen, far):

@@ -7,27 +7,24 @@ from math import lcm
 
 import networkx as nx
 
-from raagbns.bns import (
-    _component,
-    _members_of,
-    _neighbour_masks,
-    _per_multiplier_options,
-    generator_basis,
-)
-from raagbns.errors import CapExceeded
+from raagbns.bns import _per_multiplier_options, generator_basis
+from raagbns.errors import CapExceeded, MalformedInput
 from raagbns.graphs import (
+    ForestData,
+    LoopWitness,
     PairClassification,
     SimpleGraph,
     SupportGraph,
+    _canonical_cycle,
     classify_pair,
     complement_components,
-    components,
-    link,
-    star,
+    component,
+    members_of,
+    neighbour_masks,
 )
 from raagbns import homology, linalg
 from raagbns.linalg import QMatrix, parse_rational
-from raagbns.presentations import GroupPresentation, _commutator, _commuting_schema
+from raagbns.presentations import GroupPresentation, TreeGen, _commutator, _commuting_schema
 from raagbns.words import inverse, reduce, standard_generators
 
 
@@ -444,7 +441,7 @@ def leaf_maximal_sets(g, arity, cross_ok):
     options = _per_multiplier_options(g, arity)
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
-    failure = _neighbour_masks(members, lambda x, y: not cross_ok(x, y))
+    failure = neighbour_masks(members, [p for p in itertools.combinations(members, 2) if not cross_ok(*p)])
     option_masks = [[sum(bit[m] for m in choice) for choice in choices] for choices in options]
     # leaves are unions of a head over the first half of the multipliers
     # and a tail over the rest, so only the halves are ever listed
@@ -454,7 +451,7 @@ def leaf_maximal_sets(g, arity, cross_ok):
     for head in _unions(option_masks[:half]):
         for tail in tails:
             s = head | tail
-            comp = _component(s, failure)
+            comp = component(s & -s, s, failure)
             if comp != s:
                 valid[s] = comp
     # (bits of a multiplier's members, its non-empty options)
@@ -463,7 +460,7 @@ def leaf_maximal_sets(g, arity, cross_ok):
         for choices, choice_masks in zip(options, option_masks)
     ]
     out = [
-        (_members_of(members, s), (_members_of(members, comp), _members_of(members, s & ~comp)))
+        (members_of(members, s), (members_of(members, comp), members_of(members, s & ~comp)))
         for s, comp in valid.items()
         if not any(s | c in valid for used, choices in extensions if not s & used for c in choices)
     ]
@@ -511,12 +508,37 @@ def atlas(count=1252):
     return out
 
 
+def link(g, v):
+    """Vertices adjacent to v."""
+    if not g.has_vertex(v):
+        raise MalformedInput(f"unknown vertex {v!r}")
+    return set(g.neighbors[v])
+
+
+def star(g, v):
+    return link(g, v) | {v}
+
+
+def nx_components(g, nodes):
+    """Components of the subgraph of g (a graph or a support graph)
+    induced on `nodes`, found by networkx, as sorted tuples in lex order."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(nodes)
+    nxg.add_edges_from((u, w) for u, w in g.edges if u in nodes and w in nodes)
+    return sorted(tuple(sorted(c)) for c in nx.connected_components(nxg))
+
+
+def support_components(d):
+    """Connected components of a support graph, as sorted node tuples."""
+    return tuple(nx_components(d, d.nodes))
+
+
 # The per-graph functions as they were before graphs.memoised cached
 # them on the graph, kept as the differential oracle of the memo.
 
 
 def plain_complement_components(g, a):
-    return components(set(g.vertices) - star(g, a), g.neighbors)
+    return nx_components(g, set(g.vertices) - star(g, a))
 
 
 def plain_classify_pair(g, a, b):
@@ -587,7 +609,97 @@ def is_sil_pair_by_links(g, a, b):
     if a == b or g.adjacent(a, b):
         return False
     allowed = set(g.vertices) - (link(g, a) & link(g, b))
-    return any(a not in c and b not in c for c in components(allowed, g.neighbors))
+    return any(a not in c and b not in c for c in nx_components(g, allowed))
+
+
+# The support-graph certificate and the presentation graph's commutation
+# test as they were before both ran on bitmasks: a BFS for a loop from
+# every root of every support graph, and a pair test over all records.
+
+
+def _cycle_through(adj, root):
+    """Shortest cycle met while BFS-ing from root, or None."""
+    parent = {root: None}
+    depth = {root: 0}
+    queue = deque([root])
+    best = None
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in depth:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                queue.append(w)
+            elif w != parent[u]:
+                pu, pw = u, w
+                while depth[pu] > depth[pw]:
+                    pu = parent[pu]
+                while depth[pw] > depth[pu]:
+                    pw = parent[pw]
+                while pu != pw:
+                    pu, pw = parent[pu], parent[pw]
+                lca = pu
+                side_u = []
+                x = u
+                while x != lca:
+                    side_u.append(x)
+                    x = parent[x]
+                side_w = []
+                x = w
+                while x != lca:
+                    side_w.append(x)
+                    x = parent[x]
+                cycle = side_u + [lca] + list(reversed(side_w))
+                if best is None or len(cycle) < len(best):
+                    best = cycle
+    return best
+
+
+def all_roots_forest_certificate(d):
+    """A shortest loop over the BFS from every root, else the forest."""
+    adj = {n: [] for n in d.nodes}
+    for u, w in d.edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    for n in adj:
+        adj[n].sort()
+    best = None
+    for root in d.nodes:
+        cycle = _cycle_through(adj, root)
+        if cycle is not None:
+            cand = _canonical_cycle(cycle)
+            key = (len(cand), cand)
+            if best is None or key < best:
+                best = key
+    if best is not None:
+        return LoopWitness(d.owner, best[1])
+    return ForestData(d.owner, support_components(d))
+
+
+def edge_gens_commute(g, x, y):
+    a, b = x.owner, y.owner
+    if a == b or g.adjacent(a, b):
+        return True
+    cls = classify_pair(g, a, b)
+    for l in cls.shared:
+        e = tuple(sorted((cls.dominating_a, l)))
+        f = tuple(sorted((cls.dominating_b, l)))
+        if x.edge == e and y.edge == f:
+            return False
+    return True
+
+
+def pairwise_presentation_edges(g, th):
+    """The edges of th's defining graph by the pair test over its records:
+    a tree generator is joined to everything, two edge generators when
+    `edge_gens_commute` holds."""
+    records = th.records()
+    edges = []
+    for i, x in enumerate(records):
+        for y in records[i + 1:]:
+            if isinstance(x, TreeGen) or isinstance(y, TreeGen) or edge_gens_commute(g, x, y):
+                edges.append((x.symbol, y.symbol))
+    return SimpleGraph([r.symbol for r in records], edges).edges
 
 
 def raag_presentation(graph):

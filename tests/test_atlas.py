@@ -4,18 +4,22 @@ networkx's graph atlas lists all 1,252 of them up to isomorphism.  Each
 goes through `corpus`'s checks at a raised cap: the RAAG verdict comes
 with killed relators and PSO b0 equal to the tree generators; a loop
 comes with pairing 1 and b1(PSO) >= 1; PSA Euler < 0 exactly on SIL
-graphs; RAAG b0 is the center rank.  The sweep is never sampled.
+graphs; RAAG b0 is the center rank.  Each support graph's certificate
+and each defining graph's edge set are also compared with the rules
+they replaced: a loop search from every root, and a commutation test
+over every pair of records.  The sweep is never sampled.
 """
 
 import time
 
 import pytest
-from oracles import atlas
+from oracles import all_roots_forest_certificate, atlas, pairwise_presentation_edges
 
 from raagbns import cli
 from raagbns.bns import maximal_delta_psets, maximal_psets
 from raagbns.errors import CapExceeded
-from raagbns.graphs import SimpleGraph
+from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
+from raagbns.presentations import presentation_graph
 
 # edgeless(7), the atlas's largest choice tree, has 286 M nodes
 RAISED_CAP = 10 ** 9
@@ -41,7 +45,7 @@ def test_atlas_has_every_graph_up_to_seven_vertices(graphs_by_size):
 @pytest.mark.parametrize("n", sorted(VERDICTS))
 def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
-    verdicts, capped, failed = [0, 0], [], []
+    verdicts, capped, failed, differ = [0, 0], [], [], []
     for g in graphs_by_size[n]:
         try:
             is_raag, checks = cli._corpus_checks(g)
@@ -51,7 +55,15 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
         if not checks or not all(checks.values()):
             failed.append((sorted(g.edges), checks))
         verdicts[not is_raag] += 1
-    assert capped == [] and failed == []
+        for a in g.vertices:
+            d = support_graph(g, a)
+            if forest_certificate(d) != all_roots_forest_certificate(d):
+                differ.append((sorted(g.edges), a))
+        if is_raag:
+            th = presentation_graph(g)
+            if th.graph.edges != pairwise_presentation_edges(g, th):
+                differ.append((sorted(g.edges), "presentation graph"))
+    assert capped == [] and failed == [] and differ == []
     assert tuple(verdicts) == VERDICTS[n]
 
 

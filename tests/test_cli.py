@@ -398,6 +398,21 @@ def test_keyboard_interrupt_exits_130(capsys, f3_file, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_closed_stdout_exits_141_silently(f3_file):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "raagbns.cli", "classify", f3_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 # Every usage error: exit 2, nothing on stdout, one stderr line naming the
 # command or the file, and the argument.  "@" stands for the test's directory.
 @pytest.mark.parametrize(

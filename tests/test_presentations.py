@@ -10,11 +10,12 @@ from oracles import (
     plain_psa_presentation,
     plain_standard_generators,
     raag_presentation,
+    support_components,
 )
 
 from raagbns import presentations
 from raagbns.errors import InvariantViolation, MalformedInput
-from raagbns.graphs import SimpleGraph, support_components, support_graph
+from raagbns.graphs import SimpleGraph, support_graph
 from raagbns.linalg import QMatrix
 from raagbns.presentations import (
     EdgeGen,
