@@ -124,13 +124,12 @@ def _load_basepoints(path):
         raise MalformedInput(f"unreadable basepoint file: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedInput("basepoint file must map vertices to node lists")
-    out = {}
-    for owner, nodes in raw.items():
-        try:
-            out[owner] = [tuple(n) for n in nodes]
-        except TypeError as exc:
-            raise MalformedInput("basepoint nodes must be lists of vertices") from exc
-    return out
+    for nodes in raw.values():
+        if not isinstance(nodes, list) or not all(
+            isinstance(n, list) and all(isinstance(v, str) for v in n) for n in nodes
+        ):
+            raise MalformedInput("basepoint nodes must be lists of vertices")
+    return raw
 
 
 def support_graphs_cmd(graph_file, pretty):

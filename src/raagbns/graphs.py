@@ -297,12 +297,12 @@ class LoopWitness:
     nodes: tuple  # cycle K_1..K_n, consecutive (and wraparound) edges
 
 
-def _cycle_through(neighbours, root):
-    """Shortest cycle met while BFS-ing from bit root, as a list of bits,
-    or None; `neighbours` maps each bit to its neighbours' bits."""
+def _closed_walks(neighbours, root):
+    """The closed walks u -> root -> w, one for each non-tree edge u-w
+    (each way round) of the BFS from bit root, as lists of bits;
+    `neighbours` maps each bit to its neighbours' bits."""
     path = {root: (root,)}  # each reached bit's tree path from the root
     queue = deque([root])
-    best = None
     while queue:
         u = queue.popleft()
         for w in bits(neighbours[u]):
@@ -310,16 +310,7 @@ def _cycle_through(neighbours, root):
                 path[w] = path[u] + (w,)
                 queue.append(w)
             elif path[u][-2:-1] != (w,):
-                # non-tree edge: up from u to the last node of the paths'
-                # common prefix, then down to w
-                pu, pw = path[u], path[w]
-                k = 0
-                while pu[k + 1:k + 2] and pu[k + 1:k + 2] == pw[k + 1:k + 2]:
-                    k += 1
-                cycle = [*reversed(pu[k:]), *pw[k + 1:]]
-                if best is None or len(cycle) < len(best):
-                    best = cycle
-    return best
+                yield [*reversed(path[u]), *path[w][1:]]
 
 
 def _canonical_cycle(nodes):
@@ -331,18 +322,32 @@ def _canonical_cycle(nodes):
 
 
 def forest_certificate(d):
-    """ForestData when the support graph is a forest, else a shortest
-    LoopWitness (>= 3 distinct nodes, consecutive edges closing up).  A
-    graph is a forest iff |edges| + |trees| = |nodes|; only a graph with
-    a loop is searched from every root."""
+    """ForestData when the support graph is a forest, else a LoopWitness
+    holding the least canonical shortest cycle.  A graph is a forest iff
+    |edges| + |trees| = |nodes|; only a graph with a loop is searched.
+
+    The search takes the closed walks from every root and keeps the least
+    canonical one of least length g.  A walk whose two tree paths share
+    more than the root holds a shorter cycle, so no walk is shorter than
+    the girth and each walk of length g is a shortest cycle.  Let C be
+    the least canonical shortest cycle and m its least node.  The nodes
+    of C nearer m than g/2 have one shortest path from m each, along C;
+    when g is odd, that holds for both ends of C's far edge.  BFS in bit
+    order gives every node its lexicographically least shortest path, so
+    when g is even the path to C's far node runs along C's lesser side:
+    a lesser one would close a lesser cycle with the other side.  So C
+    is a walk from root m.  The first walk of length g from m need not
+    be C, so every such walk is compared.
+    """
     nodes = sorted(d.nodes)
     masks = neighbour_masks(nodes, d.edges)
     trees = _split(nodes, (1 << len(nodes)) - 1, masks)
     if len(d.edges) + len(trees) == len(nodes):
         return ForestData(d.owner, tuple(trees))
+    walks = [w for root in masks for w in _closed_walks(masks, root)]
+    girth = min(map(len, walks))
     # bits follow the sorted nodes, so cycles of bits order as cycles of nodes
-    cycles = (_cycle_through(masks, root) for root in masks)
-    best = min((_canonical_cycle(c) for c in cycles if c is not None), key=lambda c: (len(c), c))
+    best = min(_canonical_cycle(w) for w in walks if len(w) == girth)
     return LoopWitness(d.owner, tuple(nodes[b.bit_length() - 1] for b in best))
 
 

@@ -29,11 +29,8 @@ from .graphs import (
     center_rank,
     classify_pair,
     complement_components,
-    component,
     forest_certificate,
-    members_of,
     memoised,
-    neighbour_masks,
     support_graph,
 )
 from .words import inverse, reduce, standard_generators
@@ -161,24 +158,6 @@ class PresentationGraph:
     def records(self):
         return self.tree_gens + self.edge_gens
 
-    def basepoint(self, owner, tree):
-        for o, t, node in self.basepoints:
-            if o == owner and t == tree:
-                return node
-        raise KeyError((owner, tree))
-
-    def preferred_node(self, owner):
-        for o, node in self.preferred:
-            if o == owner:
-                return node
-        return None
-
-    def trees_of(self, owner):
-        return tuple(t for o, t, _ in self.basepoints if o == owner)
-
-    def edges_of(self, owner):
-        return tuple(r.edge for r in self.edge_gens if r.owner == owner)
-
 
 def _resolve_basepoints(owner, trees, override):
     chosen = {}
@@ -211,6 +190,8 @@ def presentation_graph(g, basepoints=None):
     unknown = sorted(set(overrides) - set(g.vertices))
     if unknown:
         raise MalformedInput(f"basepoint key {unknown[0]!r} names no vertex of the graph")
+    # owners, their trees and their edges all come in order, so both
+    # generator lists are sorted
     tree_gens = []
     edge_gens = []
     basepoint_rows = []
@@ -226,16 +207,11 @@ def presentation_graph(g, basepoints=None):
         chosen = _resolve_basepoints(a, trees, overrides.get(a, ()))
         for t in trees:
             basepoint_rows.append((a, t, chosen.get(t, t[0])))
-        if a in overrides and overrides[a]:
-            first = tuple(overrides[a][0])
-            pref_tree = next(t for t in trees if first in t)
-        else:
-            pref_tree = min(trees, key=lambda t: t[0])
+        # the first override's tree, else the tree of the least node
+        pref_tree = next(iter(chosen), trees[0])
         preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
         tree_gens.extend(TreeGen(a, t) for t in trees if t != pref_tree)
         edge_gens.extend(EdgeGen(a, e) for e in sorted(sg.edges))
-    tree_gens.sort(key=lambda r: (r.owner, r.tree))
-    edge_gens.sort(key=lambda r: (r.owner, r.edge))
     vs = sorted(g.vertices)
     non_edges = set()
     for i, a in enumerate(vs):
@@ -258,49 +234,45 @@ def presentation_graph(g, basepoints=None):
     )
 
 
-def _tree_of(th, owner, node):
-    for t in th.trees_of(owner):
-        if node in t:
-            return t
-    raise KeyError((owner, node))
+def _hang(th):
+    """Hang each tree of th from its basepoint by one BFS.  Returns
+    `place`, mapping (owner, node) to the node's tree, the edge above it
+    (None at the basepoint) and its edges in order, and `below`, mapping
+    (owner, edge) to the sorted nodes below that edge: the far side whose
+    partial conjugations multiply to the edge generator."""
+    edges = {}
+    for r in th.edge_gens:  # sorted, so each node's edges come in order
+        for n in r.edge:
+            edges.setdefault((r.owner, n), []).append(r.edge)
+    place, below = {}, {}
+    for a, tree, base in th.basepoints:
+        place[a, base] = (tree, None, edges.get((a, base), []))
+        order = [(base, None)]  # (node, the node above it), in BFS order
+        for u, _ in order:
+            for e in place[a, u][2]:
+                w = e[1] if e[0] == u else e[0]
+                if (a, w) not in place:
+                    place[a, w] = (tree, e, edges.get((a, w), []))
+                    order.append((w, u))
+        subtree = {w: [w] for w, _ in order}
+        for w, u in reversed(order[1:]):
+            subtree[u] += subtree[w]
+            below[a, place[a, w][1]] = tuple(sorted(subtree[w]))
+    return place, below
 
 
-def edge_far_side(th, edge_gen):
-    """Nodes of the subtree piece cut off by the edge that misses the
-    basepoint; the product of their partial conjugations is the element
-    the edge generator names."""
-    owner, cut = edge_gen.owner, edge_gen.edge
-    tree = _tree_of(th, owner, cut[0])
-    base = th.basepoint(owner, tree)
-    kept = [e for e in th.edges_of(owner) if e[0] in tree and e != cut]
-    every = (1 << len(tree)) - 1
-    far = every & ~component(1 << tree.index(base), every, neighbour_masks(tree, kept))
-    if not far:
-        raise InvariantViolation("edge does not separate its subtree")
-    return members_of(tree, far)
-
-
-def _psi_word(th, gen, far):
-    """The word in symbols for a standard generator; `far` maps each edge
-    generator to its far side."""
+def _psi_word(th, gen, place, preferred):
+    """The word in symbols for the standard generator gen = (a, k): the
+    edge above k (or, at a basepoint, a tree generator or the inverses of
+    the other trees' generators) times the inverses of k's other edges."""
     a, k = gen
-    tree = _tree_of(th, a, k)
-    base = th.basepoint(a, tree)
-    pref = th.preferred_node(a)
-    incident = sorted(e for e in th.edges_of(a) if k in e)
-    word = []
-    if k != base:
-        # the incident edge whose cut leaves the basepoint on the far side
-        toward = next(e for e in incident if k in far[EdgeGen(a, e)])
-        word.append((EdgeGen(a, toward).symbol, 1))
-        word.extend((EdgeGen(a, e).symbol, -1) for e in incident if e != toward)
-    elif k != pref:
-        word.append((TreeGen(a, tree).symbol, 1))
-        word.extend((EdgeGen(a, e).symbol, -1) for e in incident)
-    else:
-        word.extend((t.symbol, -1) for t in th.tree_gens if t.owner == a)
-        word.extend((EdgeGen(a, e).symbol, -1) for e in incident)
-    return tuple(word)
+    tree, up, incident = place[gen]
+    rest = tuple((EdgeGen(a, e).symbol, -1) for e in incident if e != up)
+    if up is not None:
+        return ((EdgeGen(a, up).symbol, 1),) + rest
+    if k != preferred[a]:
+        return ((TreeGen(a, tree).symbol, 1),) + rest
+    return tuple((t.symbol, -1) for t in th.tree_gens if t.owner == a) + rest
 
 
 @dataclass(frozen=True)
@@ -314,12 +286,13 @@ class GeneratorDictionary:
 
 def generator_dictionary(g, th):
     gens = standard_generators(g)
-    far = {r: edge_far_side(th, r) for r in th.edge_gens}
+    place, below = _hang(th)
     to_standard = []
     for r in th.records():
-        members = r.tree if isinstance(r, TreeGen) else far[r]
+        members = r.tree if isinstance(r, TreeGen) else below[r.owner, r.edge]
         to_standard.append((r.symbol, tuple(((r.owner, k), 1) for k in members)))
-    from_standard = [(gen, _psi_word(th, gen, far)) for gen in gens]
+    preferred = dict(th.preferred)
+    from_standard = [(gen, _psi_word(th, gen, place, preferred)) for gen in gens]
     d = GeneratorDictionary(tuple(to_standard), tuple(from_standard))
     _check_round_trips(gens, d)
     return d

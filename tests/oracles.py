@@ -24,7 +24,14 @@ from raagbns.graphs import (
 )
 from raagbns import homology, linalg
 from raagbns.linalg import QMatrix, parse_rational
-from raagbns.presentations import GroupPresentation, TreeGen, _commutator, _commuting_schema
+from raagbns.presentations import (
+    EdgeGen,
+    GeneratorDictionary,
+    GroupPresentation,
+    TreeGen,
+    _commutator,
+    _commuting_schema,
+)
 from raagbns.words import inverse, reduce, standard_generators
 
 
@@ -700,6 +707,87 @@ def pairwise_presentation_edges(g, th):
             if isinstance(x, TreeGen) or isinstance(y, TreeGen) or edge_gens_commute(g, x, y):
                 edges.append((x.symbol, y.symbol))
     return SimpleGraph([r.symbol for r in records], edges).edges
+
+
+# The generator dictionary as it was before each tree was hung from its
+# basepoint: a flood fill per edge for its far side, and a search over
+# the far sides for the edge toward the basepoint.  The lookups it made
+# on PresentationGraph are scans over th's rows.
+
+
+def _tree_of(th, owner, node):
+    return next(t for o, t, _ in th.basepoints if o == owner and node in t)
+
+
+def _basepoint(th, owner, tree):
+    return next(n for o, t, n in th.basepoints if o == owner and t == tree)
+
+
+def _edges_of(th, owner):
+    return tuple(r.edge for r in th.edge_gens if r.owner == owner)
+
+
+def edge_far_side(th, edge_gen):
+    """Nodes of the subtree piece cut off by the edge that misses the
+    basepoint; the product of their partial conjugations is the element
+    the edge generator names."""
+    owner, cut = edge_gen.owner, edge_gen.edge
+    tree = _tree_of(th, owner, cut[0])
+    base = _basepoint(th, owner, tree)
+    kept = [e for e in _edges_of(th, owner) if e[0] in tree and e != cut]
+    every = (1 << len(tree)) - 1
+    far = every & ~component(1 << tree.index(base), every, neighbour_masks(tree, kept))
+    assert far, "edge does not separate its subtree"
+    return members_of(tree, far)
+
+
+def far_side_psi_word(th, gen, far):
+    """The word in symbols for a standard generator; `far` maps each edge
+    generator to its far side."""
+    a, k = gen
+    tree = _tree_of(th, a, k)
+    base = _basepoint(th, a, tree)
+    pref = dict(th.preferred).get(a)
+    incident = sorted(e for e in _edges_of(th, a) if k in e)
+    word = []
+    if k != base:
+        # the incident edge whose cut leaves the basepoint on the far side
+        toward = next(e for e in incident if k in far[EdgeGen(a, e)])
+        word.append((EdgeGen(a, toward).symbol, 1))
+        word.extend((EdgeGen(a, e).symbol, -1) for e in incident if e != toward)
+    elif k != pref:
+        word.append((TreeGen(a, tree).symbol, 1))
+        word.extend((EdgeGen(a, e).symbol, -1) for e in incident)
+    else:
+        word.extend((t.symbol, -1) for t in th.tree_gens if t.owner == a)
+        word.extend((EdgeGen(a, e).symbol, -1) for e in incident)
+    return tuple(word)
+
+
+def far_side_dictionary(g, th):
+    """th's generator dictionary from `edge_far_side` and
+    `far_side_psi_word`."""
+    far = {r: edge_far_side(th, r) for r in th.edge_gens}
+    to_standard = tuple(
+        (r.symbol, tuple(((r.owner, k), 1) for k in (r.tree if isinstance(r, TreeGen) else far[r])))
+        for r in th.records()
+    )
+    from_standard = tuple((gen, far_side_psi_word(th, gen, far)) for gen in standard_generators(g))
+    return GeneratorDictionary(to_standard, from_standard)
+
+
+def least_shortest_cycle(d):
+    """The least cycle of least length in support graph d, each cycle
+    taken in its least rotation or reflection, by listing every cycle of
+    length up to 3, 4, ... until some exist; None for a forest."""
+    nxg = nx.Graph(list(d.edges))
+    for bound in range(3, len(d.nodes) + 1):
+        cycles = list(nx.simple_cycles(nxg, length_bound=bound))
+        if cycles:
+            return min(
+                tuple(turn[i:] + turn[:i]) for c in cycles for turn in (c, c[::-1]) for i in range(len(c))
+            )
+    return None
 
 
 def raag_presentation(graph):

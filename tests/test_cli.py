@@ -441,10 +441,17 @@ def test_closed_stdout_exits_141_silently(f3_file):
         (["homology", "@dir"], ["arrangement file", "dir"]),
         (["classify", "@f3.json", "--basepoints=@dir"], ["basepoint file", "dir"]),
         (["corpus", "@f3.json"], ["corpus directory", "f3.json"]),
+        # a string or an object where a list of vertices belongs
+        (["classify", "@abe.json", "--basepoints", "@char.json"], ["basepoint nodes must be lists of vertices"]),
+        (["classify", "@abe.json", "--basepoints", "@string.json"], ["basepoint nodes must be lists of vertices"]),
+        (["classify", "@abe.json", "--basepoints", "@object.json"], ["basepoint nodes must be lists of vertices"]),
     ],
 )
 def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
     (tmp_path / "f3.json").write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
+    (tmp_path / "abe.json").write_text(json.dumps({"vertices": ["a", "b", "e"], "edges": []}))
+    for name, nodes in (("char", ["e"]), ("string", ["cd"]), ("object", {"e": 0})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"a": nodes}))
     (tmp_path / "dir").mkdir()
     assert main([arg.replace("@", f"{tmp_path}/") for arg in argv]) == 2
     out, err = capsys.readouterr()

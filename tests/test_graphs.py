@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    atlas,
     atlas_up_to_six,
     is_sil_pair_by_links,
+    least_shortest_cycle,
     link,
     plain_classify_pair,
     plain_complement_components,
@@ -19,6 +21,7 @@ from raagbns.graphs import (
     ForestData,
     LoopWitness,
     SimpleGraph,
+    SupportGraph,
     _split,
     center_rank,
     classify_pair,
@@ -189,6 +192,31 @@ def test_forest_certificate_triangle():
 def test_forest_certificate_empty():
     d = support_graph(complete(3), "a")
     assert forest_certificate(d) == ForestData("a", ())
+
+
+# atlas graphs with one to seven vertices that are not forests
+LOOP_GRAPHS = 1173
+
+
+def test_forest_certificate_loop_is_the_least_shortest_cycle():
+    # every atlas graph taken as a support graph, in three labellings
+    cases = []
+    for names in ("abcdefg", "gfedcba", "dagcfbe"):
+        name = dict(zip("abcdefg", names))
+        for g in atlas():
+            edges = tuple(sorted(tuple(sorted((name[u], name[w]))) for u, w in g.edges))
+            cases.append(SupportGraph("o", tuple(sorted(name[v] for v in g.vertices)), edges))
+    # From every root here the first 4-cycle a BFS closes is not a-d-e-h
+    # (from root a it is a-g-c-h), yet a-d-e-h is the least 4-cycle.
+    edges = ("ad", "ag", "ah", "bd", "bf", "cg", "ch", "de", "ef", "eh")
+    cases.append(SupportGraph("o", tuple("abcdefgh"), tuple(tuple(e) for e in edges)))
+    loops = 0
+    for d in cases:
+        cert = forest_certificate(d)
+        want = least_shortest_cycle(d)
+        assert (cert.nodes if isinstance(cert, LoopWitness) else None) == want, d.edges
+        loops += want is not None
+    assert want == tuple("adeh") and loops == 3 * LOOP_GRAPHS + 1
 
 
 def test_center_rank():

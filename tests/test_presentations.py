@@ -24,7 +24,6 @@ from raagbns.presentations import (
     RaagVerdict,
     TreeGen,
     classify_pso,
-    edge_far_side,
     generator_dictionary,
     presentation_graph,
     psa_presentation,
@@ -125,7 +124,7 @@ def test_presentation_graph_path5():
     assert th.edge_gens == ()
     assert [r.symbol for r in th.tree_gens] == ["c{e}"]
     assert th.graph.vertices == ("c{e}",)
-    assert th.basepoint("c", (("a",),)) == ("a",)
+    assert ("c", (("a",),), ("a",)) in th.basepoints
 
 
 def test_presentation_graph_complete():
@@ -253,12 +252,13 @@ def test_round_trip_single_letters():
 def test_edge_far_and_near_sides_partition_the_tree():
     for g in (F3, STAR3, K33):
         th = presentation_graph(g)
+        phi = dict(generator_dictionary(g, th).to_standard)
         for r in th.edge_gens:
-            far = edge_far_side(th, r)
-            tree = next(t for t in th.trees_of(r.owner) if r.edge[0] in t)
+            far = tuple(k for (_, k), _ in phi[r.symbol])
+            tree, base = next((t, n) for a, t, n in th.basepoints if a == r.owner and r.edge[0] in t)
             near = tuple(n for n in tree if n not in far)
             assert sorted(far + near) == list(tree)
-            assert r.edge[0] in far or r.edge[1] in far
+            assert (r.edge[0] in far) != (r.edge[1] in far) and base in near
 
 
 def test_tree_generator_words_are_central():
