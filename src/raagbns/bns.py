@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, admit
 from .graphs import bits, complement_components, component, members_of, memoised, neighbour_masks, support_graph, vertex_masks
-from .homology import Arrangement, build_chain_complex, betti_numbers, maximal_filter
+from .homology import Arrangement, arrangement_homology, maximal_filter
 from .linalg import Subspace, intersect
 from .words import standard_generators
 
@@ -404,10 +404,10 @@ def _from_coordinates(s, coords):
 
 def euler_report(g, cap=None):
     """Betti profiles for the three groups' arrangements."""
-    raag = betti_numbers(build_chain_complex(maximal_filter(raag_arrangement(g, cap)), cap))
-    psa = betti_numbers(build_chain_complex(maximal_filter(psa_arrangement(g, cap)), cap))
+    _, raag = arrangement_homology(maximal_filter(raag_arrangement(g, cap)), cap)
+    _, psa = arrangement_homology(maximal_filter(psa_arrangement(g, cap)), cap)
     _, pso_arr, _ = pso_arrangement(g, cap)
-    pso = betti_numbers(build_chain_complex(maximal_filter(pso_arr), cap))
+    _, pso = arrangement_homology(maximal_filter(pso_arr), cap)
     return {"raag": raag, "psa": psa, "pso": pso}
 
 

@@ -36,8 +36,7 @@ from .graphs import (
 )
 from .homology import (
     arrangement_from_file,
-    betti_numbers,
-    build_chain_complex,
+    arrangement_homology,
     maximal_filter,
 )
 from .linalg import format_rational
@@ -161,12 +160,11 @@ def classify_cmd(graph_file, basepoints, pretty):
 def homology_cmd(arrangement_file, raw, pretty):
     arr = arrangement_from_file(arrangement_file)
     kept = arr if raw else maximal_filter(arr)
-    data = build_chain_complex(kept)
-    profile = betti_numbers(data)
+    dims, profile = arrangement_homology(kept)
     _emit(
         {
             "input": arr.to_json(),
-            "dims": list(data.dims),
+            "dims": list(dims),
             "betti": list(profile.betti),
             "euler": profile.euler,
         },
@@ -185,7 +183,7 @@ def bns_cmd(graph_file, group, witness, pretty):
         w, arr, _ = pso_arrangement(g)
         payload["outer_space"] = w.basis.to_token_rows()
     kept = maximal_filter(arr)
-    profile = betti_numbers(build_chain_complex(kept))
+    _, profile = arrangement_homology(kept)
     payload["ambient_dim"] = kept.ambient_dim
     payload["subspaces"] = [s.basis.to_token_rows() for s in kept.subspaces]
     payload["betti"] = list(profile.betti)

@@ -162,6 +162,8 @@ class PresentationGraph:
 def _resolve_basepoints(owner, trees, override):
     chosen = {}
     for raw in override:
+        if not isinstance(raw, (list, tuple)) or not all(isinstance(v, str) for v in raw):
+            raise MalformedInput("basepoint nodes must be lists of vertices")
         node = tuple(raw)
         home = next((t for t in trees if node in t), None)
         if home is None:

@@ -7,7 +7,7 @@ from math import lcm
 
 import networkx as nx
 
-from raagbns.bns import _per_multiplier_options, generator_basis
+from raagbns.bns import _per_multiplier_options, generator_basis, raag_arrangement
 from raagbns.errors import CapExceeded, MalformedInput
 from raagbns.graphs import (
     ForestData,
@@ -788,6 +788,46 @@ def least_shortest_cycle(d):
                 tuple(turn[i:] + turn[:i]) for c in cycles for turn in (c, c[::-1]) for i in range(len(c))
             )
     return None
+
+
+# Naturality of Σ¹ (Bieri–Neumann–Strebel, Invent. Math. 90, 1987): an
+# isomorphism of groups carries one excluded-subspace arrangement onto
+# the other's.
+
+
+def pulled_back_raag_arrangement(g, th, d):
+    """The subspaces of raag_arrangement(Δ), Δ = th's defining graph,
+    pulled back to the standard generators' coordinates through d's
+    from_standard table, as a set: a character ψ of A_Δ becomes the
+    character whose value on a standard generator is ψ summed over the
+    exponents of its word.  On a forest-side graph PΣO ≅ A_Δ, so this is
+    the maximal-filtered PSO arrangement in ambient coordinates."""
+    symbols = sorted(th.graph.vertices)
+    exponents = []
+    for _, word in d.from_standard:
+        sums = dict.fromkeys(symbols, 0)
+        for sym, e in word:
+            sums[sym] += e
+        exponents.append(sums)
+    return {
+        linalg.Subspace.from_vectors(len(exponents), [[sums[symbols[p]] for sums in exponents] for p in s.pivots])
+        for s in raag_arrangement(th.graph).subspaces
+    }
+
+
+def commutation_graph(g):
+    """Θ: one vertex per standard generator, two joined when
+    `_commuting_schema` says they commute.  The i-th generator is labelled
+    by i zero-padded, so sorted labels keep generator order and
+    raag_arrangement(Θ) lives in generator_basis(g)'s coordinates.  On a
+    graph without an SIL, PΣAut(A_Γ) is the RAAG on Θ (Charney, Ruane,
+    Stambaugh and Vijayan, Illinois J. Math. 54, 2010)."""
+    gens = standard_generators(g)
+    labels = [f"{i:03d}" for i in range(len(gens))]
+    return SimpleGraph(
+        labels,
+        [(labels[i], labels[j]) for i, j in itertools.combinations(range(len(gens)), 2) if _commuting_schema(g, gens[i], gens[j])],
+    )
 
 
 def raag_presentation(graph):

@@ -9,19 +9,45 @@ each defining graph's edge set and each generator dictionary are also
 compared with the rules they replaced: a loop search from every root, a
 commutation test over every pair of records, and a flood fill per edge
 for its far side.  The dictionary is compared at the default basepoints
-and with every owner's basepoints moved.  The sweep is never sampled.
+and with every owner's basepoints moved.  Every RAAG, PSA and PSO
+arrangement, raw and maximal-filtered, that is coordinate has its closed
+form compared with the full chain complex.  The sweep is never sampled.
+
+Two identities from the naturality of Σ¹ tie the enumeration to the
+presentation graph and its dictionary: on the forest side the PSO
+arrangement is the pull-back of the RAAG arrangement of the defining
+graph, and without an SIL the PSA arrangement is the RAAG arrangement
+of the commutation graph.
 """
 
+import dataclasses
 import time
 
 import pytest
-from oracles import all_roots_forest_certificate, atlas, far_side_dictionary, pairwise_presentation_edges
+from oracles import (
+    all_roots_forest_certificate,
+    atlas,
+    commutation_graph,
+    far_side_dictionary,
+    pairwise_presentation_edges,
+    pulled_back_raag_arrangement,
+)
 
 from raagbns import cli
-from raagbns.bns import maximal_delta_psets, maximal_psets
+from raagbns.bns import (
+    _from_coordinates,
+    has_sil,
+    maximal_delta_psets,
+    maximal_psets,
+    psa_arrangement,
+    pso_arrangement,
+    raag_arrangement,
+)
 from raagbns.errors import CapExceeded
 from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
-from raagbns.presentations import generator_dictionary, presentation_graph
+from raagbns.homology import _coordinate_supports, arrangement_homology, betti_numbers, build_chain_complex, maximal_filter
+from raagbns.linalg import Subspace
+from raagbns.presentations import NotAForest, generator_dictionary, presentation_graph
 
 # edgeless(7), the atlas's largest choice tree, has 286 M nodes
 RAISED_CAP = 10 ** 9
@@ -30,6 +56,10 @@ RAISED_CAP = 10 ** 9
 # raagbns: a graph is on the RAAG side iff each vertex's support graph,
 # built from the definitions with networkx, is a forest.
 VERDICTS = {1: (1, 0), 2: (2, 0), 3: (4, 0), 4: (10, 1), 5: (29, 5), 6: (128, 28), 7: (842, 202)}
+
+# vertex count -> coordinate arrangements among the six per graph (RAAG,
+# PSA and PSO, raw and filtered), each of which takes the closed form
+COORDINATE_SIDES = {1: 6, 2: 12, 3: 22, 4: 56, 5: 158, 6: 678, 7: 4328}
 
 
 def moved_basepoints(th):
@@ -56,7 +86,7 @@ def test_atlas_has_every_graph_up_to_seven_vertices(graphs_by_size):
 @pytest.mark.parametrize("n", sorted(VERDICTS))
 def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
-    verdicts, capped, failed, differ = [0, 0], [], [], []
+    verdicts, capped, failed, differ, coordinate = [0, 0], [], [], [], 0
     for g in graphs_by_size[n]:
         try:
             is_raag, checks = cli._corpus_checks(g)
@@ -77,8 +107,70 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
             for chosen in (th, presentation_graph(g, moved_basepoints(th))):
                 if generator_dictionary(g, chosen) != far_side_dictionary(g, chosen):
                     differ.append((sorted(g.edges), "dictionary", chosen.preferred))
+        for side, arr in (("raag", raag_arrangement(g)), ("psa", psa_arrangement(g)), ("pso", pso_arrangement(g)[1])):
+            for a in (arr, maximal_filter(arr)):
+                # elsewhere arrangement_homology is the full complex itself
+                if _coordinate_supports(a) is not None:
+                    coordinate += 1
+                    c = build_chain_complex(a)
+                    if arrangement_homology(a) != (c.dims, betti_numbers(c)):
+                        differ.append((sorted(g.edges), side, len(a.subspaces)))
     assert capped == [] and failed == [] and differ == []
     assert tuple(verdicts) == VERDICTS[n]
+    assert coordinate == COORDINATE_SIDES[n]
+
+
+def ambient_pso_arrangement(g):
+    """The maximal-filtered PSO arrangement, each subspace taken from W's
+    coordinates back to the standard generators' ones, as a set."""
+    w, arr, _ = pso_arrangement(g)
+    return {
+        Subspace.from_vectors(w.ambient_dim, [_from_coordinates(w, coords) for coords in s.rows])
+        for s in maximal_filter(arr).subspaces
+    }
+
+
+def test_forest_side_pso_arrangement_is_the_pulled_back_raag_arrangement(graphs_by_size, monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
+    checked, differ = 0, []
+    for g in (g for n in sorted(graphs_by_size) for g in graphs_by_size[n]):
+        try:
+            th = presentation_graph(g)
+        except NotAForest:
+            continue
+        checked += 1
+        if pulled_back_raag_arrangement(g, th, generator_dictionary(g, th)) != ambient_pso_arrangement(g):
+            differ.append(sorted(g.edges))
+    assert differ == []
+    assert checked == sum(raag for raag, _ in VERDICTS.values()) == 1016
+
+
+def test_psa_arrangement_without_an_sil_is_the_commutation_raag_arrangement(graphs_by_size, monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
+    checked, differ = 0, []
+    for g in (g for n in sorted(graphs_by_size) for g in graphs_by_size[n]):
+        if has_sil(g):
+            continue
+        checked += 1
+        if set(raag_arrangement(commutation_graph(g)).subspaces) != set(maximal_filter(psa_arrangement(g)).subspaces):
+            differ.append(sorted(g.edges))
+    assert differ == []
+    assert checked == 421
+
+
+def test_toggling_a_defining_graph_edge_breaks_the_pull_back():
+    # planted fault: the path a-e-d-c beside b, whose defining graph has
+    # four vertices and three edges; one edge removed or one added
+    # changes the pulled-back arrangement
+    g = SimpleGraph("abcde", [("a", "e"), ("c", "d"), ("d", "e")])
+    th = presentation_graph(g)
+    d = generator_dictionary(g, th)
+    assert pulled_back_raag_arrangement(g, th, d) == ambient_pso_arrangement(g)
+    removed, added = ("a[b|c,d]", "e[b|c]"), ("a[b|c,d]", "c[a,e|b]")
+    assert removed in th.graph.edges and added not in th.graph.edges
+    for edge in (removed, added):
+        toggled = dataclasses.replace(th, graph=SimpleGraph(th.graph.vertices, th.graph.edges ^ {edge}))
+        assert pulled_back_raag_arrangement(g, toggled, d) != ambient_pso_arrangement(g)
 
 
 def test_edgeless7_maximal_sets_within_budget():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -99,6 +100,16 @@ def test_homology_example_files(capsys, tmp_path):
     assert code == 0
     assert report["betti"] == [0, 0, 1]
     assert report["dims"] == [3, 8, 6]
+
+
+def test_homology_raw_on_sixteen_copies_of_a_unit_line(capsys, tmp_path):
+    # 65,535 summands: the closed form counts them without building the complex
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "subspaces": [[[0, 0, 1]]] * 16}))
+    code, report = run(capsys, "homology", "--raw", str(path))
+    assert code == 0
+    assert report["dims"] == [3] + [math.comb(16, k) for k in range(1, 17)]
+    assert report["betti"] == [2] + [0] * 16
 
 
 def test_bns_pso_f4(capsys, f4_file):

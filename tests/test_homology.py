@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from oracles import arrangement_betti, dense_betti, dense_chain_complex, dense_product_is_zero, h0_dim
 from raagbns.bns import pso_arrangement, psa_arrangement, raag_arrangement
-from raagbns.errors import InvariantViolation
+from raagbns import homology
+from raagbns.errors import CapExceeded, InvariantViolation
 from raagbns.graphs import SimpleGraph
 from raagbns.homology import (
     Arrangement,
     ChainComplexData,
+    arrangement_homology,
     betti_numbers,
     build_chain_complex,
     maximal_filter,
@@ -155,6 +157,79 @@ def test_coordinate_arrangements_dim3_exhaustive():
             assert profile.betti[0] == h0_dim(a)
 
 
+def general_homology(a, cap=None):
+    """(dims, profile) by the full complex and its ranks: the oracle for
+    arrangement_homology's closed form."""
+    c = build_chain_complex(a, cap)
+    return c.dims, betti_numbers(c)
+
+
+def refusal(compute, a, cap):
+    """The CapExceeded message of compute(a, cap), or None if it is admitted."""
+    try:
+        compute(a, cap)
+    except CapExceeded as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def coordinate_arrangements(draw, max_dim=6, max_subspaces=7):
+    """Coordinate arrangements with duplicates and zero subspaces: each
+    subspace is a (possibly empty) set of coordinate axes, or a copy of
+    one drawn earlier."""
+    n = draw(st.integers(0, max_dim))
+    supports = []
+    for _ in range(draw(st.integers(0, max_subspaces))):
+        if supports and draw(st.booleans()):
+            supports.append(draw(st.sampled_from(supports)))
+        else:
+            supports.append(draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set())
+    return Arrangement(n, tuple(coordinate_subspace(n, sorted(s)) for s in supports))
+
+
+@given(coordinate_arrangements())
+@settings(max_examples=150, deadline=None)
+def test_coordinate_closed_form_matches_the_full_complex(a):
+    assert homology._coordinate_supports(a) is not None
+    for kept in (a, maximal_filter(a)):
+        assert arrangement_homology(kept) == general_homology(kept)
+
+
+@given(coordinate_arrangements(max_dim=4, max_subspaces=6))
+@settings(max_examples=60, deadline=None)
+def test_coordinate_refusals_match_the_full_complex(a):
+    # every cap from 0 to one past the summand count: the same refusal, word
+    # for word, or both admitted
+    c = build_chain_complex(a, cap=10 ** 6)
+    for cap in range(sum(map(len, c.index_sets)) + 2):
+        assert refusal(arrangement_homology, a, cap) == refusal(build_chain_complex, a, cap)
+
+
+def test_copies_of_a_unit_line_refuse_like_the_full_complex():
+    a = Arrangement(3, (coordinate_subspace(3, [2]),) * 12)
+    for cap in (0, 11, 12, 100, 300, 500, 1000, 4094, 4095):
+        assert refusal(arrangement_homology, a, cap) == refusal(build_chain_complex, a, cap)
+    assert refusal(arrangement_homology, a, 300) == (
+        "the chain complex reaches 301 summands at degree 4, over the cap of 300; raise RAAGBNS_CAP to insist"
+    )
+
+
+def test_non_coordinate_arrangements_take_the_full_complex():
+    assert homology._coordinate_supports(three_lines()) is None
+    assert arrangement_homology(three_lines()) == general_homology(three_lines())
+
+
+def test_closed_form_self_check_catches_a_wrong_coordinate_count(monkeypatch):
+    # planted fault: T_c counted without the last subspace
+    a = Arrangement(3, (coordinate_subspace(3, [0, 1]), coordinate_subspace(3, [1, 2])))
+    assert arrangement_homology(a) == ((3, 4, 1), homology.BettiProfile((0, 0, 0), 0))
+    real = homology._containing
+    monkeypatch.setattr(homology, "_containing", lambda masks, n: real(masks[:-1], n))
+    with pytest.raises(InvariantViolation, match="closed form"):
+        arrangement_homology(a)
+
+
 small_entry = st.integers(-3, 3)
 
 
@@ -282,7 +357,8 @@ BENCH_GRAPHS = {
 def test_graph_arrangements_match_dense_oracle(name):
     g = BENCH_GRAPHS[name]
     for a in (raag_arrangement(g), psa_arrangement(g), pso_arrangement(g)[1]):
-        assert_matches_dense_oracle(maximal_filter(a))
+        c, _ = assert_matches_dense_oracle(maximal_filter(a))
+        assert arrangement_homology(maximal_filter(a)) == (c.dims, betti_numbers(c))
 
 
 # p/q entries with non-unit denominators and either sign: the benchmark's

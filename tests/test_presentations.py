@@ -151,6 +151,13 @@ def test_basepoint_override_rejects_strangers():
         presentation_graph(F3, {"a": [("b",), ("c",)]})
 
 
+@pytest.mark.parametrize("nodes", [["e"], {"e": 0}, "e", [[1]]])
+def test_basepoint_nodes_must_be_lists_of_vertices(nodes):
+    # a bare string, or a dict's keys, used to be read as the node ("e",)
+    with pytest.raises(MalformedInput, match="basepoint nodes must be lists of vertices"):
+        presentation_graph(SimpleGraph("abe", []), {"a": nodes})
+
+
 def test_dictionary_f3():
     th = presentation_graph(F3)
     d = generator_dictionary(F3, th)
