@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, admit
-from .graphs import bits, complement_components, component, members_of, memoised, neighbour_masks, support_graph, vertex_masks
+from .graphs import bits, complement_components, component, members_of, memoised, neighbour_masks, sil_rows, vertex_masks
 from .homology import Arrangement, arrangement_homology, maximal_filter
 from .linalg import Subspace, intersect
 from .words import standard_generators
@@ -412,4 +412,4 @@ def euler_report(g, cap=None):
 
 
 def has_sil(g):
-    return any(not support_graph(g, a).is_discrete() for a in g.vertices)
+    return bool(sil_rows(g))

@@ -4,6 +4,11 @@ dominating/subordinate/shared classification for a nonadjacent pair
 (an SIL-pair is one with a shared component), and per-vertex support
 graphs with forest or shortest-loop certificates.
 
+`sil_rows`, the SIL table, has a row (a, b, K_a, K_b, L) per ordered
+nonadjacent pair and component L they share, K_a being the component
+of a's star complement holding b.  The support graphs, `has_sil`, the
+R4 relators and the outer quotient's defining graph all read it.
+
 Every component search is one flood fill, `component`, over bitmasks
 that number the members of a sorted sequence by position.
 
@@ -259,6 +264,22 @@ def classify_pair(g, a, b):
     return PairClassification(a, b, dom_a, dom_b, sub_a, sub_b, shared)
 
 
+@memoised
+def sil_rows(g):
+    """The SIL table, in (a, b) label order, then in a's component order.
+    The shared components are one sorted tuple for (a, b) and (b, a), so
+    each pair is classified once, as (min, max), and read both ways."""
+    vs = sorted(g.vertices)
+    rows = []
+    for a in vs:
+        for b in vs:
+            if a != b and not g.adjacent(a, b):
+                c = classify_pair(g, min(a, b), max(a, b))
+                k_a, k_b = (c.dominating_a, c.dominating_b) if a < b else (c.dominating_b, c.dominating_a)
+                rows += [(a, b, k_a, k_b, l) for l in c.shared]
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class SupportGraph:
     """Per-vertex graph: one node per component of the star complement of
@@ -269,19 +290,11 @@ class SupportGraph:
     nodes: tuple
     edges: tuple
 
-    def is_discrete(self):
-        return not self.edges
-
 
 @memoised
 def support_graph(g, a):
     nodes = complement_components(g, a)
-    edges = set()
-    for k in nodes:
-        for b in k:
-            shared = classify_pair(g, a, b).shared
-            for l in shared:
-                edges.add((min(k, l), max(k, l)))
+    edges = {(min(k, l), max(k, l)) for x, _, k, _, l in sil_rows(g) if x == a}
     return SupportGraph(a, tuple(nodes), tuple(sorted(edges)))
 
 

@@ -252,14 +252,14 @@ def arrangement_homology(a, cap=None):
             if total + len(nxt) > cap:  # one summand at a time, the count passes the cap at cap + 1
                 admit(cap + 1, cap, f"the chain complex reaches {cap + 1} summands at degree {len(dims)}")
         level = nxt
-    t = _containing(masks, a.ambient_dim)
-    closed = [sum(comb(x, k) for x in t) for k in range(1 + max(t, default=0))]
+    t = _containing(masks)
+    closed = [a.ambient_dim] + [sum(comb(x, k) for x in t) for k in range(1, 1 + max(t, default=0))]
     if closed != dims:
         raise InvariantViolation(
             f"coordinate chain complex of {len(masks)} subspaces of Q^{a.ambient_dim}: "
             f"the summands give dims {dims}, the closed form {closed}"
         )
-    betti = (t.count(0),) + (0,) * (len(dims) - 1)
+    betti = (a.ambient_dim - len(t),) + (0,) * (len(dims) - 1)
     return tuple(dims), BettiProfile(betti, betti[0])
 
 
@@ -278,17 +278,15 @@ def _coordinate_supports(a):
     return masks
 
 
-def _containing(masks, n):
-    """|T_c| for each coordinate c < n: how many masks have bit c."""
-    return [sum(m >> c & 1 for m in masks) for c in range(n)]
+def _containing(masks):
+    """The non-zero |T_c|, how many masks have bit c, for c up to the top
+    bit of the largest mask: T_c is empty at every other coordinate."""
+    return [x for c in range(max(masks, default=0).bit_length()) if (x := sum(m >> c & 1 for m in masks))]
 
 
 def maximal_filter(a):
     """Drop duplicates and subspaces strictly contained in another."""
-    unique = []
-    for s in a.subspaces:
-        if s not in unique:
-            unique.append(s)
+    unique = list(dict.fromkeys(a.subspaces))
     kept = tuple(
         s
         for s in unique

@@ -137,6 +137,8 @@ def _echelon(rows, ncols):
     pivots = []
     for col in range(ncols):
         top = len(pivots)
+        if top == len(work):
+            break
         sel = next((i for i in range(top, len(work)) if work[i][col]), None)
         if sel is None:
             continue
@@ -152,8 +154,6 @@ def _echelon(rows, ncols):
                 g = gcd(*row)
                 work[i] = [y // g for y in row] if g > 1 else row
         pivots.append(col)
-        if len(pivots) == len(work):
-            break
     # each row over its content, signed so that the pivot turns positive
     contents = [gcd(*row) if row[col] > 0 else -gcd(*row) for row, col in zip(work, pivots)]
     return tuple(tuple(y // c for y in row) for row, c in zip(work, contents)), tuple(pivots)

@@ -27,10 +27,10 @@ from .graphs import (
     LoopWitness,
     SimpleGraph,
     center_rank,
-    classify_pair,
     complement_components,
     forest_certificate,
     memoised,
+    sil_rows,
     support_graph,
 )
 from .words import inverse, reduce, standard_generators
@@ -92,18 +92,11 @@ def psa_presentation(g):
         for y in gens[i + 1:]:
             if _commuting_schema(g, x, y):
                 emit(_commutator(x, y))
-    vs = sorted(g.vertices)
-    for a in vs:
-        for b in vs:
-            if a == b or g.adjacent(a, b):
-                continue
-            cls = classify_pair(g, a, b)
-            k = cls.dominating_a
-            for l in cls.shared:
-                emit((
-                    ((a, k), 1), ((a, l), 1), ((b, l), 1),
-                    ((a, l), -1), ((a, k), -1), ((b, l), -1),
-                ))
+    for a, b, k, _, l in sil_rows(g):
+        emit((
+            ((a, k), 1), ((a, l), 1), ((b, l), 1),
+            ((a, l), -1), ((a, k), -1), ((b, l), -1),
+        ))
     return GroupPresentation(tuple(gens), tuple(relators), "psa")
 
 
@@ -213,17 +206,12 @@ def presentation_graph(g, basepoints=None):
         pref_tree = next(iter(chosen), trees[0])
         preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
         tree_gens.extend(TreeGen(a, t) for t in trees if t != pref_tree)
-        edge_gens.extend(EdgeGen(a, e) for e in sorted(sg.edges))
-    vs = sorted(g.vertices)
-    non_edges = set()
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if not g.adjacent(a, b):
-                cls = classify_pair(g, a, b)
-                for l in cls.shared:
-                    x = EdgeGen(a, tuple(sorted((cls.dominating_a, l))))
-                    y = EdgeGen(b, tuple(sorted((cls.dominating_b, l))))
-                    non_edges.add((x.symbol, y.symbol))
+        edge_gens.extend(EdgeGen(a, e) for e in sg.edges)
+    non_edges = {
+        (EdgeGen(a, tuple(sorted((ka, l)))).symbol, EdgeGen(b, tuple(sorted((kb, l)))).symbol)
+        for a, b, ka, kb, l in sil_rows(g)
+        if a < b
+    }
     symbols = [r.symbol for r in tree_gens + edge_gens]
     edges = [(x, y) for i, x in enumerate(symbols) for y in symbols[i + 1:] if (x, y) not in non_edges]
     graph = SimpleGraph(symbols, edges)

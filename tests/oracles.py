@@ -562,6 +562,19 @@ def plain_classify_pair(g, a, b):
     return PairClassification(a, b, dom_a, dom_b, sub_a, sub_b, shared)
 
 
+def plain_sil_rows(g):
+    """The SIL table from plain_classify_pair on every ordered pair."""
+    vs = sorted(g.vertices)
+    return tuple(
+        (a, b, cls.dominating_a, cls.dominating_b, l)
+        for a in vs
+        for b in vs
+        if a != b and not g.adjacent(a, b)
+        for cls in [plain_classify_pair(g, a, b)]
+        for l in cls.shared
+    )
+
+
 def plain_support_graph(g, a):
     nodes = plain_complement_components(g, a)
     edges = set()

@@ -112,6 +112,15 @@ def test_homology_raw_on_sixteen_copies_of_a_unit_line(capsys, tmp_path):
     assert report["betti"] == [2] + [0] * 16
 
 
+@pytest.mark.parametrize("raw", [[], ["--raw"]])
+def test_homology_work_grows_with_the_rows_not_the_ambient_dimension(capsys, tmp_path, raw):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ambient_dim": 10 ** 12, "subspaces": [[], []]}))
+    code, report = run(capsys, "homology", *raw, str(path))
+    assert code == 0
+    assert (report["dims"], report["betti"], report["euler"]) == ([10 ** 12], [10 ** 12], 10 ** 12)
+
+
 def test_bns_pso_f4(capsys, f4_file):
     code, report = run(capsys, "bns", f4_file, "--group", "pso", "--witness")
     assert code == 0

@@ -11,11 +11,13 @@ from oracles import (
     link,
     plain_classify_pair,
     plain_complement_components,
+    plain_sil_rows,
     plain_support_graph,
     star,
     support_components,
 )
 
+from raagbns.bns import has_sil
 from raagbns.errors import MalformedInput
 from raagbns.graphs import (
     ForestData,
@@ -28,6 +30,7 @@ from raagbns.graphs import (
     complement_components,
     forest_certificate,
     neighbour_masks,
+    sil_rows,
     support_graph,
 )
 
@@ -150,7 +153,7 @@ def test_sil_pair_path():
 def test_sil_pair_adjacent_false():
     assert not is_sil_pair_by_links(path("ab"), "a", "b")
     assert not is_sil_pair_by_links(path("ab"), "a", "a")
-    assert support_graph(path("ab"), "a").is_discrete()
+    assert support_graph(path("ab"), "a").edges == ()
 
 
 def test_support_graph_edgeless3():
@@ -302,11 +305,12 @@ def test_star_lemma(g):
 @given(graphs())
 @settings(max_examples=150, deadline=None)
 def test_no_sil_iff_all_support_graphs_discrete(g):
-    has_sil = any(
+    sil = any(
         is_sil_pair_by_links(g, a, b) for a in g.vertices for b in g.vertices if a != b
     )
-    all_discrete = all(support_graph(g, a).is_discrete() for a in g.vertices)
-    assert has_sil == (not all_discrete)
+    all_discrete = all(not support_graph(g, a).edges for a in g.vertices)
+    assert sil == (not all_discrete)
+    assert has_sil(g) == sil
 
 
 @given(graphs(min_n=0, max_n=8), st.data())
@@ -327,6 +331,7 @@ def test_memoised_graph_functions_match_plain_bodies_on_atlas():
     assert len(graphs) == 208
     for g in graphs:
         for _ in range(2):  # the first call fills the memo, the second reads it
+            assert sil_rows(g) == plain_sil_rows(g), g.edges
             for a in g.vertices:
                 assert complement_components(g, a) == plain_complement_components(g, a), (g.edges, a)
                 assert support_graph(g, a) == plain_support_graph(g, a), (g.edges, a)

@@ -225,7 +225,7 @@ def test_closed_form_self_check_catches_a_wrong_coordinate_count(monkeypatch):
     a = Arrangement(3, (coordinate_subspace(3, [0, 1]), coordinate_subspace(3, [1, 2])))
     assert arrangement_homology(a) == ((3, 4, 1), homology.BettiProfile((0, 0, 0), 0))
     real = homology._containing
-    monkeypatch.setattr(homology, "_containing", lambda masks, n: real(masks[:-1], n))
+    monkeypatch.setattr(homology, "_containing", lambda masks: real(masks[:-1]))
     with pytest.raises(InvariantViolation, match="closed form"):
         arrangement_homology(a)
 
