@@ -71,7 +71,7 @@ def raag_arrangement(g, cap=None):
     basis = CharacterBasis(tuple(vs))
     subs = []
     for subset in maximal_disconnected_subsets(g, cap):
-        subs.append(Subspace.from_vectors(basis.dim, [basis.unit(v) for v in subset]))
+        subs.append(Subspace(basis.dim, [basis.unit(v) for v in subset]))
     return Arrangement(basis.dim, tuple(subs))
 
 
@@ -239,7 +239,7 @@ def maximal_delta_psets(g, cap=None):
 
 
 def _pset_subspace(basis, members):
-    return Subspace.from_vectors(basis.dim, [basis.unit(m) for m in members])
+    return Subspace(basis.dim, [basis.unit(m) for m in members])
 
 
 def _delta_subspace(basis, members):
@@ -252,7 +252,7 @@ def _delta_subspace(basis, members):
         v = basis.unit(first)
         w = basis.unit(second)
         vectors.append([x - y for x, y in zip(v, w)])
-    return Subspace.from_vectors(basis.dim, vectors)
+    return Subspace(basis.dim, vectors)
 
 
 def psa_arrangement(g, cap=None):
@@ -304,7 +304,7 @@ def _pso_arrangement(g, deltas):
             if coords is None:
                 raise InvariantViolation("delta-p-set subspace escapes the outer character space")
             rows.append(coords)
-        subs.append(Subspace.from_vectors(w.dim, rows))
+        subs.append(Subspace(w.dim, rows))
     return w, Arrangement(w.dim, tuple(subs))
 
 

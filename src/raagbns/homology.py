@@ -47,7 +47,7 @@ class Arrangement:
                 if len(vec) != n:
                     raise MalformedInput("subspace row length disagrees with ambient_dim")
                 vectors.append(vec)
-            subs.append(Subspace.from_vectors(n, vectors))
+            subs.append(Subspace(n, vectors))
         return cls(n, tuple(subs))
 
     def to_json(self):
@@ -80,17 +80,18 @@ class BettiProfile:
 
 
 def _support(s):
-    return frozenset(j for row in s.rows for j, x in enumerate(row) if x)
+    """Bit c set when some stored row of s is non-zero at coordinate c."""
+    return sum(1 << c for c in {c for row in s.rows for c, x in enumerate(row) if x})
 
 
 def arrangement_from_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"bad arrangement JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or an integer past the interpreter's digit limit
+        raise MalformedInput(f"bad arrangement JSON: {exc}") from exc
     except OSError as exc:
         raise MalformedInput(f"unreadable arrangement file: {exc}") from exc
     return Arrangement.from_json(data)
@@ -264,18 +265,11 @@ def arrangement_homology(a, cap=None):
 
 
 def _coordinate_supports(a):
-    """Each subspace's support as a bitmask, bit c for coordinate c, when
-    every stored row is a unit vector; else None.  Stored rows are
-    primitive with a positive pivot, so a row with one non-zero is e_c."""
-    masks = []
-    for s in a.subspaces:
-        mask = 0
-        for row, p in zip(s.rows, s.pivots):
-            if row.count(0) != len(row) - 1:
-                return None
-            mask |= 1 << p
-        masks.append(mask)
-    return masks
+    """Each subspace's support mask when every stored row is a unit
+    vector, else None.  RREF rows vanish at the other rows' pivots, so
+    that is when each support has dim bits."""
+    masks = [_support(s) for s in a.subspaces]
+    return masks if all(m.bit_count() == s.dim for m, s in zip(masks, a.subspaces)) else None
 
 
 def _containing(masks):

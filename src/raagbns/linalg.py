@@ -4,20 +4,33 @@ There are no floats anywhere.  A Subspace holds its RREF basis with
 each row stored as its primitive integer multiple, so equality of
 subspaces is literal equality of the stored data, and meets and
 membership tests run on Python ints.  One fraction-free Gauss-Jordan
-routine, `_echelon`, puts rows in that form.  Chain-complex boundaries
-use ZMatrix, a sparse integer matrix held by columns, whose products
-and ranks never leave the integers.  fractions.Fraction is left to the
-edges: parsed input, and the QMatrix bases built for printing.
+routine, `_echelon`, puts integer rows in that form, and a meet is one
+such elimination (`intersect`).  Chain-complex boundaries use ZMatrix,
+a sparse integer matrix held by columns, whose products and ranks
+never leave the integers.  fractions.Fraction is left to the edges:
+parsed input, and the QMatrix bases built for printing.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import MalformedInput
+from .errors import InvariantViolation, MalformedInput
+
+
+MAX_DIGITS = 4300  # CPython's default int_max_str_digits, fixed here for every Python
 
 
 def parse_rational(token):
-    """Parse "p/q" or "p" into a Fraction."""
+    """Parse "p/q", "p" or a decimal such as "-1.5e3" into a Fraction, first
+    refusing a token whose text lets Fraction build more than MAX_DIGITS."""
+    mantissa, _, exp = token.strip().lower().replace("_", "").lstrip("+-").partition("e")
+    num, _, den = mantissa.partition("/")
+    whole, _, places = num.partition(".")
+    size = exp.lstrip("+-").lstrip("0")
+    e = int(size[:5]) if size.isdecimal() else 0  # five digits already pass MAX_DIGITS
+    up, down = (0, e) if exp[:1] == "-" else (e, 0)
+    if max(len(whole) + len(places) + up, len(den), len(places) + 1 + down) > MAX_DIGITS:
+        raise MalformedInput(f"bad rational literal {token!r}: more than {MAX_DIGITS} digits")
     try:
         return Fraction(token.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -128,12 +141,12 @@ def _int_row(row):
 
 
 def _echelon(rows, ncols):
-    """(rows, pivots) of the RREF of rational rows, each RREF row held as
+    """(rows, pivots) of the RREF of integer rows, each RREF row held as
     its primitive integer multiple (gcd 1, positive pivot), a unique form.
     Fraction-free Gauss-Jordan: against a pivot p, a row with x in that
     column becomes (p*row - x*pivot_row) / gcd(p, x), then loses the gcd
     of its entries."""
-    work = [row for row in map(_int_row, rows) if any(row)]
+    work = [row for row in rows if any(row)]
     pivots = []
     for col in range(ncols):
         top = len(pivots)
@@ -219,28 +232,23 @@ class Subspace:
     primitive integer multiple (`rows`, with pivot columns `pivots`).
     That form is unique, so == and hash are structural."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_annihilator")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim, basis):
         rows = basis.entries if isinstance(basis, QMatrix) else basis
         if any(len(row) != ambient_dim for row in rows) or getattr(basis, "cols", 0) not in (0, ambient_dim):
             raise ValueError("basis width disagrees with ambient dimension")
         self.ambient_dim = ambient_dim
-        self.rows, self.pivots = _echelon(rows, ambient_dim)
-        self._annihilator = None
+        self.rows, self.pivots = _echelon(map(_int_row, rows), ambient_dim)
 
     @classmethod
     def from_rref(cls, ambient_dim, rows):
         """A subspace from rows already in the stored form: primitive
         integer RREF rows in pivot order.  They are not checked."""
         s = cls.__new__(cls)
-        s.ambient_dim, s.rows, s._annihilator = ambient_dim, tuple(map(tuple, rows)), None
+        s.ambient_dim, s.rows = ambient_dim, tuple(map(tuple, rows))
         s.pivots = tuple(next(j for j, x in enumerate(row) if x) for row in s.rows)
         return s
-
-    @classmethod
-    def from_vectors(cls, ambient_dim, vectors):
-        return cls(ambient_dim, list(vectors))
 
     @property
     def dim(self):
@@ -267,17 +275,6 @@ class Subspace:
                 rest = [m * x - c * y for x, y in zip(rest, row)]
         return None if any(rest) else [v[p] for p in self.pivots]
 
-    def contains_vector(self, v):
-        return self.coordinates(v) is not None
-
-    def annihilator(self):
-        """Sparse integer rows, as (column, value) pairs, whose common
-        kernel is exactly this subspace; computed once and kept."""
-        if self._annihilator is None:
-            kernel = _kernel(self.rows, self.pivots, self.ambient_dim)
-            self._annihilator = tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in kernel)
-        return self._annihilator
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
@@ -295,23 +292,29 @@ def kernel_basis(m):
 
 
 def intersect(subspaces):
-    """Intersection of a nonempty list of subspaces of one ambient space,
-    met two at a time inside the smaller space S: the combinations of
-    S's rows that the larger space's annihilator kills span the meet."""
+    """Intersection of a nonempty list of subspaces of one ambient space
+    Q^n, met two at a time by Zassenhaus's elimination: one `_echelon`
+    over 2n columns of the rows (u | u), u in the meet so far U, and
+    (v | 0), v in the next subspace V.  They span {(u + v | u)}, one to
+    one in (u, v), so they keep dim U + dim V pivots, which is checked.
+    The rows with pivot n or past span the vectors (0 | w), w in U and V.
+    Their right halves are the meet in stored form: RREF, and a zero left
+    half leaves a row's content and pivot sign to its right half."""
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("intersect needs at least one subspace")
     if len({s.ambient_dim for s in subspaces}) > 1:
         raise ValueError("mismatched ambient dimensions")
     meet = subspaces[0]
+    n, pad = meet.ambient_dim, (0,) * meet.ambient_dim
     for other in subspaces[1:]:
-        small, big = (meet, other) if meet.dim <= other.dim else (other, meet)
-        constraints = [[sum(x * row[j] for j, x in f) for row in small.rows] for f in big.annihilator()]
-        rows, pivots = _echelon(constraints, small.dim)
-        meet = small if not rows else Subspace(small.ambient_dim, [
-            [sum(c * y for c, y in zip(coeffs, column)) for column in zip(*small.rows)]
-            for coeffs in _kernel(rows, pivots, small.dim)
-        ])
+        rows, pivots = _echelon([u + u for u in meet.rows] + [v + pad for v in other.rows], 2 * n)
+        if len(pivots) != meet.dim + other.dim:
+            raise InvariantViolation(
+                f"meeting subspaces of dims {meet.dim} and {other.dim} of Q^{n}: "
+                f"the elimination kept {len(pivots)} pivots, not {meet.dim + other.dim}"
+            )
+        meet = Subspace.from_rref(n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
     return meet
 
 
@@ -319,4 +322,4 @@ def subspace_leq(a, b):
     """True iff a is contained in b."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("mismatched ambient dimensions")
-    return a.dim <= b.dim and all(b.contains_vector(row) for row in a.rows)
+    return a.dim <= b.dim and all(b.coordinates(row) is not None for row in a.rows)

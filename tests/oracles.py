@@ -491,7 +491,7 @@ def span_sum(subspaces, ambient_dim=None):
     rows = []
     for s in subspaces:
         rows.extend(s.basis.entries)
-    return linalg.Subspace.from_vectors(ambient_dim, rows)
+    return linalg.Subspace(ambient_dim, rows)
 
 
 def h0_dim(a):
@@ -823,7 +823,7 @@ def pulled_back_raag_arrangement(g, th, d):
             sums[sym] += e
         exponents.append(sums)
     return {
-        linalg.Subspace.from_vectors(len(exponents), [[sums[symbols[p]] for sums in exponents] for p in s.pivots])
+        linalg.Subspace(len(exponents), [[sums[symbols[p]] for sums in exponents] for p in s.pivots])
         for s in raag_arrangement(th.graph).subspaces
     }
 

@@ -125,7 +125,7 @@ def ambient_pso_arrangement(g):
     coordinates back to the standard generators' ones, as a set."""
     w, arr, _ = pso_arrangement(g)
     return {
-        Subspace.from_vectors(w.ambient_dim, [_from_coordinates(w, coords) for coords in s.rows])
+        Subspace(w.ambient_dim, [_from_coordinates(w, coords) for coords in s.rows])
         for s in maximal_filter(arr).subspaces
     }
 

@@ -94,7 +94,7 @@ def test_raag_arrangement_complete():
 def test_raag_arrangement_path():
     arr = raag_arrangement(PATH3)
     # sorted vertex order a, b, x; the only maximal disconnected subset is {a, b}
-    assert arr.subspaces == (Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)]),)
+    assert arr.subspaces == (Subspace(3, [(1, 0, 0), (0, 1, 0)]),)
 
 
 def test_is_pset_mutual_pair():

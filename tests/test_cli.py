@@ -350,6 +350,19 @@ def test_corpus_reports_non_utf8_file_as_a_row(capsys, tmp_path):
     assert "not UTF-8" in rows["latin1.txt"]["error"]
 
 
+def test_corpus_reports_an_overlong_json_number_as_a_row(capsys, tmp_path):
+    corpus = tmp_path / "graphs"
+    corpus.mkdir()
+    (corpus / "f3.json").write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
+    (corpus / "huge.json").write_text('{"vertices": [' + "1" * 5000 + "]}")
+    code, report = run(capsys, "corpus", str(corpus))
+    assert code == 1
+    rows = {r["file"]: r for r in report["files"]}
+    assert rows["f3.json"]["ok"] is True
+    assert rows["huge.json"]["ok"] is False
+    assert rows["huge.json"]["error"].startswith("bad graph JSON")
+
+
 def test_ambiguous_vertex_label_exits_2(capsys, tmp_path):
     # x's components {a, b} and {"a,b"} would both print as x[a,b]
     graph = tmp_path / "g.json"
@@ -465,6 +478,12 @@ def test_closed_stdout_exits_141_silently(f3_file):
         (["classify", "@abe.json", "--basepoints", "@char.json"], ["basepoint nodes must be lists of vertices"]),
         (["classify", "@abe.json", "--basepoints", "@string.json"], ["basepoint nodes must be lists of vertices"]),
         (["classify", "@abe.json", "--basepoints", "@object.json"], ["basepoint nodes must be lists of vertices"]),
+        # a JSON number past the interpreter's 4,300-digit limit, and an
+        # exponent that Fraction would multiply out to a billion digits
+        (["classify", "@huge.json"], ["bad graph JSON", "4300"]),
+        (["homology", "@huge.json"], ["bad arrangement JSON", "4300"]),
+        (["classify", "@abe.json", "--basepoints", "@huge.json"], ["unreadable basepoint file", "4300"]),
+        (["homology", "@exponent.json"], ["bad rational literal '1e999999999'", "4300 digits"]),
     ],
 )
 def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
@@ -473,6 +492,8 @@ def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
     for name, nodes in (("char", ["e"]), ("string", ["cd"]), ("object", {"e": 0})):
         (tmp_path / f"{name}.json").write_text(json.dumps({"a": nodes}))
     (tmp_path / "dir").mkdir()
+    (tmp_path / "huge.json").write_text('{"vertices": [' + "1" * 5000 + "]}")
+    (tmp_path / "exponent.json").write_text(json.dumps({"ambient_dim": 1, "subspaces": [[["1e999999999"]]]}))
     assert main([arg.replace("@", f"{tmp_path}/") for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -609,7 +630,7 @@ GRAPH_TEXTS = st.lists(
 def arrangement_documents(draw):
     n = draw(st.integers(0, 4))
     good = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-1", "0", "3/4"]))
-    entry = good if draw(st.integers(0, 2)) else st.one_of(good, st.sampled_from(["1/0", "x", "", True, 1.5, None, [1]]))
+    entry = good if draw(st.integers(0, 2)) else st.one_of(good, st.sampled_from(["1/0", "x", "", "1e5000", "1e-5000", True, 1.5, None, [1]]))
     width = st.just(n) if draw(st.integers(0, 3)) else st.integers(0, 5)
     row = width.flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
     document = {"ambient_dim": n, "subspaces": draw(st.lists(st.lists(row, max_size=3), max_size=6))}

@@ -26,7 +26,7 @@ X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 
 def sub(n, *vectors):
-    return Subspace.from_vectors(n, vectors)
+    return Subspace(n, vectors)
 
 
 def three_lines():
@@ -143,7 +143,7 @@ def test_ambient_in_list_kills_homology():
 
 def coordinate_subspace(n, index_subset):
     rows = [[1 if j == i else 0 for j in range(n)] for i in index_subset]
-    return Subspace.from_vectors(n, rows)
+    return Subspace(n, rows)
 
 
 def test_coordinate_arrangements_dim3_exhaustive():
@@ -237,7 +237,7 @@ def arrangements(max_dim=5, max_subspaces=4, max_gens=3, entry=small_entry):
     def build(n):
         vector = st.lists(entry, min_size=n, max_size=n)
         subspace = st.lists(vector, min_size=1, max_size=max_gens).map(
-            lambda vs: Subspace.from_vectors(n, vs)
+            lambda vs: Subspace(n, vs)
         )
         return st.lists(subspace, min_size=0, max_size=max_subspaces).map(
             lambda subs: Arrangement(n, tuple(subs))
@@ -283,7 +283,7 @@ def test_maximal_filter_preserves_betti(a, rng):
                 sum(c * row[j] for c, row in zip(coeffs, victim.basis.entries))
                 for j in range(a.ambient_dim)
             ]
-            padded.append(Subspace.from_vectors(a.ambient_dim, [vec]))
+            padded.append(Subspace(a.ambient_dim, [vec]))
         else:
             padded.append(victim)
     grown = betti_numbers(build_chain_complex(maximal_filter(Arrangement(a.ambient_dim, tuple(padded))))).betti
@@ -380,7 +380,7 @@ def test_complex_and_filter_match_fraction_oracle(a, data):
             sum((c * row[j] for c, row in zip(coeffs, victim.basis.entries)), Fraction(0))
             for j in range(a.ambient_dim)
         ]
-        padded += [victim, Subspace.from_vectors(a.ambient_dim, [line])]
+        padded += [victim, Subspace(a.ambient_dim, [line])]
     a = Arrangement(a.ambient_dim, tuple(padded))
     kept = maximal_filter(a)
     expected = oracles.maximal_filter([oracles.Subspace(s.ambient_dim, s.basis) for s in a.subspaces])

@@ -2,12 +2,16 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import dense_product_is_zero, parse_qmatrix, rref_rank, span_sum, zmatrix
+from raagbns import linalg
+from raagbns.errors import InvariantViolation, MalformedInput
 from raagbns.linalg import (
+    MAX_DIGITS,
     QMatrix,
     Subspace,
     intersect,
@@ -41,6 +45,14 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational(" 5/10 ") == Fraction(1, 2)
+    assert parse_rational("-1.5e3") == -1500 and parse_rational("25e-2") == Fraction(1, 4)
+    # the numerator or denominator may reach MAX_DIGITS digits, not pass it
+    for token in ("1e4299", "1e-4299", ".1e-4298", "9" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS):
+        x = parse_rational(token)
+        assert max(len(str(x.numerator)), len(str(x.denominator))) <= MAX_DIGITS
+    for token in ("1e4300", "1e-5000", ".1e-4299", "0e5000", "1e999999999", "9" * (MAX_DIGITS + 1), "1/1" + "0" * MAX_DIGITS):
+        with pytest.raises(MalformedInput, match=f"more than {MAX_DIGITS} digits"):
+            parse_rational(token)
 
 
 def test_rref_identity():
@@ -78,14 +90,14 @@ def test_kernel_of_pso_f3_relator_matrix():
 
 
 def test_span_sum_axes():
-    a = Subspace.from_vectors(2, [(1, 0)])
-    b = Subspace.from_vectors(2, [(0, 1)])
+    a = Subspace(2, [(1, 0)])
+    b = Subspace(2, [(0, 1)])
     assert span_sum([a, b]) == full(2)
 
 
 def test_span_sum_line_pair():
-    a = Subspace.from_vectors(2, [(1, 0)])
-    c = Subspace.from_vectors(2, [(1, 1)])
+    a = Subspace(2, [(1, 0)])
+    c = Subspace(2, [(1, 1)])
     assert span_sum([a, c]) == full(2)
 
 
@@ -94,33 +106,33 @@ def test_span_sum_empty():
 
 
 def test_intersect_pair_to_line():
-    v1 = Subspace.from_vectors(3, [Y, Z])
-    v2 = Subspace.from_vectors(3, [(1, 1, 0), Z])
-    assert intersect([v1, v2]) == Subspace.from_vectors(3, [Z])
+    v1 = Subspace(3, [Y, Z])
+    v2 = Subspace(3, [(1, 1, 0), Z])
+    assert intersect([v1, v2]) == Subspace(3, [Z])
 
 
 def test_intersect_diagonal_line():
-    v2 = Subspace.from_vectors(3, [(1, 1, 0), Z])
-    v3 = Subspace.from_vectors(3, [X, (0, 1, 1)])
-    assert intersect([v2, v3]) == Subspace.from_vectors(3, [(1, 1, 1)])
+    v2 = Subspace(3, [(1, 1, 0), Z])
+    v3 = Subspace(3, [X, (0, 1, 1)])
+    assert intersect([v2, v3]) == Subspace(3, [(1, 1, 1)])
 
 
 def test_intersect_self():
-    s = Subspace.from_vectors(3, [(1, 2, 3), (0, 1, 1)])
+    s = Subspace(3, [(1, 2, 3), (0, 1, 1)])
     assert intersect([s, s]) == s
 
 
 def test_subspace_leq():
-    z_line = Subspace.from_vectors(3, [Z])
-    yz = Subspace.from_vectors(3, [Y, Z])
-    x_line = Subspace.from_vectors(3, [X])
+    z_line = Subspace(3, [Z])
+    yz = Subspace(3, [Y, Z])
+    x_line = Subspace(3, [X])
     assert subspace_leq(z_line, yz)
     assert not subspace_leq(x_line, yz)
     assert subspace_leq(zero(3), x_line)
 
 
 def test_coordinates_in_rref_basis():
-    s = Subspace.from_vectors(3, [(1, 0, 2), (0, 1, 1)])
+    s = Subspace(3, [(1, 0, 2), (0, 1, 1)])
     assert s.coordinates((2, 3, 7)) == [Fraction(2), Fraction(3)]
     assert s.coordinates((0, 0, 1)) is None
 
@@ -146,7 +158,7 @@ def subspace_pairs():
     def pair(c):
         rows = st.lists(st.lists(small_fraction, min_size=c, max_size=c), min_size=0, max_size=c)
         return st.tuples(rows, rows).map(
-            lambda t: (Subspace.from_vectors(c, t[0]), Subspace.from_vectors(c, t[1]))
+            lambda t: (Subspace(c, t[0]), Subspace(c, t[1]))
         )
 
     return st.integers(1, 4).flatmap(pair)
@@ -261,7 +273,7 @@ def pq_families(min_size=1, max_size=4):
 
 
 def both(n, rows):
-    return Subspace.from_vectors(n, rows), oracles.Subspace.from_vectors(n, rows)
+    return Subspace(n, rows), oracles.Subspace.from_vectors(n, rows)
 
 
 def assert_same(s, o):
@@ -296,10 +308,22 @@ def test_intersect_matches_fraction_oracle(family):
     n, sets = family
     ours, theirs = zip(*(both(n, rows) for rows in sets))
     for k in range(1, len(ours) + 1):
-        assert_same(intersect(ours[:k]), oracles.intersect(theirs[:k]))
+        meet = intersect(ours[:k])
+        assert_same(meet, oracles.intersect(theirs[:k]))
+        # stored form: assert_same compares Fraction bases, blind to a row that is not primitive
+        stored = Subspace(n, meet.rows)
+        assert stored == meet and stored.pivots == meet.pivots
     assert intersect(ours + (zero(n),)) == zero(n)
     assert intersect(ours + (full(n),)) == intersect(ours)
     assert intersect(reversed(ours)) == intersect(ours)
+
+
+def test_meet_self_check_catches_a_lost_pivot(monkeypatch):
+    # planted fault: the elimination drops its last row
+    plane, line, real = Subspace(3, [X, Y]), Subspace(3, [(1, 1, 0)]), linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, ncols: tuple(part[:-1] for part in real(rows, ncols)))
+    with pytest.raises(InvariantViolation, match="dims 2 and 1 of Q\\^3: the elimination kept 2 pivots, not 3"):
+        intersect([plane, line])
 
 
 @given(pq_families(max_size=1), st.data())
@@ -313,8 +337,8 @@ def test_coordinates_match_fraction_oracle(family, data):
     integral = [int(x * 3 * lcm(*(y.denominator for y in inside))) for x in inside]
     for v in (inside, anywhere, integral, [0] * n):
         assert s.coordinates(v) == o.coordinates(v)
-        assert s.contains_vector(v) == o.contains_vector(v)
-    assert s.contains_vector(inside) and s.contains_vector(integral)
+        assert (s.coordinates(v) is not None) == o.contains_vector(v)
+    assert s.coordinates(inside) is not None and s.coordinates(integral) is not None
 
 
 @given(any_matrices())
