@@ -9,6 +9,11 @@ number of standard generators; maximal p-sets contribute coordinate
 subspaces, maximal delta-p-sets contribute difference subspaces, and the
 outer quotient lives in the subspace W where each multiplier's
 coordinates sum to zero.
+
+Every subspace is written down in stored form, with no elimination: its
+rows are units e_K and differences e_K - e_L, K < L, with disjoint
+supports and pivot entry 1.  So every arrangement here is block-line,
+with b = (n - r, m - r, 0, ...) for its m lines of rank r in Q^n.
 """
 
 import itertools
@@ -27,28 +32,9 @@ def generator_symbol(gen):
     return f"{a}[{','.join(comp)}]"
 
 
-@dataclass(frozen=True)
-class CharacterBasis:
-    """Coordinate order for Q^N: one axis per standard generator (or per
-    vertex, for the RAAG itself)."""
-
-    labels: tuple
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def index(self, label):
-        return self.labels.index(label)
-
-    def unit(self, label):
-        v = [0] * self.dim
-        v[self.index(label)] = 1
-        return v
-
-
-def generator_basis(g):
-    return CharacterBasis(tuple(standard_generators(g)))
+def _row(n, plus, minus=None):
+    """e_plus, or e_plus - e_minus, in Q^n."""
+    return [1 if c == plus else -1 if c == minus else 0 for c in range(n)]
 
 
 def maximal_disconnected_subsets(g, cap=None):
@@ -67,12 +53,10 @@ def maximal_disconnected_subsets(g, cap=None):
 
 
 def raag_arrangement(g, cap=None):
-    vs = sorted(g.vertices)
-    basis = CharacterBasis(tuple(vs))
-    subs = []
-    for subset in maximal_disconnected_subsets(g, cap):
-        subs.append(Subspace(basis.dim, [basis.unit(v) for v in subset]))
-    return Arrangement(basis.dim, tuple(subs))
+    at = {v: i for i, v in enumerate(sorted(g.vertices))}
+    n = len(at)
+    subs = [Subspace.from_rref(n, [_row(n, at[v]) for v in subset]) for subset in maximal_disconnected_subsets(g, cap)]
+    return Arrangement(n, tuple(subs))
 
 
 @dataclass(frozen=True)
@@ -238,30 +222,22 @@ def maximal_delta_psets(g, cap=None):
     return [DeltaPSet(m, w) for m, w in _maximal_valid(g, {2}, _delta_cross_ok, "delta-p-set", cap)]
 
 
-def _pset_subspace(basis, members):
-    return Subspace(basis.dim, [basis.unit(m) for m in members])
-
-
-def _delta_subspace(basis, members):
-    by_multiplier = {}
-    for a, k in members:
-        by_multiplier.setdefault(a, []).append((a, k))
-    vectors = []
-    for a in sorted(by_multiplier):
-        first, second = sorted(by_multiplier[a])
-        v = basis.unit(first)
-        w = basis.unit(second)
-        vectors.append([x - y for x, y in zip(v, w)])
-    return Subspace(basis.dim, vectors)
+def _delta_rows(at, members):
+    """e_K - e_L for each multiplier's pair (a, K) < (a, L), in multiplier
+    order.  Members come sorted, so each pair is adjacent."""
+    return [_row(len(at), at[first], at[second]) for first, second in zip(members[::2], members[1::2])]
 
 
 def psa_arrangement(g, cap=None):
     """Coordinate subspaces of the maximal p-sets, then difference
-    subspaces of the maximal delta-p-sets."""
-    basis = generator_basis(g)
-    subs = [_pset_subspace(basis, p.members) for p in maximal_psets(g, cap)]
-    subs += [_delta_subspace(basis, d.members) for d in maximal_delta_psets(g, cap)]
-    return Arrangement(basis.dim, tuple(subs))
+    subspaces of the maximal delta-p-sets.  Both are written down in
+    stored form: the members come in generator order, and the rows have
+    disjoint supports and pivot entry 1."""
+    at = {gen: i for i, gen in enumerate(standard_generators(g))}
+    n = len(at)
+    subs = [Subspace.from_rref(n, [_row(n, at[m]) for m in p.members]) for p in maximal_psets(g, cap)]
+    subs += [Subspace.from_rref(n, _delta_rows(at, d.members)) for d in maximal_delta_psets(g, cap)]
+    return Arrangement(n, tuple(subs))
 
 
 def pso_hom_space(g):
@@ -269,7 +245,7 @@ def pso_hom_space(g):
     to zero.  The basis is written down, not computed: a multiplier's
     generators take consecutive coordinates i..j, and its RREF rows are
     e_t - e_j for i <= t < j, already primitive."""
-    labels = generator_basis(g).labels
+    labels = standard_generators(g)
     rows, start = [], 0
     for _, gens in itertools.groupby(labels, key=lambda gen: gen[0]):
         last = start + len(list(gens)) - 1
@@ -294,17 +270,16 @@ def pso_arrangement(g, cap=None):
 
 @memoised
 def _pso_arrangement(g, deltas):
-    basis = generator_basis(g)
+    """Each delta-p-set row e_K - e_L in W's coordinates, its entries at
+    W's pivots: e_K - e_L again, or e_K when L is its multiplier's last."""
+    at = {gen: i for i, gen in enumerate(standard_generators(g))}
     w = pso_hom_space(g)
     subs = []
     for d in deltas:
-        rows = []
-        for v in _delta_subspace(basis, d.members).rows:
-            coords = w.coordinates(v)
-            if coords is None:
-                raise InvariantViolation("delta-p-set subspace escapes the outer character space")
-            rows.append(coords)
-        subs.append(Subspace(w.dim, rows))
+        rows = [w.coordinates(v) for v in _delta_rows(at, d.members)]
+        if None in rows:
+            raise InvariantViolation("delta-p-set subspace escapes the outer character space")
+        subs.append(Subspace.from_rref(w.dim, rows))
     return w, Arrangement(w.dim, tuple(subs))
 
 
@@ -325,7 +300,7 @@ def h1_witness(g, loop, cap=None):
     n = len(nodes)
     if n < 3 or len(set(nodes)) != n:
         raise InvariantViolation("loop witness must have >= 3 distinct nodes")
-    basis = generator_basis(g)
+    at = {gen: i for i, gen in enumerate(standard_generators(g))}
     w, arrangement, deltas = pso_arrangement(g, cap)
     member_sets = [frozenset(d.members) for d in deltas]
 
@@ -342,11 +317,9 @@ def h1_witness(g, loop, cap=None):
     # the 1-chain: difference character on each chosen summand
     chain = []
     for i, j in enumerate(chosen):
-        v1 = basis.unit((a, nodes[i]))
-        v2 = basis.unit((a, nodes[(i + 1) % n]))
-        chain.append((j, tuple(x - y for x, y in zip(v1, v2))))
+        chain.append((j, tuple(_row(len(at), at[a, nodes[i]], at[a, nodes[(i + 1) % n]]))))
 
-    total = [0] * basis.dim
+    total = [0] * len(at)
     for _, vec in chain:
         total = [x + y for x, y in zip(total, vec)]
     if any(x != 0 for x in total):
@@ -371,7 +344,7 @@ def h1_witness(g, loop, cap=None):
     # containing the first consecutive pair, zero elsewhere
     first_pair = {(a, nodes[0]), (a, nodes[1])}
     support = tuple(j for j, s in enumerate(member_sets) if first_pair <= s)
-    functional_index = basis.index((a, nodes[0]))
+    functional_index = at[a, nodes[0]]
     for i, j in itertools.combinations(range(len(deltas)), 2):
         in_i, in_j = i in support, j in support
         if in_i == in_j:

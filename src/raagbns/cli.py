@@ -119,7 +119,7 @@ def _load_basepoints(path):
         return None
     try:
         raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8, bad JSON and over-long integers
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON, over-long integers
         raise MalformedInput(f"unreadable basepoint file: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedInput("basepoint file must map vertices to node lists")

@@ -382,7 +382,7 @@ def graph_from_file(path):
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except ValueError as exc:  # bad JSON, or an integer past the interpreter's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an integer past the digit limit
             raise MalformedInput(f"bad graph JSON: {exc}") from exc
         return SimpleGraph.from_json(data)
     return SimpleGraph.from_text(text)

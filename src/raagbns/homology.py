@@ -4,8 +4,9 @@ The k-chains are direct sums of k-fold intersections V_J over index
 subsets J (duplicate subspaces in the list count as distinct indices);
 the boundary deletes one index at a time with alternating signs, and
 degree one maps each subspace into the ambient space by inclusion.
-`arrangement_homology` is the entry point: coordinate arrangements take
-a closed form, every other one the full complex and its ranks.
+`arrangement_homology` is the entry point: block-line arrangements,
+every one built from a graph among them, take a closed form,
+b = (n - r, m - r, 0, ..., 0), every other one the full complex.
 """
 
 import json
@@ -14,6 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InvariantViolation, MalformedInput, admit, enumeration_cap
+from .graphs import bits, component, neighbour_masks
 from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, subspace_leq
 
 
@@ -90,7 +92,7 @@ def arrangement_from_file(path):
             data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an integer past the digit limit
         raise MalformedInput(f"bad arrangement JSON: {exc}") from exc
     except OSError as exc:
         raise MalformedInput(f"unreadable arrangement file: {exc}") from exc
@@ -222,23 +224,26 @@ def arrangement_homology(a, cap=None):
     build_chain_complex's dims and betti_numbers' profile, with the same
     refusal at the same summand count.
 
-    A coordinate arrangement, one whose stored rows are all unit vectors,
-    takes a closed form.  There V_J is spanned by the e_c with c in every
-    support S_j, j in J, so the complex splits into one summand per
-    coordinate c: the k-sets J inside T_c = {j : c in S_j} in degree k
-    (the empty set in degree 0), each boundary deleting one index.  That
-    is the augmented chain complex of the full simplex on T_c, exact when
-    T_c is non-empty and Q in degree 0 when it is empty.  Hence
-    b = (#{c : T_c empty}, 0, ..., 0) and dims_k = sum over c of
-    C(|T_c|, k).  The summands are still walked degree by degree in the
-    general build's order, with support masks met by `&`, so dims and
-    the admission against the cap are the general build's.  There are no
-    maps to square, so the self-check is a double count instead: the
-    walk's dims, counted by J, must equal the sum over c."""
-    masks = _coordinate_supports(a)
-    if masks is None:
+    A block-line arrangement, where no subspace has two stored rows in
+    one block of coordinates joined by rows, takes a closed form.  Each
+    subspace is the direct sum of its rows' lines, two lines in a block
+    meet in 0 unless equal, and a stored row names its line, so V_J is
+    the sum of the lines in every V_j, j in J.  The complex splits into
+    one summand per line l: the k-sets J inside T_l = {j : l in V_j} in
+    degree k, times l, which is exact but for l in degree 1, and d_1
+    sums the m lines into a span of rank r.  Hence
+    b = (n - r, m - r, 0, ..., 0) and dims_k = sum over l of C(|T_l|, k).
+    The summands are still walked in the general build's order, with
+    line masks met by `&`, so dims and the admission against the cap are
+    the general build's.  With no maps to square, the self-checks are a
+    double count, the walk's dims against the sum over l, and, when
+    every line is a unit or a difference (a graphic matroid), r against
+    the graph rank: the used coordinates less the blocks with no unit."""
+    lines = _line_masks(a)
+    if lines is None:
         c = build_chain_complex(a, cap)
         return c.dims, betti_numbers(c)
+    masks, supports, graph_rank = lines
     cap = enumeration_cap() if cap is None else cap
     level = [(i, m) for i, m in enumerate(masks) if m]
     admit(len(level), cap, f"the chain complex reaches {len(level)} summands at degree 1")
@@ -255,26 +260,46 @@ def arrangement_homology(a, cap=None):
         level = nxt
     t = _containing(masks)
     closed = [a.ambient_dim] + [sum(comb(x, k) for x in t) for k in range(1, 1 + max(t, default=0))]
+    r = rank(ZMatrix(a.ambient_dim, supports))
+    where = f"block-line chain complex of {len(masks)} subspaces of Q^{a.ambient_dim} with {len(supports)} lines"
     if closed != dims:
-        raise InvariantViolation(
-            f"coordinate chain complex of {len(masks)} subspaces of Q^{a.ambient_dim}: "
-            f"the summands give dims {dims}, the closed form {closed}"
-        )
-    betti = (a.ambient_dim - len(t),) + (0,) * (len(dims) - 1)
-    return tuple(dims), BettiProfile(betti, betti[0])
+        raise InvariantViolation(f"{where}: the summands give dims {dims}, the closed form {closed}")
+    if graph_rank not in (None, r):
+        raise InvariantViolation(f"{where}: the lines have rank {r}, their graph rank is {graph_rank}")
+    betti = (a.ambient_dim - r, len(supports) - r)[:len(dims)] + (0,) * (len(dims) - 2)
+    return tuple(dims), BettiProfile(betti, a.ambient_dim - len(supports))
 
 
-def _coordinate_supports(a):
-    """Each subspace's support mask when every stored row is a unit
-    vector, else None.  RREF rows vanish at the other rows' pivots, so
-    that is when each support has dim bits."""
-    masks = [_support(s) for s in a.subspaces]
-    return masks if all(m.bit_count() == s.dim for m, s in zip(masks, a.subspaces)) else None
+def _line_masks(a):
+    """(masks, supports, graph rank) when a is block-line, else None.
+    Bit i is the i-th distinct stored row, masks[j] holds subspace j's,
+    and supports[i] maps row i's non-zero coordinates to its entries.
+    The graph rank is None unless every row is a unit or a difference."""
+    bit = {row: 1 << i for i, row in enumerate(dict.fromkeys(row for s in a.subspaces for row in s.rows))}
+    supports = [{c: x for c, x in enumerate(row) if x} for row in bit]
+    used = sorted({c for sup in supports for c in sup})
+    at = {c: 1 << i for i, c in enumerate(used)}
+    joins = neighbour_masks(used, [(min(sup), c) for sup in supports for c in sup])
+    block, rest = {}, (1 << len(used)) - 1
+    while rest:
+        comp = component(rest & -rest, rest, joins)
+        block.update(dict.fromkeys(bits(comp), comp))
+        rest &= ~comp
+    held = [block[at[min(sup)]] for sup in supports]
+    masks = []
+    for s in a.subspaces:
+        rows = [bit[row] for row in s.rows]
+        if len({held[b.bit_length() - 1] for b in rows}) < len(rows):
+            return None
+        masks.append(sum(rows))
+    graphic = all(sorted(sup.values()) in ([1], [-1, 1]) for sup in supports)
+    grounded = {b for b, sup in zip(held, supports) if len(sup) == 1}
+    return masks, supports, len(used) - len(set(block.values()) - grounded) if graphic else None
 
 
 def _containing(masks):
-    """The non-zero |T_c|, how many masks have bit c, for c up to the top
-    bit of the largest mask: T_c is empty at every other coordinate."""
+    """The non-zero |T_l|, how many masks have bit l, for l up to the top
+    bit of the largest mask: T_l is empty for every other bit."""
     return [x for c in range(max(masks, default=0).bit_length()) if (x := sum(m >> c & 1 for m in masks))]
 
 

@@ -2,12 +2,13 @@
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import networkx as nx
 
-from raagbns.bns import _per_multiplier_options, generator_basis, raag_arrangement
+from raagbns.bns import _per_multiplier_options, raag_arrangement
 from raagbns.errors import CapExceeded, MalformedInput
 from raagbns.graphs import (
     ForestData,
@@ -33,6 +34,51 @@ from raagbns.presentations import (
     _commuting_schema,
 )
 from raagbns.words import inverse, reduce, standard_generators
+
+
+@dataclass(frozen=True)
+class CharacterBasis:
+    """Coordinate order for Q^N: one axis per standard generator (or per
+    vertex, for the RAAG itself)."""
+
+    labels: tuple
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    def index(self, label):
+        return self.labels.index(label)
+
+    def unit(self, label):
+        v = [0] * self.dim
+        v[self.index(label)] = 1
+        return v
+
+
+def generator_basis(g):
+    return CharacterBasis(tuple(standard_generators(g)))
+
+
+def delta_subspace(basis, members):
+    """The difference subspace of a delta-p-set, by elimination: one
+    vector e_K - e_L per multiplier's pair of members (a, K) < (a, L)."""
+    by_multiplier = {}
+    for a, k in members:
+        by_multiplier.setdefault(a, []).append((a, k))
+    vectors = []
+    for a in sorted(by_multiplier):
+        first, second = sorted(by_multiplier[a])
+        vectors.append([x - y for x, y in zip(basis.unit(first), basis.unit(second))])
+    return linalg.Subspace(basis.dim, vectors)
+
+
+def coordinate_supports(a):
+    """Each subspace's support mask when every stored row of arrangement
+    `a` is a unit vector, else None.  RREF rows vanish at the other rows'
+    pivots, so that is when each support has dim bits."""
+    masks = [sum(1 << c for c in {c for row in s.rows for c, x in enumerate(row) if x}) for s in a.subspaces]
+    return masks if all(m.bit_count() == s.dim for m, s in zip(masks, a.subspaces)) else None
 
 
 def rewriting_closure(g, word):

@@ -21,11 +21,11 @@ from oracles import (
     commutator_moves,
     dictionary_matrices,
     enumerate_reduced_words,
+    generator_basis,
     table_is_identity,
 )
 
 from raagbns.bns import (
-    generator_basis,
     has_sil,
     pso_arrangement,
     psa_arrangement,

@@ -10,8 +10,15 @@ compared with the rules they replaced: a loop search from every root, a
 commutation test over every pair of records, and a flood fill per edge
 for its far side.  The dictionary is compared at the default basepoints
 and with every owner's basepoints moved.  Every RAAG, PSA and PSO
-arrangement, raw and maximal-filtered, that is coordinate has its closed
+arrangement, raw and maximal-filtered, is block-line and has its closed
 form compared with the full chain complex.  The sweep is never sampled.
+
+The paper's theorem holds as exact Betti identities (Day and Wade,
+arXiv 1508.00622; Meier and VanWyk, Proc. LMS 71, 1995, for the RAAG
+side): the delta-p-set pairs of each multiplier a are the edges of its
+support graph Θ_a, the filtered PSO arrangement has
+b = (Σ_a (#trees(Θ_a) - 1), Σ_a cycle rank(Θ_a), 0, ...), and no side
+has homology above degree one.
 
 Two identities from the naturality of Σ¹ tie the enumeration to the
 presentation graph and its dictionary: on the forest side the PSO
@@ -23,13 +30,16 @@ of the commutation graph.
 import dataclasses
 import time
 
+import networkx as nx
 import pytest
 from oracles import (
     all_roots_forest_certificate,
     atlas,
     commutation_graph,
+    coordinate_supports,
     far_side_dictionary,
     pairwise_presentation_edges,
+    plain_support_graph,
     pulled_back_raag_arrangement,
 )
 
@@ -45,7 +55,7 @@ from raagbns.bns import (
 )
 from raagbns.errors import CapExceeded
 from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
-from raagbns.homology import _coordinate_supports, arrangement_homology, betti_numbers, build_chain_complex, maximal_filter
+from raagbns.homology import _line_masks, arrangement_homology, betti_numbers, build_chain_complex, maximal_filter
 from raagbns.linalg import Subspace
 from raagbns.presentations import NotAForest, generator_dictionary, presentation_graph
 
@@ -57,9 +67,12 @@ RAISED_CAP = 10 ** 9
 # built from the definitions with networkx, is a forest.
 VERDICTS = {1: (1, 0), 2: (2, 0), 3: (4, 0), 4: (10, 1), 5: (29, 5), 6: (128, 28), 7: (842, 202)}
 
-# vertex count -> coordinate arrangements among the six per graph (RAAG,
-# PSA and PSO, raw and filtered), each of which takes the closed form
+# vertex count -> coordinate arrangements (every stored row a unit vector)
+# and block-line arrangements among the six per graph (RAAG, PSA and PSO,
+# raw and filtered).  Every side is block-line, so every side takes the
+# closed form.
 COORDINATE_SIDES = {1: 6, 2: 12, 3: 22, 4: 56, 5: 158, 6: 678, 7: 4328}
+BLOCK_LINE_SIDES = {1: 6, 2: 12, 3: 24, 4: 66, 5: 204, 6: 936, 7: 6264}
 
 
 def moved_basepoints(th):
@@ -69,6 +82,30 @@ def moved_basepoints(th):
     for a, tree, _ in th.basepoints:
         out.setdefault(a, []).insert(0, tree[-1])
     return out
+
+
+def theorem_defects(g, thetas, pso_betti):
+    """The identities of the paper's theorem that fail on g, given its
+    support graphs `thetas` by owner and the Betti numbers of its
+    filtered PSO arrangement.  Trees and cycle ranks come from networkx."""
+    pairs = {a: set() for a in thetas}
+    for d in maximal_delta_psets(g):
+        by_multiplier = {}
+        for a, k in d.members:
+            by_multiplier.setdefault(a, []).append(k)
+        for a, ks in by_multiplier.items():
+            pairs[a].add(tuple(sorted(ks)))
+    defects = [] if all(pairs[a] == set(th.edges) for a, th in thetas.items()) else ["delta-p-set pairs"]
+    b0 = b1 = 0
+    for th in thetas.values():
+        if th.nodes:
+            nxg = nx.Graph(list(th.edges))
+            nxg.add_nodes_from(th.nodes)
+            trees = nx.number_connected_components(nxg)
+            b0, b1 = b0 + trees - 1, b1 + nxg.number_of_edges() - nxg.number_of_nodes() + trees
+    if (pso_betti + (0,))[:2] != (b0, b1):
+        defects.append("pso betti")
+    return defects
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +123,7 @@ def test_atlas_has_every_graph_up_to_seven_vertices(graphs_by_size):
 @pytest.mark.parametrize("n", sorted(VERDICTS))
 def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
-    verdicts, capped, failed, differ, coordinate = [0, 0], [], [], [], 0
+    verdicts, capped, failed, differ, coordinate, block_line, loops = [0, 0], [], [], [], 0, 0, 0
     for g in graphs_by_size[n]:
         try:
             is_raag, checks = cli._corpus_checks(g)
@@ -109,15 +146,34 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                     differ.append((sorted(g.edges), "dictionary", chosen.preferred))
         for side, arr in (("raag", raag_arrangement(g)), ("psa", psa_arrangement(g)), ("pso", pso_arrangement(g)[1])):
             for a in (arr, maximal_filter(arr)):
-                # elsewhere arrangement_homology is the full complex itself
-                if _coordinate_supports(a) is not None:
-                    coordinate += 1
-                    c = build_chain_complex(a)
-                    if arrangement_homology(a) != (c.dims, betti_numbers(c)):
-                        differ.append((sorted(g.edges), side, len(a.subspaces)))
+                coordinate += coordinate_supports(a) is not None
+                block_line += _line_masks(a) is not None
+                c = build_chain_complex(a)
+                dims, profile = arrangement_homology(a)
+                if (dims, profile) != (c.dims, betti_numbers(c)) or any(profile.betti[2:]):
+                    differ.append((sorted(g.edges), side, len(a.subspaces)))
+        pso_betti = arrangement_homology(maximal_filter(pso_arrangement(g)[1]))[1].betti
+        if defects := theorem_defects(g, {a: plain_support_graph(g, a) for a in g.vertices}, pso_betti):
+            differ.append((sorted(g.edges), defects))
+        loops += len(pso_betti) > 1 and pso_betti[1] > 0
     assert capped == [] and failed == [] and differ == []
     assert tuple(verdicts) == VERDICTS[n]
-    assert coordinate == COORDINATE_SIDES[n]
+    assert loops == VERDICTS[n][1]
+    assert (coordinate, block_line) == (COORDINATE_SIDES[n], BLOCK_LINE_SIDES[n])
+
+
+def test_dropping_a_loop_edge_breaks_the_theorem_identities():
+    # planted fault: edgeless(4) has a triangle as each support graph;
+    # one edge of one triangle dropped leaves the delta-p-set pairs and
+    # b_1(PSO) = 4 unexplained
+    g = SimpleGraph("abcd", [])
+    thetas = {a: plain_support_graph(g, a) for a in g.vertices}
+    pso_betti = arrangement_homology(maximal_filter(pso_arrangement(g)[1]))[1].betti
+    assert pso_betti == (0, 4) and theorem_defects(g, thetas, pso_betti) == []
+    loop = forest_certificate(thetas["a"]).nodes
+    edge = (min(loop[:2]), max(loop[:2]))
+    thetas["a"] = dataclasses.replace(thetas["a"], edges=tuple(e for e in thetas["a"].edges if e != edge))
+    assert theorem_defects(g, thetas, pso_betti) == ["delta-p-set pairs", "pso betti"]
 
 
 def ambient_pso_arrangement(g):

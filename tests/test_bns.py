@@ -11,6 +11,8 @@ from oracles import (
     atlas_up_to_six,
     brute_force_partition_witness,
     connected,
+    delta_subspace,
+    generator_basis,
     leaf_maximal_sets,
     partition_witness,
     walk_maximal,
@@ -19,7 +21,6 @@ from oracles import (
 from test_acceptance import STAR7, corpus
 
 from raagbns.bns import (
-    CharacterBasis,
     PSet,
     _choice_tree_size,
     _delta_cross_ok,
@@ -27,7 +28,6 @@ from raagbns.bns import (
     _per_multiplier_options,
     _pset_cross_ok,
     euler_report,
-    generator_basis,
     h1_witness,
     has_sil,
     maximal_delta_psets,
@@ -318,10 +318,8 @@ def test_delta_subspaces_live_in_hom_space():
         basis = generator_basis(g)
         w = pso_hom_space(g)
         _, arr, deltas = pso_arrangement(g)
-        from raagbns.bns import _delta_subspace
-
         for d in deltas:
-            assert subspace_leq(_delta_subspace(basis, d.members), w)
+            assert subspace_leq(delta_subspace(basis, d.members), w)
 
 
 def test_h1_witness_f4():

@@ -112,6 +112,17 @@ def test_homology_raw_on_sixteen_copies_of_a_unit_line(capsys, tmp_path):
     assert report["betti"] == [2] + [0] * 16
 
 
+def test_homology_raw_on_sixteen_copies_of_a_line_off_the_axes(capsys, tmp_path):
+    # one line, not a coordinate one: the block-line form counts 65,535
+    # summands without meeting any of them
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [[[1, 1]]] * 16}))
+    code, report = run(capsys, "homology", "--raw", str(path))
+    assert code == 0
+    assert report["dims"] == [2] + [math.comb(16, k) for k in range(1, 17)]
+    assert report["betti"] == [1] + [0] * 16
+
+
 @pytest.mark.parametrize("raw", [[], ["--raw"]])
 def test_homology_work_grows_with_the_rows_not_the_ambient_dimension(capsys, tmp_path, raw):
     path = tmp_path / "huge.json"
@@ -355,12 +366,14 @@ def test_corpus_reports_an_overlong_json_number_as_a_row(capsys, tmp_path):
     corpus.mkdir()
     (corpus / "f3.json").write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
     (corpus / "huge.json").write_text('{"vertices": [' + "1" * 5000 + "]}")
+    (corpus / "nested.json").write_text('{"vertices": ' + "[" * 100_000)
     code, report = run(capsys, "corpus", str(corpus))
     assert code == 1
     rows = {r["file"]: r for r in report["files"]}
     assert rows["f3.json"]["ok"] is True
-    assert rows["huge.json"]["ok"] is False
-    assert rows["huge.json"]["error"].startswith("bad graph JSON")
+    for name in ("huge.json", "nested.json"):
+        assert rows[name]["ok"] is False
+        assert rows[name]["error"].startswith("bad graph JSON")
 
 
 def test_ambiguous_vertex_label_exits_2(capsys, tmp_path):
@@ -484,6 +497,10 @@ def test_closed_stdout_exits_141_silently(f3_file):
         (["homology", "@huge.json"], ["bad arrangement JSON", "4300"]),
         (["classify", "@abe.json", "--basepoints", "@huge.json"], ["unreadable basepoint file", "4300"]),
         (["homology", "@exponent.json"], ["bad rational literal '1e999999999'", "4300 digits"]),
+        # JSON nested past the interpreter's recursion limit
+        (["classify", "@nested-graph.json"], ["bad graph JSON", "recursion"]),
+        (["homology", "@nested.json"], ["bad arrangement JSON", "recursion"]),
+        (["classify", "@abe.json", "--basepoints", "@nested.json"], ["unreadable basepoint file", "recursion"]),
     ],
 )
 def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
@@ -494,6 +511,8 @@ def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
     (tmp_path / "dir").mkdir()
     (tmp_path / "huge.json").write_text('{"vertices": [' + "1" * 5000 + "]}")
     (tmp_path / "exponent.json").write_text(json.dumps({"ambient_dim": 1, "subspaces": [[["1e999999999"]]]}))
+    (tmp_path / "nested.json").write_text("[" * 100_000)
+    (tmp_path / "nested-graph.json").write_text('{"vertices": ' + "[" * 100_000)
     assert main([arg.replace("@", f"{tmp_path}/") for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -191,7 +191,7 @@ def coordinate_arrangements(draw, max_dim=6, max_subspaces=7):
 @given(coordinate_arrangements())
 @settings(max_examples=150, deadline=None)
 def test_coordinate_closed_form_matches_the_full_complex(a):
-    assert homology._coordinate_supports(a) is not None
+    assert homology._line_masks(a) is not None
     for kept in (a, maximal_filter(a)):
         assert arrangement_homology(kept) == general_homology(kept)
 
@@ -215,9 +215,70 @@ def test_copies_of_a_unit_line_refuse_like_the_full_complex():
     )
 
 
-def test_non_coordinate_arrangements_take_the_full_complex():
-    assert homology._coordinate_supports(three_lines()) is None
-    assert arrangement_homology(three_lines()) == general_homology(three_lines())
+@st.composite
+def block_arrangements(draw, max_dim=6, max_subspaces=6):
+    """Block-line arrangements with duplicates and zero subspaces: the
+    shuffled coordinates fall into blocks, each with a pool of one to
+    four general integer lines inside it, and each subspace takes at most
+    one line from each pool, or copies a subspace drawn earlier."""
+    n = draw(st.integers(0, max_dim))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    blocks = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n]) if hi > lo]
+    pools = [
+        draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(b), max_size=len(b)).filter(any), min_size=1, max_size=4))
+        for b in blocks
+    ]
+    subs = []
+    for _ in range(draw(st.integers(0, max_subspaces))):
+        if subs and draw(st.booleans()):
+            subs.append(draw(st.sampled_from(subs)))
+            continue
+        rows = []
+        for block, pool in zip(blocks, pools):
+            line = draw(st.sampled_from([None, *pool]))
+            if line is not None:
+                rows.append([dict(zip(block, line)).get(c, 0) for c in range(n)])
+        subs.append(Subspace(n, rows))
+    return Arrangement(n, tuple(subs))
+
+
+@given(block_arrangements())
+@settings(max_examples=150, deadline=None)
+def test_block_line_closed_form_matches_the_full_complex(a):
+    assert homology._line_masks(a) is not None
+    for kept in (a, maximal_filter(a)):
+        assert arrangement_homology(kept) == general_homology(kept)
+
+
+@given(block_arrangements(max_dim=4, max_subspaces=5))
+@settings(max_examples=60, deadline=None)
+def test_block_line_refusals_match_the_full_complex(a):
+    for kept in (a, maximal_filter(a)):
+        c = build_chain_complex(kept, cap=10 ** 6)
+        for cap in range(sum(map(len, c.index_sets)) + 2):
+            assert refusal(arrangement_homology, kept, cap) == refusal(build_chain_complex, kept, cap)
+
+
+def test_non_block_line_arrangements_take_the_full_complex():
+    # three lines in Q^2 are block-line; a plane and a line inside it put
+    # two rows of one subspace in one block
+    assert homology._line_masks(three_lines()) is not None
+    assert arrangement_homology(three_lines()) == general_homology(three_lines()) == ((2, 3), homology.BettiProfile((0, 1), -1))
+    a = Arrangement(2, (sub(2, (1, 0), (0, 1)), sub(2, (1, 1))))
+    assert homology._line_masks(a) is None
+    assert arrangement_homology(a) == general_homology(a) == ((2, 3, 1), homology.BettiProfile((0, 0, 0), 0))
+
+
+def test_closed_form_self_check_catches_a_wrong_rank(monkeypatch):
+    # planted fault: the lines' rank one short.  The lines e_0, e_1 and
+    # e_0 - e_1 are units and a difference, so their graph rank is checked
+    a = Arrangement(2, (sub(2, (1, 0)), sub(2, (0, 1)), sub(2, (1, -1))))
+    assert arrangement_homology(a) == ((2, 3), homology.BettiProfile((0, 1), -1))
+    real = homology.rank
+    monkeypatch.setattr(homology, "rank", lambda m: real(m) - 1)
+    with pytest.raises(InvariantViolation, match="rank 1, their graph rank is 2"):
+        arrangement_homology(a)
 
 
 def test_closed_form_self_check_catches_a_wrong_coordinate_count(monkeypatch):
