@@ -210,8 +210,7 @@ def _maximal_sets(g, arity, cross_ok):
     for s in maximal:
         comp = component(s & -s, s, failure)
         out.append((members_of(members, s), (members_of(members, comp), members_of(members, s & ~comp))))
-    out.sort(key=lambda mw: mw[0])
-    return out
+    return tuple(sorted(out, key=lambda mw: mw[0]))
 
 
 def maximal_psets(g, cap=None):
@@ -262,16 +261,11 @@ def pso_arrangement(g, cap=None):
 
     The arrangement is deliberately unfiltered so that subspace indices
     line up with the delta-p-set list; homology callers apply
-    maximal_filter themselves.
+    maximal_filter themselves.  Each delta-p-set row e_K - e_L is taken
+    in W's coordinates, its entries at W's pivots: e_K - e_L again, or
+    e_K when L is its multiplier's last.
     """
     deltas = maximal_delta_psets(g, cap)
-    return (*_pso_arrangement(g, tuple(deltas)), deltas)
-
-
-@memoised
-def _pso_arrangement(g, deltas):
-    """Each delta-p-set row e_K - e_L in W's coordinates, its entries at
-    W's pivots: e_K - e_L again, or e_K when L is its multiplier's last."""
     at = {gen: i for i, gen in enumerate(standard_generators(g))}
     w = pso_hom_space(g)
     subs = []
@@ -280,7 +274,7 @@ def _pso_arrangement(g, deltas):
         if None in rows:
             raise InvariantViolation("delta-p-set subspace escapes the outer character space")
         subs.append(Subspace.from_rref(w.dim, rows))
-    return w, Arrangement(w.dim, tuple(subs))
+    return w, Arrangement(w.dim, tuple(subs)), deltas
 
 
 @dataclass(frozen=True)

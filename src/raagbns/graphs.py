@@ -46,7 +46,10 @@ class SimpleGraph:
     """Undirected simple graph with string vertex labels; `neighbors` maps
     each vertex to the frozenset of vertices adjacent to it.  A graph is
     never changed after it is built, so `_memo` holds what the
-    `memoised` functions computed from it."""
+    `memoised` functions computed from it: the vertex masks, the
+    star-complement components, the SIL table, the standard generators
+    and the maximal (Δ-)p-sets.  Each is an immutable value that every
+    caller shares."""
 
     __slots__ = ("vertices", "edges", "neighbors", "_memo")
 
@@ -139,19 +142,16 @@ class SimpleGraph:
 
 def memoised(fn):
     """Compute fn(g, *args) once per graph object and keep it in g's memo.
-    A list result is kept as a tuple and every call gets a fresh list, so
-    no caller can change what the next one sees; other results must be
-    immutable."""
+    Every caller gets the same value, so it must be immutable: tuples,
+    frozen dataclasses, read-only maps."""
 
     @functools.wraps(fn)
     def cached(g, *args):
         key = (fn, args)
-        hit = g._memo.get(key)
-        if hit is None:
-            value = fn(g, *args)
-            hit = g._memo[key] = (tuple(value), list) if isinstance(value, list) else (value, None)
-        value, fresh = hit
-        return fresh(value) if fresh else value
+        value = g._memo.get(key)
+        if value is None:
+            value = g._memo[key] = fn(g, *args)
+        return value
 
     return cached
 
@@ -222,12 +222,13 @@ def vertex_masks(g):
 
 @memoised
 def complement_components(g, a):
-    """Components of the graph minus the closed star of a, lex ordered."""
+    """Components of the graph minus the closed star of a, a tuple in lex
+    order."""
     if not g.has_vertex(a):
         raise MalformedInput(f"unknown vertex {a!r}")
     labels, masks = vertex_masks(g)
     bit = 1 << labels.index(a)
-    return _split(labels, (1 << len(labels)) - 1 & ~bit & ~masks[bit], masks)
+    return tuple(_split(labels, (1 << len(labels)) - 1 & ~bit & ~masks[bit], masks))
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,6 @@ class PairClassification:
     shared: tuple
 
 
-@memoised
 def classify_pair(g, a, b):
     if a == b or g.adjacent(a, b):
         raise ValueError(f"classify_pair needs a nonadjacent distinct pair, got {a!r},{b!r}")
@@ -268,16 +268,17 @@ def classify_pair(g, a, b):
 def sil_rows(g):
     """The SIL table, in (a, b) label order, then in a's component order.
     The shared components are one sorted tuple for (a, b) and (b, a), so
-    each pair is classified once, as (min, max), and read both ways."""
+    each unordered pair is classified once, as (min, max), and gives the
+    rows of both orders; sorting the rows puts them in table order."""
     vs = sorted(g.vertices)
     rows = []
-    for a in vs:
-        for b in vs:
-            if a != b and not g.adjacent(a, b):
-                c = classify_pair(g, min(a, b), max(a, b))
-                k_a, k_b = (c.dominating_a, c.dominating_b) if a < b else (c.dominating_b, c.dominating_a)
-                rows += [(a, b, k_a, k_b, l) for l in c.shared]
-    return tuple(rows)
+    for i, a in enumerate(vs):
+        for b in vs[i + 1:]:
+            if not g.adjacent(a, b):
+                c = classify_pair(g, a, b)
+                rows += [(a, b, c.dominating_a, c.dominating_b, l) for l in c.shared]
+                rows += [(b, a, c.dominating_b, c.dominating_a, l) for l in c.shared]
+    return tuple(sorted(rows))
 
 
 @dataclass(frozen=True)
@@ -291,11 +292,9 @@ class SupportGraph:
     edges: tuple
 
 
-@memoised
 def support_graph(g, a):
-    nodes = complement_components(g, a)
     edges = {(min(k, l), max(k, l)) for x, _, k, _, l in sil_rows(g) if x == a}
-    return SupportGraph(a, tuple(nodes), tuple(sorted(edges)))
+    return SupportGraph(a, complement_components(g, a), tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .graphs import (
     center_rank,
     complement_components,
     forest_certificate,
-    memoised,
     sil_rows,
     support_graph,
 )
@@ -77,7 +76,6 @@ def _commuting_schema(g, x, y):
     return set((a,) + k) <= set(l) or set((b,) + l) <= set(k)
 
 
-@memoised
 def psa_presentation(g):
     gens = standard_generators(g)
     relators = []
@@ -97,7 +95,7 @@ def psa_presentation(g):
             ((a, k), 1), ((a, l), 1), ((b, l), 1),
             ((a, l), -1), ((a, k), -1), ((b, l), -1),
         ))
-    return GroupPresentation(tuple(gens), tuple(relators), "psa")
+    return GroupPresentation(gens, tuple(relators), "psa")
 
 
 def pso_presentation(g):

@@ -124,9 +124,5 @@ def reduce(g, word):
 
 @memoised
 def standard_generators(g):
-    """All (multiplier, component) pairs, lex ordered."""
-    gens = []
-    for a in sorted(g.vertices):
-        for k in complement_components(g, a):
-            gens.append((a, k))
-    return gens
+    """All (multiplier, component) pairs, a tuple in lex order."""
+    return tuple((a, k) for a in sorted(g.vertices) for k in complement_components(g, a))

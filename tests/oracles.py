@@ -586,12 +586,14 @@ def support_components(d):
     return tuple(nx_components(d, d.nodes))
 
 
-# The per-graph functions as they were before graphs.memoised cached
-# them on the graph, kept as the differential oracle of the memo.
+# The per-graph functions of graphs, words and presentations written
+# from the definitions with networkx, without the memo or the SIL table:
+# the differential oracle of the memoised values (immutable tuples) and
+# of the functions built on them.
 
 
 def plain_complement_components(g, a):
-    return nx_components(g, set(g.vertices) - star(g, a))
+    return tuple(nx_components(g, set(g.vertices) - star(g, a)))
 
 
 def plain_classify_pair(g, a, b):
@@ -633,11 +635,7 @@ def plain_support_graph(g, a):
 
 
 def plain_standard_generators(g):
-    gens = []
-    for a in sorted(g.vertices):
-        for k in plain_complement_components(g, a):
-            gens.append((a, k))
-    return gens
+    return tuple((a, k) for a in sorted(g.vertices) for k in plain_complement_components(g, a))
 
 
 def plain_psa_presentation(g):

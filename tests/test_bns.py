@@ -215,7 +215,7 @@ def test_enumeration_matches_leaf_listing_on_atlas():
     # Close-by-One against the choice-tree leaf listing it replaced
     for g in atlas_up_to_six():
         for arity, cross_ok, _ in FAMILIES:
-            expected = leaf_maximal_sets(g, arity, cross_ok)
+            expected = tuple(leaf_maximal_sets(g, arity, cross_ok))
             assert _maximal_sets(g, frozenset(arity), cross_ok) == expected, (g.edges, arity)
 
 
@@ -228,7 +228,7 @@ def test_enumeration_matches_leaf_listing_on_seven_vertex_atlas():
     for g in atlas()[208:]:
         for arity, cross_ok, _ in FAMILIES:
             if _choice_tree_size(_per_multiplier_options(g, arity)) <= 10 ** 5:
-                expected = leaf_maximal_sets(g, arity, cross_ok)
+                expected = tuple(leaf_maximal_sets(g, arity, cross_ok))
                 assert _maximal_sets(g, frozenset(arity), cross_ok) == expected, (g.edges, arity)
                 checked += 1
     assert checked == 2071

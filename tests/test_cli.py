@@ -567,29 +567,22 @@ def test_runs_without_click():
     assert result.stdout.startswith("Usage: raagbns [OPTIONS] COMMAND [ARGS]...\n")
 
 
-def test_corpus_reuses_euler_report_delta_psets_and_pso_arrangement(capsys, tmp_path, monkeypatch):
-    calls = {"_maximal_sets": [], "_pso_arrangement": []}
+def test_corpus_enumerates_delta_psets_once_per_graph(capsys, tmp_path, monkeypatch):
+    calls = []
+    body = bns._maximal_sets.__wrapped__
 
-    def count_body_runs(name):
-        body = getattr(bns, name).__wrapped__
+    def counted(g, *args):
+        calls.append(args)
+        return body(g, *args)
 
-        def counted(g, *args):
-            calls[name].append(args)
-            return body(g, *args)
-
-        monkeypatch.setattr(bns, name, memoised(counted))
-
-    count_body_runs("_maximal_sets")
-    count_body_runs("_pso_arrangement")
+    monkeypatch.setattr(bns, "_maximal_sets", memoised(counted))
     corpus = tmp_path / "graphs"
     corpus.mkdir()
     (corpus / "f5.json").write_text(json.dumps({"vertices": list("abcde"), "edges": []}))
     code, report = run(capsys, "corpus", str(corpus))
     assert code == 0 and report["ok"]
     assert report["files"][0]["checks"]["witness_pairing_is_one"] is True
-    delta_runs = [args for args in calls["_maximal_sets"] if args[0] == frozenset({2})]
-    assert len(delta_runs) == 1
-    assert len(calls["_pso_arrangement"]) == 1
+    assert [args for args in calls if args[0] == frozenset({2})] == [(frozenset({2}), bns._delta_cross_ok)]
 
 
 # A fuzz of the input boundary: graph JSON, graph text and arrangement

@@ -1,3 +1,6 @@
+import dataclasses
+from types import MappingProxyType
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from oracles import (
     support_components,
 )
 
+from raagbns import cli
 from raagbns.bns import has_sil
 from raagbns.errors import MalformedInput
 from raagbns.graphs import (
@@ -100,16 +104,16 @@ def test_link_complete():
 
 
 def test_complement_components_edgeless():
-    assert complement_components(edgeless(3), "a") == [("b",), ("c",)]
+    assert complement_components(edgeless(3), "a") == (("b",), ("c",))
 
 
 def test_complement_components_complete():
-    assert complement_components(complete(4), "a") == []
+    assert complement_components(complete(4), "a") == ()
 
 
 def test_complement_components_path5():
     g = path("axbyc")
-    assert complement_components(g, "a") == [("b", "c", "y")]
+    assert complement_components(g, "a") == (("b", "c", "y"),)
 
 
 def test_classify_pair_edgeless3():
@@ -326,7 +330,7 @@ def test_components_match_networkx(g, data):
     assert _split(labels, s, neighbour_masks(labels, g.edges)) == expected
 
 
-def test_memoised_graph_functions_match_plain_bodies_on_atlas():
+def test_graph_functions_match_plain_bodies_on_atlas():
     graphs = atlas_up_to_six()
     assert len(graphs) == 208
     for g in graphs:
@@ -340,25 +344,52 @@ def test_memoised_graph_functions_match_plain_bodies_on_atlas():
                         assert classify_pair(g, a, b) == plain_classify_pair(g, a, b), (g.edges, a, b)
 
 
-def test_mutating_a_memoised_list_leaves_the_memo_alone():
-    g = SimpleGraph("abcd", [("a", "b")])
-    first = complement_components(g, "a")
-    assert first == [("c",), ("d",)]
-    first.append(("b",))
-    first[0] = ("x",)
-    assert complement_components(g, "a") == [("c",), ("d",)]
-    assert complement_components(g, "a") is not complement_components(g, "a")
+def mutable_parts(value):
+    """The lists, dicts and sets anywhere inside a memoised value:
+    tuples, frozensets, frozen dataclasses and read-only maps are walked."""
+    if isinstance(value, (list, dict, set)):
+        return [value]
+    if isinstance(value, MappingProxyType):
+        value = tuple(value.items())
+    elif dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, frozenset)):
+        return [part for item in value for part in mutable_parts(item)]
+    return []
+
+
+def test_memo_holds_only_immutable_values_after_corpus_checks(monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 8))  # edgeless(6)'s choice tree is past the default
+    for g in atlas_up_to_six():
+        cli._corpus_checks(g)
+        assert g._memo
+        for key, value in g._memo.items():
+            assert not mutable_parts(value), (g.edges, key[0].__name__)
 
 
 def test_equal_graphs_do_not_share_memo_entries():
-    g1 = SimpleGraph("abc", [("a", "b")])
-    g2 = SimpleGraph("abc", [("a", "b")])
+    g1, g2 = edgeless(3), edgeless(3)
     assert g1 == g2 and g1 is not g2
-    cls = classify_pair(g1, "a", "c")
-    assert classify_pair(g1, "a", "c") is cls
+    rows = sil_rows(g1)
+    assert rows and sil_rows(g1) is rows
     assert g2._memo == {}
-    assert classify_pair(g2, "a", "c") == cls
-    assert classify_pair(g2, "a", "c") is not cls
+    assert sil_rows(g2) == rows
+    assert sil_rows(g2) is not rows
+
+
+def test_sil_rows_classify_each_unordered_pair_once(monkeypatch):
+    calls = []
+
+    def counted(g, a, b):
+        calls.append((a, b))
+        return classify_pair(g, a, b)
+
+    monkeypatch.setattr("raagbns.graphs.classify_pair", counted)
+    for g in atlas_up_to_six():
+        calls.clear()
+        assert sil_rows(g) == plain_sil_rows(g), g.edges
+        vs = sorted(g.vertices)
+        assert calls == [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if not g.adjacent(a, b)], g.edges
 
 
 def test_memo_keeps_no_failed_call():

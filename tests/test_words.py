@@ -154,14 +154,14 @@ def test_enumerate_reduced_words_counts():
 
 def test_standard_generators_order():
     gens = standard_generators(FREE3)
-    assert gens == [
+    assert gens == (
         ("a", ("b",)),
         ("a", ("c",)),
         ("b", ("a",)),
         ("b", ("c",)),
         ("c", ("a",)),
         ("c", ("b",)),
-    ]
+    )
 
 
 THREE_VERTEX_GRAPHS = [
