@@ -4,10 +4,16 @@ dominating/subordinate/shared classification for a nonadjacent pair
 (an SIL-pair is one with a shared component), and per-vertex support
 graphs with forest or shortest-loop certificates.
 
+Each graph memoises one component table, `component_table`: for each
+sorted vertex, its star-complement components as (mask, members) pairs
+in lex order, a mask numbering the sorted vertices by position.
+`complement_components` and the standard generators read it.
+
 `sil_rows`, the SIL table, has a row (a, b, K_a, K_b, L) per ordered
 nonadjacent pair and component L they share, K_a being the component
-of a's star complement holding b.  The support graphs, `has_sil`, the
-R4 relators and the outer quotient's defining graph all read it.
+of a's star complement holding b.  It is built from the masks alone,
+and the support graphs, `has_sil`, the R4 relators and the outer
+quotient's defining graph all read it.
 
 Every component search is one flood fill, `component`, over bitmasks
 that number the members of a sorted sequence by position.
@@ -47,9 +53,9 @@ class SimpleGraph:
     each vertex to the frozenset of vertices adjacent to it.  A graph is
     never changed after it is built, so `_memo` holds what the
     `memoised` functions computed from it: the vertex masks, the
-    star-complement components, the SIL table, the standard generators
-    and the maximal (Δ-)p-sets.  Each is an immutable value that every
-    caller shares."""
+    component table, the SIL table, the standard generators and the
+    maximal (Δ-)p-sets.  Each is an immutable value that every caller
+    shares."""
 
     __slots__ = ("vertices", "edges", "neighbors", "_memo")
 
@@ -73,6 +79,15 @@ class SimpleGraph:
         self.edges = frozenset(canon)
         self.neighbors = {v: frozenset(s) for v, s in adj.items()}
         self._memo = {}
+
+    @classmethod
+    def _trusted(cls, vertices, neighbors):
+        """The graph on these vertices with these neighbour frozensets,
+        taken as given: nothing checks that they are symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g.vertices, g.neighbors, g._memo = tuple(vertices), neighbors, {}
+        g.edges = frozenset((u, w) for u in g.vertices for w in neighbors[u] if u < w)
+        return g
 
     @classmethod
     def from_json(cls, data):
@@ -202,12 +217,12 @@ def component(seed, s, neighbours):
 
 
 def _split(members, s, neighbours):
-    """The components inside bitmask s, as sorted member tuples in lex
-    order (`members` sorted, bits by position)."""
+    """The components inside bitmask s, as (mask, sorted member tuple)
+    pairs in lex order (`members` sorted, bits by position)."""
     out = []
     while s:
         comp = component(s & -s, s, neighbours)
-        out.append(members_of(members, comp))
+        out.append((comp, members_of(members, comp)))
         s &= ~comp
     return out
 
@@ -221,14 +236,24 @@ def vertex_masks(g):
 
 
 @memoised
+def component_table(g):
+    """A read-only map from each sorted vertex a to the components of the
+    graph minus the closed star of a, as (mask, members) pairs in lex
+    order."""
+    labels, masks = vertex_masks(g)
+    full = (1 << len(labels)) - 1
+    return MappingProxyType({
+        a: tuple(_split(labels, full & ~(1 << i) & ~masks[1 << i], masks)) for i, a in enumerate(labels)
+    })
+
+
+@memoised
 def complement_components(g, a):
     """Components of the graph minus the closed star of a, a tuple in lex
     order."""
     if not g.has_vertex(a):
         raise MalformedInput(f"unknown vertex {a!r}")
-    labels, masks = vertex_masks(g)
-    bit = 1 << labels.index(a)
-    return tuple(_split(labels, (1 << len(labels)) - 1 & ~bit & ~masks[bit], masks))
+    return tuple(k for _, k in component_table(g)[a])
 
 
 @dataclass(frozen=True)
@@ -266,18 +291,27 @@ def classify_pair(g, a, b):
 
 @memoised
 def sil_rows(g):
-    """The SIL table, in (a, b) label order, then in a's component order.
-    The shared components are one sorted tuple for (a, b) and (b, a), so
-    each unordered pair is classified once, as (min, max), and gives the
+    """The SIL table, in (a, b) label order, then in a's component order,
+    read off the component table's masks.  For a nonadjacent pair (a, b),
+    K_a is a's component whose mask holds b's bit, and the shared
+    components are the masks both sides list.  They are the same for
+    (a, b) and (b, a), so each unordered pair is taken once and gives the
     rows of both orders; sorting the rows puts them in table order."""
-    vs = sorted(g.vertices)
+    labels, masks = vertex_masks(g)
+    table = component_table(g)
     rows = []
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if not g.adjacent(a, b):
-                c = classify_pair(g, a, b)
-                rows += [(a, b, c.dominating_a, c.dominating_b, l) for l in c.shared]
-                rows += [(b, a, c.dominating_b, c.dominating_a, l) for l in c.shared]
+    for i, a in enumerate(labels):
+        comps_a = table[a]
+        for j in range(i + 1, len(labels)):
+            if masks[1 << i] >> j & 1:
+                continue
+            b, comps_b = labels[j], table[labels[j]]
+            dom_a = next(k for s, k in comps_a if s >> j & 1)
+            dom_b = next(k for s, k in comps_b if s >> i & 1)
+            common = {s for s, _ in comps_b}
+            for s, l in comps_a:
+                if s in common:
+                    rows += ((a, b, dom_a, dom_b, l), (b, a, dom_b, dom_a, l))
     return tuple(sorted(rows))
 
 
@@ -336,7 +370,8 @@ def _canonical_cycle(nodes):
 def forest_certificate(d):
     """ForestData when the support graph is a forest, else a LoopWitness
     holding the least canonical shortest cycle.  A graph is a forest iff
-    |edges| + |trees| = |nodes|; only a graph with a loop is searched.
+    |edges| + |trees| = |nodes|; an edgeless one is a tree per node, and
+    only a graph with a loop is searched.
 
     The search takes the closed walks from every root and keeps the least
     canonical one of least length g.  A walk whose two tree paths share
@@ -352,8 +387,10 @@ def forest_certificate(d):
     be C, so every such walk is compared.
     """
     nodes = sorted(d.nodes)
+    if not d.edges:
+        return ForestData(d.owner, tuple((n,) for n in nodes))
     masks = neighbour_masks(nodes, d.edges)
-    trees = _split(nodes, (1 << len(nodes)) - 1, masks)
+    trees = [t for _, t in _split(nodes, (1 << len(nodes)) - 1, masks)]
     if len(d.edges) + len(trees) == len(nodes):
         return ForestData(d.owner, tuple(trees))
     walks = [w for root in masks for w in _closed_walks(masks, root)]

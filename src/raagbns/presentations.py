@@ -20,6 +20,7 @@ translate between this generating set and the standard one.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bns import h1_witness
 from .errors import InvariantViolation, MalformedInput, RaagBnsError
@@ -27,10 +28,11 @@ from .graphs import (
     LoopWitness,
     SimpleGraph,
     center_rank,
-    complement_components,
+    component_table,
     forest_certificate,
     sil_rows,
     support_graph,
+    vertex_masks,
 )
 from .words import inverse, reduce, standard_generators
 
@@ -65,33 +67,24 @@ def _commutator(x, y):
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 
 
-def _commuting_schema(g, x, y):
-    """The commutation rule: partial conjugations x and y commute in the
-    automorphism group exactly when one of R1-R3 applies."""
-    (a, k), (b, l) = x, y
-    if a == b or g.adjacent(a, b):
-        return True
-    if not set(k) & set(l) and b not in k and a not in l:
-        return True
-    return set((a,) + k) <= set(l) or set((b,) + l) <= set(k)
-
-
 def psa_presentation(g):
+    """R1-R3 for each pair of generators in order, tested on masks (a's
+    bit, K's mask and a's neighbours' mask for generator (a, K)), then R4
+    for each SIL row; no two pairs or rows give one relator."""
     gens = standard_generators(g)
+    labels, masks = vertex_masks(g)
+    table = component_table(g)
+    keys = [(1 << i, s, masks[1 << i]) for i, a in enumerate(labels) for s, _ in table[a]]
     relators = []
-    seen = set()
-
-    def emit(word):
-        if word not in seen:
-            seen.add(word)
-            relators.append(word)
-
-    for i, x in enumerate(gens):
-        for y in gens[i + 1:]:
-            if _commuting_schema(g, x, y):
-                emit(_commutator(x, y))
+    for i, (p, k, adj) in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            q, l, _ = keys[j]
+            if (p == q or q & adj  # R1
+                    or not (k & l or q & k or p & l)  # R2
+                    or not (p | k) & ~l or not (q | l) & ~k):  # R3
+                relators.append(_commutator(gens[i], gens[j]))
     for a, b, k, _, l in sil_rows(g):
-        emit((
+        relators.append((
             ((a, k), 1), ((a, l), 1), ((b, l), 1),
             ((a, l), -1), ((a, k), -1), ((b, l), -1),
         ))
@@ -101,10 +94,9 @@ def psa_presentation(g):
 def pso_presentation(g):
     base = psa_presentation(g)
     relators = list(base.relators)
-    for a in sorted(g.vertices):
-        comps = complement_components(g, a)
+    for a, comps in component_table(g).items():
         if comps:
-            relators.append(tuple(((a, k), 1) for k in comps))
+            relators.append(tuple(((a, k), 1) for _, k in comps))
     return GroupPresentation(base.generators, tuple(relators), "pso")
 
 
@@ -113,7 +105,7 @@ class EdgeGen:
     owner: str
     edge: tuple  # sorted pair of support-graph nodes
 
-    @property
+    @cached_property
     def symbol(self):
         return self.owner + "[" + "|".join(",".join(n) for n in self.edge) + "]"
 
@@ -123,7 +115,7 @@ class TreeGen:
     owner: str
     tree: tuple  # sorted tuple of support-graph nodes
 
-    @property
+    @cached_property
     def symbol(self):
         return self.owner + "{" + ";".join(",".join(n) for n in self.tree) + "}"
 
@@ -205,16 +197,20 @@ def presentation_graph(g, basepoints=None):
         preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
         tree_gens.extend(TreeGen(a, t) for t in trees if t != pref_tree)
         edge_gens.extend(EdgeGen(a, e) for e in sg.edges)
-    non_edges = {
-        (EdgeGen(a, tuple(sorted((ka, l)))).symbol, EdgeGen(b, tuple(sorted((kb, l)))).symbol)
-        for a, b, ka, kb, l in sil_rows(g)
-        if a < b
-    }
+    # each SIL row (a, b, K_a, K_b, L) parts a's edge {K_a, L} from b's
+    # edge {K_b, L}; the rows come in both orders, so `apart` is symmetric
+    symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
+    apart = {}
+    for a, b, ka, kb, l in sil_rows(g):
+        x = symbol[a, (min(ka, l), max(ka, l))]
+        apart.setdefault(x, []).append(symbol[b, (min(kb, l), max(kb, l))])
     symbols = [r.symbol for r in tree_gens + edge_gens]
-    edges = [(x, y) for i, x in enumerate(symbols) for y in symbols[i + 1:] if (x, y) not in non_edges]
-    graph = SimpleGraph(symbols, edges)
+    everyone = frozenset(symbols)
+    if len(everyone) < len(symbols):
+        raise MalformedInput("duplicate vertex labels")
+    neighbors = {x: everyone.difference((x,), apart.get(x, ())) for x in symbols}
     return PresentationGraph(
-        graph,
+        SimpleGraph._trusted(symbols, neighbors),
         tuple(tree_gens),
         tuple(edge_gens),
         tuple(basepoint_rows),
@@ -224,28 +220,29 @@ def presentation_graph(g, basepoints=None):
 
 def _hang(th):
     """Hang each tree of th from its basepoint by one BFS.  Returns
-    `place`, mapping (owner, node) to the node's tree, the edge above it
-    (None at the basepoint) and its edges in order, and `below`, mapping
-    (owner, edge) to the sorted nodes below that edge: the far side whose
-    partial conjugations multiply to the edge generator."""
+    `place`, mapping (owner, node) to the node's tree, the edge generator
+    above it (None at the basepoint) and its edge generators in order,
+    and `below`, mapping (owner, edge) to the sorted nodes below that
+    edge: the far side whose partial conjugations multiply to the edge
+    generator."""
     edges = {}
     for r in th.edge_gens:  # sorted, so each node's edges come in order
         for n in r.edge:
-            edges.setdefault((r.owner, n), []).append(r.edge)
+            edges.setdefault((r.owner, n), []).append(r)
     place, below = {}, {}
     for a, tree, base in th.basepoints:
         place[a, base] = (tree, None, edges.get((a, base), []))
         order = [(base, None)]  # (node, the node above it), in BFS order
         for u, _ in order:
-            for e in place[a, u][2]:
-                w = e[1] if e[0] == u else e[0]
+            for r in place[a, u][2]:
+                w = r.edge[1] if r.edge[0] == u else r.edge[0]
                 if (a, w) not in place:
-                    place[a, w] = (tree, e, edges.get((a, w), []))
+                    place[a, w] = (tree, r, edges.get((a, w), []))
                     order.append((w, u))
         subtree = {w: [w] for w, _ in order}
         for w, u in reversed(order[1:]):
             subtree[u] += subtree[w]
-            below[a, place[a, w][1]] = tuple(sorted(subtree[w]))
+            below[a, place[a, w][1].edge] = tuple(sorted(subtree[w]))
     return place, below
 
 
@@ -255,11 +252,11 @@ def _psi_word(th, gen, place, preferred):
     the other trees' generators) times the inverses of k's other edges."""
     a, k = gen
     tree, up, incident = place[gen]
-    rest = tuple((EdgeGen(a, e).symbol, -1) for e in incident if e != up)
+    rest = tuple((r.symbol, -1) for r in incident if r is not up)
     if up is not None:
-        return ((EdgeGen(a, up).symbol, 1),) + rest
+        return ((up.symbol, 1),) + rest
     if k != preferred[a]:
-        return ((TreeGen(a, tree).symbol, 1),) + rest
+        return ((next(t.symbol for t in th.tree_gens if t.owner == a and t.tree == tree), 1),) + rest
     return tuple((t.symbol, -1) for t in th.tree_gens if t.owner == a) + rest
 
 
@@ -299,20 +296,24 @@ def _composed_sums(word, table):
 def _check_round_trips(gens, d):
     """Abelianized, symbols -> standard -> symbols is the identity, and
     standard -> symbols -> standard is the identity up to one value per
-    multiplier (a multiple of the product relation)."""
+    multiplier (a multiple of the product relation).  Only the non-zero
+    sums are read: a multiplier's generators share one value when none
+    of them has a non-zero sum, or all of them have the same one."""
     phi, psi = dict(d.to_standard), dict(d.from_standard)
     for sym, word in d.to_standard:
         back = _composed_sums(word, psi)
         back[sym] -= 1
         if any(back.values()):
             raise InvariantViolation("abelianized round trip on symbols is not the identity")
+    size, known = Counter(a for a, _ in gens), set(gens)
     for gen, word in d.from_standard:
         back = _composed_sums(word, phi)
         back[gen] -= 1
         residue = {}
-        for other in gens:
-            residue.setdefault(other[0], set()).add(back[other])
-        if any(len(vals) != 1 for vals in residue.values()):
+        for x, v in back.items():
+            if v and x in known:
+                residue.setdefault(x[0], []).append(v)
+        if any(len(vals) != size[a] or len(set(vals)) > 1 for a, vals in residue.items()):
             raise InvariantViolation(
                 "abelianized round trip on standard generators is not the identity "
                 "modulo the per-multiplier product relations"
@@ -322,13 +323,14 @@ def _check_round_trips(gens, d):
 def verify_relators_killed(g, th, d):
     """True iff the image of every relator of the outer quotient reduces
     to the empty word in the graphical group."""
-    table = dict(d.from_standard)
+    image = {}
+    for gen, word in d.from_standard:
+        image[gen, 1], image[gen, -1] = word, inverse(word)
     for relator in pso_presentation(g).relators:
-        image = []
-        for gen, exp in relator:
-            part = table[gen]
-            image.extend(part if exp == 1 else inverse(part))
-        if reduce(th.graph, tuple(image)):
+        word = []
+        for letter in relator:
+            word += image[letter]
+        if reduce(th.graph, tuple(word)):
             return False
     return True
 

@@ -18,7 +18,7 @@ letters over a graph with |V| vertices reduces in O(n * |V|) time.
 """
 
 from .errors import MalformedInput, admit
-from .graphs import complement_components, memoised
+from .graphs import component_table, memoised
 
 
 def inverse(word):
@@ -125,4 +125,4 @@ def reduce(g, word):
 @memoised
 def standard_generators(g):
     """All (multiplier, component) pairs, a tuple in lex order."""
-    return tuple((a, k) for a in sorted(g.vertices) for k in complement_components(g, a))
+    return tuple((a, k) for a, comps in component_table(g).items() for _, k in comps)

@@ -31,7 +31,6 @@ from raagbns.presentations import (
     GroupPresentation,
     TreeGen,
     _commutator,
-    _commuting_schema,
 )
 from raagbns.words import inverse, reduce, standard_generators
 
@@ -636,6 +635,17 @@ def plain_support_graph(g, a):
 
 def plain_standard_generators(g):
     return tuple((a, k) for a in sorted(g.vertices) for k in plain_complement_components(g, a))
+
+
+def _commuting_schema(g, x, y):
+    """The commutation rule on sets: partial conjugations x and y commute
+    in the automorphism group exactly when one of R1-R3 applies."""
+    (a, k), (b, l) = x, y
+    if a == b or g.adjacent(a, b):
+        return True
+    if not set(k) & set(l) and b not in k and a not in l:
+        return True
+    return set((a,) + k) <= set(l) or set((b,) + l) <= set(k)
 
 
 def plain_psa_presentation(g):

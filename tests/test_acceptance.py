@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import networkx as nx
 from oracles import (
+    _commuting_schema,
     arrangement_betti,
     automorphism_table,
     closure_normal_form,
@@ -45,7 +46,6 @@ from raagbns.linalg import QMatrix, Subspace
 from raagbns.presentations import (
     ObstructionVerdict,
     RaagVerdict,
-    _commuting_schema,
     classify_pso,
     verify_relators_killed,
 )

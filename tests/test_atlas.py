@@ -139,7 +139,10 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                 differ.append((sorted(g.edges), a))
         if is_raag:
             th = presentation_graph(g)
-            if th.graph.edges != pairwise_presentation_edges(g, th):
+            pairwise = SimpleGraph([r.symbol for r in th.records()], pairwise_presentation_edges(g, th))
+            if (th.graph.vertices, th.graph.edges, th.graph.neighbors) != (
+                pairwise.vertices, pairwise.edges, pairwise.neighbors
+            ):
                 differ.append((sorted(g.edges), "presentation graph"))
             for chosen in (th, presentation_graph(g, moved_basepoints(th))):
                 if generator_dictionary(g, chosen) != far_side_dictionary(g, chosen):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 from oracles import (
+    atlas,
     atlas_up_to_six,
     automorphism_table,
     dictionary_matrices,
@@ -230,6 +231,31 @@ def test_round_trip_check_catches_every_single_letter_corruption():
     assert corrupted == 3 * 30  # three corruptions of each of the 30 letters
 
 
+def test_round_trip_check_counts_an_untouched_generator_as_zero():
+    # b's star complement is {a}, {e}, {f}.  The preferred basepoint's
+    # generator x is in no symbol's word, so appending y's word to x's row
+    # leaves the symbol side whole; on the standard side x's sums over
+    # b's generators read -1 where the row reaches them and 0 at y, which
+    # the row no longer touches
+    g = SimpleGraph("abcdef", [("a", "c"), ("b", "c"), ("b", "d"), ("d", "f")])
+    th = presentation_graph(g)
+    d = generator_dictionary(g, th)
+    gens = standard_generators(g)
+    x = ("b", dict(th.preferred)["b"])
+    y = next(gen for gen in gens if gen[0] == "b" and gen != x)
+    psi = dict(d.from_standard)
+    rows = tuple((gen, word + psi[y] if gen == x else word) for gen, word in d.from_standard)
+    back = presentations._composed_sums(dict(rows)[x], dict(d.to_standard))
+    back[x] -= 1
+    assert len([gen for gen in gens if gen[0] == "b"]) == 3
+    assert {gen: v for gen, v in back.items() if gen[0] == "b" and v} == {
+        gen: -1 for gen in gens if gen[0] == "b" and gen != y
+    }
+    assert all(gen != x for _, word in d.to_standard for gen, _ in word)
+    with pytest.raises(InvariantViolation, match="round trip on standard generators"):
+        presentations._check_round_trips(gens, dataclasses.replace(d, from_standard=rows))
+
+
 def test_round_trip_check_catches_an_unreachable_symbol():
     # the standard side still round-trips; only symbols -> standard ->
     # symbols sees a symbol whose image does not come back
@@ -357,12 +383,20 @@ def test_k33_defining_graph_is_k33_again():
 
 
 def test_presentation_inputs_match_plain_bodies_on_atlas():
-    graphs = atlas_up_to_six()
-    assert len(graphs) == 208
+    graphs = atlas()
+    assert len(graphs) == 1252
     for g in graphs:
         for _ in range(2):  # the first call fills the memo, the second reads it
             assert standard_generators(g) == plain_standard_generators(g), g.edges
             assert psa_presentation(g) == plain_psa_presentation(g), g.edges
+
+
+def test_generators_that_print_alike_are_refused():
+    # the constructor takes labels with reserved characters, so z's
+    # components ("p", "q") and ("p,q",) both print as "p,q"
+    g = SimpleGraph(["p", "p,q", "q", "v", "x", "y", "z"], [("p", "q"), ("p", "v"), ("p,q", "y"), ("v", "z"), ("y", "z")])
+    with pytest.raises(MalformedInput, match="duplicate vertex labels"):
+        presentation_graph(g)
 
 
 def test_equal_graphs_do_not_share_presentations():

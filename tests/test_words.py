@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    _commuting_schema,
     apply_partial_conjugation,
     automorphism_table,
     closure_normal_form,
@@ -25,7 +26,6 @@ from test_acceptance import K33, atlas_graphs, cycle
 
 from raagbns.errors import CapExceeded
 from raagbns.graphs import SimpleGraph
-from raagbns.presentations import _commuting_schema
 from raagbns.words import format_word, inverse, parse_word, reduce, standard_generators
 
 FREE2 = SimpleGraph("ab", [])
