@@ -327,8 +327,17 @@ class SupportGraph:
 
 
 def support_graph(g, a):
-    edges = {(min(k, l), max(k, l)) for x, _, k, _, l in sil_rows(g) if x == a}
-    return SupportGraph(a, complement_components(g, a), tuple(sorted(edges)))
+    return SupportGraph(a, complement_components(g, a), _support_edges(g)[a])
+
+
+@memoised
+def _support_edges(g):
+    """A read-only map from each vertex to its support graph's edges, in
+    order, from one pass over the SIL table."""
+    edges = {a: set() for a in g.vertices}
+    for a, _, k, _, l in sil_rows(g):
+        edges[a].add((min(k, l), max(k, l)))
+    return MappingProxyType({a: tuple(sorted(e)) for a, e in edges.items()})
 
 
 @dataclass(frozen=True)

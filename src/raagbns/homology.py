@@ -7,12 +7,16 @@ degree one maps each subspace into the ambient space by inclusion.
 `arrangement_homology` is the entry point: block-line arrangements,
 every one built from a graph among them, take a closed form,
 b = (n - r, m - r, 0, ..., 0), every other one the full complex.
+`maximal_filter` reads the same line masks, worked out once per
+arrangement, and hands the kept ones on to the filtered arrangement.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import comb
+from operator import or_
 
 from .errors import InvariantViolation, MalformedInput, admit, enumeration_cap
 from .graphs import bits, component, neighbour_masks
@@ -51,6 +55,13 @@ class Arrangement:
                 vectors.append(vec)
             subs.append(Subspace(n, vectors))
         return cls(n, tuple(subs))
+
+    @cached_property
+    def lines(self):
+        """`_line_masks` of this arrangement, worked out once.
+        `maximal_filter` seeds it with the masks it keeps, whose bits may
+        number the lines in another order than a fresh pass would."""
+        return _line_masks(self)
 
     def to_json(self):
         return {
@@ -239,7 +250,7 @@ def arrangement_homology(a, cap=None):
     double count, the walk's dims against the sum over l, and, when
     every line is a unit or a difference (a graphic matroid), r against
     the graph rank: the used coordinates less the blocks with no unit."""
-    lines = _line_masks(a)
+    lines = a.lines
     if lines is None:
         c = build_chain_complex(a, cap)
         return c.dims, betti_numbers(c)
@@ -304,11 +315,38 @@ def _containing(masks):
 
 
 def maximal_filter(a):
-    """Drop duplicates and subspaces strictly contained in another."""
-    unique = list(dict.fromkeys(a.subspaces))
-    kept = tuple(
-        s
-        for s in unique
-        if not any(t is not s and subspace_leq(s, t) for t in unique)
-    )
-    return Arrangement(a.ambient_dim, kept)
+    """Drop duplicates and subspaces strictly contained in another,
+    keeping the first copy of each subspace left, in the input order.
+
+    A block-line arrangement is filtered on its line masks: V_i lies in
+    V_j exactly when mask i is a subset of mask j.  Each stored row lies
+    in one block, V_j is the direct sum of its rows' lines, at most one
+    in each block, and a stored row names its line, so a row of V_i lies
+    in V_j exactly when V_j stores that very row.  Equal masks are
+    therefore equal subspaces.  No line is dropped, since every dropped
+    mask lies inside a kept one, so the filtered arrangement takes over
+    the kept masks, the lines and their graph rank; that the kept masks
+    still hold every line is checked.  Any other arrangement is filtered
+    by `subspace_leq` on every pair."""
+    if a.lines is None:
+        unique = list(dict.fromkeys(a.subspaces))
+        kept = tuple(s for s in unique if not any(t is not s and subspace_leq(s, t) for t in unique))
+        return Arrangement(a.ambient_dim, kept)
+    masks, supports, graph_rank = a.lines
+    keep = _maximal_masks(masks)
+    kept = [masks[i] for i in keep]
+    if reduce(or_, kept, 0) != reduce(or_, masks, 0):
+        raise InvariantViolation(
+            f"filtering {len(masks)} block-line subspaces of Q^{a.ambient_dim} to {len(kept)} lost a line"
+        )
+    out = Arrangement(a.ambient_dim, tuple(a.subspaces[i] for i in keep))
+    out.__dict__["lines"] = kept, supports, graph_rank  # seeds the cached property
+    return out
+
+
+def _maximal_masks(masks):
+    """The index of the first mask equal to each maximal mask, in order."""
+    first = {}
+    for i, m in enumerate(masks):
+        first.setdefault(m, i)
+    return [i for m, i in first.items() if not any(m != o and m & o == m for o in first)]

@@ -67,10 +67,11 @@ def _commutator(x, y):
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 
 
-def psa_presentation(g):
-    """R1-R3 for each pair of generators in order, tested on masks (a's
-    bit, K's mask and a's neighbours' mask for generator (a, K)), then R4
-    for each SIL row; no two pairs or rows give one relator."""
+def _psa_relators(g):
+    """(generators, relator list): R1-R3 for each pair of generators in
+    order, tested on masks (a's bit, K's mask and a's neighbours' mask for
+    generator (a, K)), then R4 for each SIL row; no two pairs or rows give
+    one relator."""
     gens = standard_generators(g)
     labels, masks = vertex_masks(g)
     table = component_table(g)
@@ -88,16 +89,21 @@ def psa_presentation(g):
             ((a, k), 1), ((a, l), 1), ((b, l), 1),
             ((a, l), -1), ((a, k), -1), ((b, l), -1),
         ))
+    return gens, relators
+
+
+def psa_presentation(g):
+    gens, relators = _psa_relators(g)
     return GroupPresentation(gens, tuple(relators), "psa")
 
 
 def pso_presentation(g):
-    base = psa_presentation(g)
-    relators = list(base.relators)
+    """The PSA relators and R5, validated once, as one presentation."""
+    gens, relators = _psa_relators(g)
     for a, comps in component_table(g).items():
         if comps:
             relators.append(tuple(((a, k), 1) for _, k in comps))
-    return GroupPresentation(base.generators, tuple(relators), "pso")
+    return GroupPresentation(gens, tuple(relators), "pso")
 
 
 @dataclass(frozen=True)

@@ -1135,3 +1135,9 @@ def maximal_filter(subspaces):
         if s not in unique:
             unique.append(s)
     return [s for s in unique if not any(t is not s and subspace_leq(s, t) for t in unique)]
+
+
+def maximal_filter_bases(a):
+    """The RREF bases of the subspaces of the raagbns arrangement a that
+    maximal_filter above keeps, in its order."""
+    return [s.basis for s in maximal_filter([Subspace(s.ambient_dim, s.basis) for s in a.subspaces])]

@@ -11,14 +11,18 @@ commutation test over every pair of records, and a flood fill per edge
 for its far side.  The dictionary is compared at the default basepoints
 and with every owner's basepoints moved.  Every RAAG, PSA and PSO
 arrangement, raw and maximal-filtered, is block-line and has its closed
-form compared with the full chain complex.  The sweep is never sampled.
+form compared with the full chain complex, and its line-mask filter with
+the pairwise containment oracle.  The sweep is never sampled.
 
 The paper's theorem holds as exact Betti identities (Day and Wade,
 arXiv 1508.00622; Meier and VanWyk, Proc. LMS 71, 1995, for the RAAG
 side): the delta-p-set pairs of each multiplier a are the edges of its
 support graph Θ_a, the filtered PSO arrangement has
 b = (Σ_a (#trees(Θ_a) - 1), Σ_a cycle rank(Θ_a), 0, ...), and no side
-has homology above degree one.
+has homology above degree one.  On the PSA side, b_1 is the cycle rank
+of the graph on each multiplier's components and a ground node, with an
+edge per unit or difference line (the lines form a graphic matroid;
+Oxley, Matroid Theory).
 
 Two identities from the naturality of Σ¹ tie the enumeration to the
 presentation graph and its dictionary: on the forest side the PSO
@@ -38,6 +42,7 @@ from oracles import (
     commutation_graph,
     coordinate_supports,
     far_side_dictionary,
+    maximal_filter_bases,
     pairwise_presentation_edges,
     plain_support_graph,
     pulled_back_raag_arrangement,
@@ -108,6 +113,22 @@ def theorem_defects(g, thetas, pso_betti):
     return defects
 
 
+def line_graph_cycle_rank(a):
+    """The cycle rank of the graph with a node per coordinate of a (each
+    multiplier's components, on a PSA arrangement) and a ground node, and
+    an edge per distinct stored row: a unit row joins its coordinate to
+    the ground, a difference row its two coordinates.  None if some row is
+    neither.  Computed with networkx."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from([*range(a.ambient_dim), "ground"])
+    for row in {row for s in a.subspaces for row in s.rows}:
+        support = {c: x for c, x in enumerate(row) if x}
+        if sorted(support.values()) not in ([1], [-1, 1]):
+            return None
+        nxg.add_edge(*(support if len(support) == 2 else [*support, "ground"]))
+    return nxg.number_of_edges() - nxg.number_of_nodes() + nx.number_connected_components(nxg)
+
+
 @pytest.fixture(scope="module")
 def graphs_by_size():
     out = {}
@@ -148,7 +169,12 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                 if generator_dictionary(g, chosen) != far_side_dictionary(g, chosen):
                     differ.append((sorted(g.edges), "dictionary", chosen.preferred))
         for side, arr in (("raag", raag_arrangement(g)), ("psa", psa_arrangement(g)), ("pso", pso_arrangement(g)[1])):
-            for a in (arr, maximal_filter(arr)):
+            kept = maximal_filter(arr)
+            if [s.basis for s in kept.subspaces] != maximal_filter_bases(arr):
+                differ.append((sorted(g.edges), side, "filter"))
+            if side == "psa" and (arrangement_homology(kept)[1].betti + (0,))[1] != line_graph_cycle_rank(kept):
+                differ.append((sorted(g.edges), side, "cycle rank"))
+            for a in (arr, kept):
                 coordinate += coordinate_supports(a) is not None
                 block_line += _line_masks(a) is not None
                 c = build_chain_complex(a)

@@ -123,6 +123,22 @@ def test_homology_raw_on_sixteen_copies_of_a_line_off_the_axes(capsys, tmp_path)
     assert report["betti"] == [1] + [0] * 16
 
 
+# a plane, a unit line in it twice, the z-axis and a last line in the plane:
+# the filter keeps the plane and the z-axis either way.  With the y-axis
+# last the file is block-line and is filtered on its line masks; with
+# (1, 1, 0) last the plane holds two rows of one block, so the file is
+# filtered pair by pair and is block-line only once filtered
+@pytest.mark.parametrize("last", [[0, 1, 0], [1, 1, 0]])
+def test_homology_filters_a_plane_and_the_lines_inside_it(capsys, tmp_path, last):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "subspaces": [
+        [[1, 0, 0], [0, 1, 0]], [[1, 0, 0]], [[1, 0, 0]], [[0, 0, 1]], [last],
+    ]}))
+    code, report = run(capsys, "homology", str(path))
+    assert code == 0
+    assert (report["dims"], report["betti"]) == ([3, 3], [0, 0])
+
+
 @pytest.mark.parametrize("raw", [[], ["--raw"]])
 def test_homology_work_grows_with_the_rows_not_the_ambient_dimension(capsys, tmp_path, raw):
     path = tmp_path / "huge.json"

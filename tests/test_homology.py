@@ -260,6 +260,54 @@ def test_block_line_refusals_match_the_full_complex(a):
             assert refusal(arrangement_homology, kept, cap) == refusal(build_chain_complex, kept, cap)
 
 
+@given(block_arrangements())
+@settings(max_examples=150, deadline=None)
+def test_block_line_filter_matches_the_pairwise_oracle(a):
+    # the masks the filtered arrangement takes over give the homology a
+    # fresh arrangement of the same subspaces works out for itself
+    kept = maximal_filter(a)
+    assert [s.basis for s in kept.subspaces] == oracles.maximal_filter_bases(a)
+    fresh = Arrangement(kept.ambient_dim, kept.subspaces)
+    assert "lines" in vars(kept) and "lines" not in vars(fresh)
+    assert arrangement_homology(kept) == arrangement_homology(fresh)
+
+
+def test_an_arrangement_block_line_only_once_filtered_finds_its_own_masks():
+    # the plane <x, y> holds two rows of the block {x, y} that the line
+    # x + y makes, so the raw arrangement is filtered pair by pair; the
+    # plane and the z-axis left are block-line
+    a = Arrangement(3, (sub(3, X, Y), sub(3, X), sub(3, X), sub(3, Z), sub(3, (1, 1, 0))))
+    assert a.lines is None
+    kept = maximal_filter(a)
+    assert kept.subspaces == (sub(3, X, Y), sub(3, Z)) and "lines" not in vars(kept)
+    assert arrangement_homology(kept) == general_homology(kept) == ((3, 3), homology.BettiProfile((0, 0), 0))
+    assert kept.lines is not None
+
+
+def coordinate_planes(*pairs):
+    return Arrangement(3, tuple(coordinate_subspace(3, pair) for pair in pairs))
+
+
+def test_a_filter_dropping_both_copies_of_a_duplicate_fails_the_oracle(monkeypatch):
+    # planted fault: masks that occur twice are all dropped.  The other
+    # two planes still hold every line, so only the oracle sees it
+    a = coordinate_planes((0, 1), (1, 2), (0, 2), (0, 2))
+    assert [s.basis for s in maximal_filter(a).subspaces] == oracles.maximal_filter_bases(a)
+    real = homology._maximal_masks
+    monkeypatch.setattr(homology, "_maximal_masks", lambda masks: [i for i in real(masks) if masks.count(masks[i]) == 1])
+    assert len(maximal_filter(a).subspaces) == 2
+    assert [s.basis for s in maximal_filter(a).subspaces] != oracles.maximal_filter_bases(a)
+
+
+def test_kept_masks_that_lose_a_line_are_refused(monkeypatch):
+    # planted fault: the last maximal mask dropped loses the line z
+    a = coordinate_planes((0, 1), (0,), (2,))
+    real = homology._maximal_masks
+    monkeypatch.setattr(homology, "_maximal_masks", lambda masks: real(masks)[:-1])
+    with pytest.raises(InvariantViolation, match="lost a line"):
+        maximal_filter(a)
+
+
 def test_non_block_line_arrangements_take_the_full_complex():
     # three lines in Q^2 are block-line; a plane and a line inside it put
     # two rows of one subspace in one block
@@ -444,7 +492,6 @@ def test_complex_and_filter_match_fraction_oracle(a, data):
         padded += [victim, Subspace(a.ambient_dim, [line])]
     a = Arrangement(a.ambient_dim, tuple(padded))
     kept = maximal_filter(a)
-    expected = oracles.maximal_filter([oracles.Subspace(s.ambient_dim, s.basis) for s in a.subspaces])
-    assert [s.basis for s in kept.subspaces] == [o.basis for o in expected]
+    assert [s.basis for s in kept.subspaces] == oracles.maximal_filter_bases(a)
     for arr in (a, kept):
         assert_matches_dense_oracle(arr)  # dims, boundaries up to scale, Betti numbers

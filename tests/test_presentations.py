@@ -98,6 +98,25 @@ def test_pso_path_product_relators_skip_the_star_vertex():
     assert products == [((gen("a", "b"), 1),), ((gen("b", "a"), 1),)]
 
 
+def test_pso_presentation_validates_each_relator_once(monkeypatch):
+    # the PSA relators and R5 go into one presentation, checked once
+    built = []
+    real = presentations.GroupPresentation.__post_init__
+    monkeypatch.setattr(presentations.GroupPresentation, "__post_init__", lambda p: built.append(p.kind) or real(p))
+    pso_presentation(F3)
+    assert built == ["pso"]
+
+
+def test_an_r5_relator_with_an_undeclared_generator_is_refused(monkeypatch):
+    # planted fault: edgeless(2) has no PSA relators, so with its last
+    # generator left undeclared only an R5 relator names it
+    real = presentations.standard_generators
+    monkeypatch.setattr(presentations, "standard_generators", lambda g: real(g)[:-1])
+    assert psa_presentation(edgeless(2)).relators == ()
+    with pytest.raises(InvariantViolation, match="relator uses undeclared generator"):
+        pso_presentation(edgeless(2))
+
+
 def test_raag_presentation():
     p = raag_presentation(PATH3)
     assert p.kind == "raag"
