@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, admit
-from .graphs import bits, complement_components, component, members_of, memoised, neighbour_masks, sil_rows, vertex_masks
+from .graphs import bits, complement_components, component, members_of, neighbour_masks
 from .homology import Arrangement, arrangement_homology, maximal_filter
 from .linalg import Subspace, intersect
 from .words import standard_generators
@@ -41,7 +41,7 @@ def maximal_disconnected_subsets(g, cap=None):
     """All vertex subsets inducing a disconnected subgraph and maximal
     with that property.  A subset fails maximality iff some single added
     vertex keeps it disconnected."""
-    vs, adjacency = vertex_masks(g)
+    vs, adjacency = g.masks
     n = len(vs)
     admit(2 ** n, cap, f"disconnected-subset enumeration over {n} vertices would scan {2 ** n} subsets")
     disconnected = {s for s in range(1 << n) if component(s & -s, s, adjacency) != s}
@@ -112,13 +112,16 @@ def _choice_tree_size(options):
 def _maximal_valid(g, arity, cross_ok, name, cap):
     """(members, witness) of every inclusion-maximal valid set among the
     choice tree's leaves, sorted by members.  The tree's size is admitted
-    against `cap` on every call; the sets are found once per graph."""
+    against `cap` on every call; the sets are found once per graph and
+    kept in g's instance dict under `name`, one key per family."""
     nodes = _choice_tree_size(_per_multiplier_options(g, arity))
     admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
-    return _maximal_sets(g, frozenset(arity), cross_ok)
+    store = vars(g)
+    if name not in store:
+        store[name] = _maximal_sets(g, arity, cross_ok)
+    return store[name]
 
 
-@memoised
 def _maximal_sets(g, arity, cross_ok):
     """The enumeration behind `_maximal_valid`, in time that follows the
     output rather than the choice tree.
@@ -379,4 +382,4 @@ def euler_report(g, cap=None):
 
 
 def has_sil(g):
-    return bool(sil_rows(g))
+    return bool(g.sil_rows)

@@ -4,12 +4,13 @@ dominating/subordinate/shared classification for a nonadjacent pair
 (an SIL-pair is one with a shared component), and per-vertex support
 graphs with forest or shortest-loop certificates.
 
-Each graph memoises one component table, `component_table`: for each
-sorted vertex, its star-complement components as (mask, members) pairs
-in lex order, a mask numbering the sorted vertices by position.
+A graph keeps the tables derived from it as cached attributes, found
+on first read.  `g.component_table` maps each sorted vertex to its
+star-complement components as (mask, members) pairs in lex order, a
+mask numbering the sorted vertices by position;
 `complement_components` and the standard generators read it.
 
-`sil_rows`, the SIL table, has a row (a, b, K_a, K_b, L) per ordered
+`g.sil_rows`, the SIL table, has a row (a, b, K_a, K_b, L) per ordered
 nonadjacent pair and component L they share, K_a being the component
 of a's star complement holding b.  It is built from the masks alone,
 and the support graphs, `has_sil`, the R4 relators and the outer
@@ -22,10 +23,10 @@ A "component" is represented throughout as a sorted tuple of vertex
 labels; all sequences of components are ordered lexicographically.
 """
 
-import functools
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import MalformedInput
@@ -51,13 +52,13 @@ def _checked_labels(labels):
 class SimpleGraph:
     """Undirected simple graph with string vertex labels; `neighbors` maps
     each vertex to the frozenset of vertices adjacent to it.  A graph is
-    never changed after it is built, so `_memo` holds what the
-    `memoised` functions computed from it: the vertex masks, the
-    component table, the SIL table, the standard generators and the
-    maximal (Δ-)p-sets.  Each is an immutable value that every caller
-    shares."""
+    never changed after it is built, so its instance dict is the one
+    store of what is derived from it: the cached attributes `masks`,
+    `component_table`, `sil_rows` and `support_edges`, and the maximal
+    (Δ-)p-sets that `bns` keeps there.  Each is an immutable value that
+    every reader shares, and a read that raises stores nothing."""
 
-    __slots__ = ("vertices", "edges", "neighbors", "_memo")
+    __slots__ = ("vertices", "edges", "neighbors", "__dict__")
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
@@ -78,14 +79,13 @@ class SimpleGraph:
         self.vertices = vertices
         self.edges = frozenset(canon)
         self.neighbors = {v: frozenset(s) for v, s in adj.items()}
-        self._memo = {}
 
     @classmethod
     def _trusted(cls, vertices, neighbors):
         """The graph on these vertices with these neighbour frozensets,
         taken as given: nothing checks that they are symmetric and loop-free."""
         g = cls.__new__(cls)
-        g.vertices, g.neighbors, g._memo = tuple(vertices), neighbors, {}
+        g.vertices, g.neighbors = tuple(vertices), neighbors
         g.edges = frozenset((u, w) for u in g.vertices for w in neighbors[u] if u < w)
         return g
 
@@ -154,21 +154,58 @@ class SimpleGraph:
     def __repr__(self):
         return f"SimpleGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
+    @cached_property
+    def masks(self):
+        """The sorted labels, and a read-only map from each one's bit to
+        its neighbours' bits."""
+        labels = tuple(sorted(self.vertices))
+        return labels, MappingProxyType(neighbour_masks(labels, self.edges))
 
-def memoised(fn):
-    """Compute fn(g, *args) once per graph object and keep it in g's memo.
-    Every caller gets the same value, so it must be immutable: tuples,
-    frozen dataclasses, read-only maps."""
+    @cached_property
+    def component_table(self):
+        """A read-only map from each sorted vertex a to the components of
+        the graph minus the closed star of a, as (mask, members) pairs in
+        lex order."""
+        labels, masks = self.masks
+        full = (1 << len(labels)) - 1
+        return MappingProxyType({
+            a: tuple(_split(labels, full & ~(1 << i) & ~masks[1 << i], masks)) for i, a in enumerate(labels)
+        })
 
-    @functools.wraps(fn)
-    def cached(g, *args):
-        key = (fn, args)
-        value = g._memo.get(key)
-        if value is None:
-            value = g._memo[key] = fn(g, *args)
-        return value
+    @cached_property
+    def sil_rows(self):
+        """The SIL table, in (a, b) label order, then in a's component
+        order, read off the component table's masks.  For a nonadjacent
+        pair (a, b), K_a is a's component whose mask holds b's bit, and
+        the shared components are the masks both sides list.  They are
+        the same for (a, b) and (b, a), so each unordered pair is taken
+        once and gives the rows of both orders; sorting the rows puts
+        them in table order."""
+        labels, masks = self.masks
+        table = self.component_table
+        rows = []
+        for i, a in enumerate(labels):
+            comps_a = table[a]
+            for j in range(i + 1, len(labels)):
+                if masks[1 << i] >> j & 1:
+                    continue
+                b, comps_b = labels[j], table[labels[j]]
+                dom_a = next(k for s, k in comps_a if s >> j & 1)
+                dom_b = next(k for s, k in comps_b if s >> i & 1)
+                common = {s for s, _ in comps_b}
+                for s, l in comps_a:
+                    if s in common:
+                        rows += ((a, b, dom_a, dom_b, l), (b, a, dom_b, dom_a, l))
+        return tuple(sorted(rows))
 
-    return cached
+    @cached_property
+    def support_edges(self):
+        """A read-only map from each vertex to its support graph's edges,
+        in order, from one pass over the SIL table."""
+        edges = {a: set() for a in self.vertices}
+        for a, _, k, _, l in self.sil_rows:
+            edges[a].add((min(k, l), max(k, l)))
+        return MappingProxyType({a: tuple(sorted(e)) for a, e in edges.items()})
 
 
 def bits(s):
@@ -227,33 +264,12 @@ def _split(members, s, neighbours):
     return out
 
 
-@memoised
-def vertex_masks(g):
-    """The sorted labels, and a read-only map from each one's bit to its
-    neighbours' bits."""
-    labels = tuple(sorted(g.vertices))
-    return labels, MappingProxyType(neighbour_masks(labels, g.edges))
-
-
-@memoised
-def component_table(g):
-    """A read-only map from each sorted vertex a to the components of the
-    graph minus the closed star of a, as (mask, members) pairs in lex
-    order."""
-    labels, masks = vertex_masks(g)
-    full = (1 << len(labels)) - 1
-    return MappingProxyType({
-        a: tuple(_split(labels, full & ~(1 << i) & ~masks[1 << i], masks)) for i, a in enumerate(labels)
-    })
-
-
-@memoised
 def complement_components(g, a):
     """Components of the graph minus the closed star of a, a tuple in lex
     order."""
     if not g.has_vertex(a):
         raise MalformedInput(f"unknown vertex {a!r}")
-    return tuple(k for _, k in component_table(g)[a])
+    return tuple(k for _, k in g.component_table[a])
 
 
 @dataclass(frozen=True)
@@ -289,32 +305,6 @@ def classify_pair(g, a, b):
     return PairClassification(a, b, dom_a, dom_b, sub_a, sub_b, shared)
 
 
-@memoised
-def sil_rows(g):
-    """The SIL table, in (a, b) label order, then in a's component order,
-    read off the component table's masks.  For a nonadjacent pair (a, b),
-    K_a is a's component whose mask holds b's bit, and the shared
-    components are the masks both sides list.  They are the same for
-    (a, b) and (b, a), so each unordered pair is taken once and gives the
-    rows of both orders; sorting the rows puts them in table order."""
-    labels, masks = vertex_masks(g)
-    table = component_table(g)
-    rows = []
-    for i, a in enumerate(labels):
-        comps_a = table[a]
-        for j in range(i + 1, len(labels)):
-            if masks[1 << i] >> j & 1:
-                continue
-            b, comps_b = labels[j], table[labels[j]]
-            dom_a = next(k for s, k in comps_a if s >> j & 1)
-            dom_b = next(k for s, k in comps_b if s >> i & 1)
-            common = {s for s, _ in comps_b}
-            for s, l in comps_a:
-                if s in common:
-                    rows += ((a, b, dom_a, dom_b, l), (b, a, dom_b, dom_a, l))
-    return tuple(sorted(rows))
-
-
 @dataclass(frozen=True)
 class SupportGraph:
     """Per-vertex graph: one node per component of the star complement of
@@ -327,17 +317,7 @@ class SupportGraph:
 
 
 def support_graph(g, a):
-    return SupportGraph(a, complement_components(g, a), _support_edges(g)[a])
-
-
-@memoised
-def _support_edges(g):
-    """A read-only map from each vertex to its support graph's edges, in
-    order, from one pass over the SIL table."""
-    edges = {a: set() for a in g.vertices}
-    for a, _, k, _, l in sil_rows(g):
-        edges[a].add((min(k, l), max(k, l)))
-    return MappingProxyType({a: tuple(sorted(e)) for a, e in edges.items()})
+    return SupportGraph(a, complement_components(g, a), g.support_edges[a])
 
 
 @dataclass(frozen=True)

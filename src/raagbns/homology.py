@@ -309,9 +309,13 @@ def _line_masks(a):
 
 
 def _containing(masks):
-    """The non-zero |T_l|, how many masks have bit l, for l up to the top
-    bit of the largest mask: T_l is empty for every other bit."""
-    return [x for c in range(max(masks, default=0).bit_length()) if (x := sum(m >> c & 1 for m in masks))]
+    """The non-zero |T_l|, how many masks have bit l, counted in one pass
+    over each mask's set bits."""
+    count = {}
+    for m in masks:
+        for b in bits(m):
+            count[b] = count.get(b, 0) + 1
+    return list(count.values())
 
 
 def maximal_filter(a):

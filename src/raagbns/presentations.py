@@ -28,11 +28,8 @@ from .graphs import (
     LoopWitness,
     SimpleGraph,
     center_rank,
-    component_table,
     forest_certificate,
-    sil_rows,
     support_graph,
-    vertex_masks,
 )
 from .words import inverse, reduce, standard_generators
 
@@ -73,8 +70,8 @@ def _psa_relators(g):
     generator (a, K)), then R4 for each SIL row; no two pairs or rows give
     one relator."""
     gens = standard_generators(g)
-    labels, masks = vertex_masks(g)
-    table = component_table(g)
+    labels, masks = g.masks
+    table = g.component_table
     keys = [(1 << i, s, masks[1 << i]) for i, a in enumerate(labels) for s, _ in table[a]]
     relators = []
     for i, (p, k, adj) in enumerate(keys):
@@ -84,7 +81,7 @@ def _psa_relators(g):
                     or not (k & l or q & k or p & l)  # R2
                     or not (p | k) & ~l or not (q | l) & ~k):  # R3
                 relators.append(_commutator(gens[i], gens[j]))
-    for a, b, k, _, l in sil_rows(g):
+    for a, b, k, _, l in g.sil_rows:
         relators.append((
             ((a, k), 1), ((a, l), 1), ((b, l), 1),
             ((a, l), -1), ((a, k), -1), ((b, l), -1),
@@ -100,7 +97,7 @@ def psa_presentation(g):
 def pso_presentation(g):
     """The PSA relators and R5, validated once, as one presentation."""
     gens, relators = _psa_relators(g)
-    for a, comps in component_table(g).items():
+    for a, comps in g.component_table.items():
         if comps:
             relators.append(tuple(((a, k), 1) for _, k in comps))
     return GroupPresentation(gens, tuple(relators), "pso")
@@ -207,7 +204,7 @@ def presentation_graph(g, basepoints=None):
     # edge {K_b, L}; the rows come in both orders, so `apart` is symmetric
     symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
     apart = {}
-    for a, b, ka, kb, l in sil_rows(g):
+    for a, b, ka, kb, l in g.sil_rows:
         x = symbol[a, (min(ka, l), max(ka, l))]
         apart.setdefault(x, []).append(symbol[b, (min(kb, l), max(kb, l))])
     symbols = [r.symbol for r in tree_gens + edge_gens]

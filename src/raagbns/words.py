@@ -18,7 +18,6 @@ letters over a graph with |V| vertices reduces in O(n * |V|) time.
 """
 
 from .errors import MalformedInput, admit
-from .graphs import component_table, memoised
 
 
 def inverse(word):
@@ -122,7 +121,6 @@ def reduce(g, word):
     return _lex_shuffle(g.neighbors, letters)
 
 
-@memoised
 def standard_generators(g):
     """All (multiplier, component) pairs, a tuple in lex order."""
-    return tuple((a, k) for a, comps in component_table(g).items() for _, k in comps)
+    return tuple((a, k) for a, comps in g.component_table.items() for _, k in comps)

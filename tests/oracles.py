@@ -586,9 +586,9 @@ def support_components(d):
 
 
 # The per-graph functions of graphs, words and presentations written
-# from the definitions with networkx, without the memo or the SIL table:
-# the differential oracle of the memoised values (immutable tuples) and
-# of the functions built on them.
+# from the definitions with networkx, without the cached tables or the
+# SIL table: the differential oracle of the tables each graph keeps
+# (immutable tuples) and of the functions built on them.
 
 
 def plain_complement_components(g, a):

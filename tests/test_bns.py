@@ -246,7 +246,7 @@ def test_cap_boundary_matches_walk(arity, cross_ok, fast):
 
 
 @pytest.mark.parametrize("arity, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
-def test_memoised_enumeration_still_admits_each_call(arity, cross_ok, fast):
+def test_stored_enumeration_still_admits_each_call(arity, cross_ok, fast):
     g = edgeless(5)
     count = _choice_tree_size(_per_multiplier_options(g, arity))
     found = fast(g, cap=count)

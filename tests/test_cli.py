@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from raagbns import bns, cli
 from raagbns.cli import main
-from raagbns.graphs import SimpleGraph, memoised
+from raagbns.graphs import SimpleGraph
 
 
 @pytest.fixture
@@ -585,13 +585,13 @@ def test_runs_without_click():
 
 def test_corpus_enumerates_delta_psets_once_per_graph(capsys, tmp_path, monkeypatch):
     calls = []
-    body = bns._maximal_sets.__wrapped__
+    body = bns._maximal_sets
 
     def counted(g, *args):
         calls.append(args)
         return body(g, *args)
 
-    monkeypatch.setattr(bns, "_maximal_sets", memoised(counted))
+    monkeypatch.setattr(bns, "_maximal_sets", counted)
     corpus = tmp_path / "graphs"
     corpus.mkdir()
     (corpus / "f5.json").write_text(json.dumps({"vertices": list("abcde"), "edges": []}))

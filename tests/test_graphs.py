@@ -21,8 +21,8 @@ from oracles import (
 )
 
 from raagbns import cli
-from raagbns.bns import has_sil
-from raagbns.errors import MalformedInput
+from raagbns.bns import has_sil, maximal_delta_psets
+from raagbns.errors import CapExceeded, MalformedInput
 from raagbns.graphs import (
     ForestData,
     LoopWitness,
@@ -34,7 +34,6 @@ from raagbns.graphs import (
     complement_components,
     forest_certificate,
     neighbour_masks,
-    sil_rows,
     support_graph,
 )
 
@@ -334,8 +333,8 @@ def test_graph_functions_match_plain_bodies_on_atlas():
     graphs = atlas_up_to_six()
     assert len(graphs) == 208
     for g in graphs:
-        for _ in range(2):  # the first call fills the memo, the second reads it
-            assert sil_rows(g) == plain_sil_rows(g), g.edges
+        for _ in range(2):  # the first read fills the cached tables, the second reads them
+            assert g.sil_rows == plain_sil_rows(g), g.edges
             for a in g.vertices:
                 assert complement_components(g, a) == plain_complement_components(g, a), (g.edges, a)
                 assert support_graph(g, a) == plain_support_graph(g, a), (g.edges, a)
@@ -345,7 +344,7 @@ def test_graph_functions_match_plain_bodies_on_atlas():
 
 
 def mutable_parts(value):
-    """The lists, dicts and sets anywhere inside a memoised value:
+    """The lists, dicts and sets anywhere inside a stored value:
     tuples, frozensets, frozen dataclasses and read-only maps are walked."""
     if isinstance(value, (list, dict, set)):
         return [value]
@@ -362,19 +361,19 @@ def test_memo_holds_only_immutable_values_after_corpus_checks(monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 8))  # edgeless(6)'s choice tree is past the default
     for g in atlas_up_to_six():
         cli._corpus_checks(g)
-        assert g._memo
-        for key, value in g._memo.items():
-            assert not mutable_parts(value), (g.edges, key[0].__name__)
+        assert set(vars(g)) == {"masks", "component_table", "sil_rows", "support_edges", "p-set", "delta-p-set"}
+        for key, value in vars(g).items():
+            assert not mutable_parts(value), (g.edges, key)
 
 
 def test_equal_graphs_do_not_share_memo_entries():
     g1, g2 = edgeless(3), edgeless(3)
     assert g1 == g2 and g1 is not g2
-    rows = sil_rows(g1)
-    assert rows and sil_rows(g1) is rows
-    assert g2._memo == {}
-    assert sil_rows(g2) == rows
-    assert sil_rows(g2) is not rows
+    rows = g1.sil_rows
+    assert rows and g1.sil_rows is rows
+    assert vars(g2) == {}
+    assert g2.sil_rows == rows
+    assert g2.sil_rows is not rows
 
 
 def test_sil_rows_read_masks_without_classify_pair_on_atlas(monkeypatch):
@@ -385,7 +384,7 @@ def test_sil_rows_read_masks_without_classify_pair_on_atlas(monkeypatch):
     graphs = atlas()
     assert len(graphs) == 1252
     for g in graphs:
-        assert sil_rows(g) == plain_sil_rows(g), g.edges
+        assert g.sil_rows == plain_sil_rows(g), g.edges
 
 
 def test_memo_keeps_no_failed_call():
@@ -395,4 +394,14 @@ def test_memo_keeps_no_failed_call():
             classify_pair(g, "a", "b")
         with pytest.raises(MalformedInput):
             complement_components(g, "z")
-    assert g._memo == {}
+    assert vars(g) == {}
+    # a cached table whose build raises stores nothing: c names no vertex
+    trusted = SimpleGraph._trusted("ab", {"a": frozenset("c"), "b": frozenset()})
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            trusted.component_table
+    assert vars(trusted) == {}
+    # a refused enumeration stores no Δ-p-sets, only the table it read
+    with pytest.raises(CapExceeded):
+        maximal_delta_psets(g, cap=1)
+    assert set(vars(g)) == {"masks", "component_table"}

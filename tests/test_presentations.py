@@ -405,7 +405,7 @@ def test_presentation_inputs_match_plain_bodies_on_atlas():
     graphs = atlas()
     assert len(graphs) == 1252
     for g in graphs:
-        for _ in range(2):  # the first call fills the memo, the second reads it
+        for _ in range(2):  # the first read fills the cached tables, the second reads them
             assert standard_generators(g) == plain_standard_generators(g), g.edges
             assert psa_presentation(g) == plain_psa_presentation(g), g.edges
 
@@ -421,6 +421,16 @@ def test_generators_that_print_alike_are_refused():
 def test_equal_graphs_do_not_share_presentations():
     g1, g2 = edgeless(3), edgeless(3)
     gens = standard_generators(g1)
-    assert standard_generators(g1) is gens
+    assert "component_table" in vars(g1) and vars(g2) == {}
     assert standard_generators(g2) == gens
-    assert standard_generators(g2) is not gens
+    assert g2.component_table is not g1.component_table
+
+
+def test_trusted_defining_graph_builds_its_own_tables():
+    g = edgeless(3)
+    d = presentation_graph(g).graph
+    assert vars(d) == {}
+    plain = SimpleGraph(d.vertices, d.edges)
+    assert d.component_table == plain.component_table and d.sil_rows == plain.sil_rows
+    assert d.sil_rows and d.component_table is not g.component_table
+    assert set(vars(d)) == {"masks", "component_table", "sil_rows"}
