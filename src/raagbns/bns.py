@@ -10,10 +10,13 @@ subspaces, maximal delta-p-sets contribute difference subspaces, and the
 outer quotient lives in the subspace W where each multiplier's
 coordinates sum to zero.
 
-Every subspace is written down in stored form, with no elimination: its
-rows are units e_K and differences e_K - e_L, K < L, with disjoint
-supports and pivot entry 1.  So every arrangement here is block-line,
-with b = (n - r, m - r, 0, ...) for its m lines of rank r in Q^n.
+Every subspace is handed to `homology.line_arrangement` as its lines,
+with no elimination: its rows are units e_K and differences e_K - e_L,
+K < L, as {coordinate: entry} maps with disjoint supports and pivot
+entry 1.  So every arrangement here is block-line, with
+b = (n - r, m - r, 0, ...) for its m lines of rank r in Q^n, and its
+line masks come from the maps, not from the dense rows.  The witness
+meets no subspaces: two delta-subspaces meet in the lines they share.
 """
 
 import itertools
@@ -22,19 +25,14 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, admit
 from .graphs import bits, complement_components, component, members_of, neighbour_masks
-from .homology import Arrangement, arrangement_homology, maximal_filter
-from .linalg import Subspace, intersect
+from .homology import arrangement_homology, line_arrangement, maximal_filter
+from .linalg import Subspace
 from .words import standard_generators
 
 
 def generator_symbol(gen):
     a, comp = gen
     return f"{a}[{','.join(comp)}]"
-
-
-def _row(n, plus, minus=None):
-    """e_plus, or e_plus - e_minus, in Q^n."""
-    return [1 if c == plus else -1 if c == minus else 0 for c in range(n)]
 
 
 def maximal_disconnected_subsets(g, cap=None):
@@ -54,9 +52,7 @@ def maximal_disconnected_subsets(g, cap=None):
 
 def raag_arrangement(g, cap=None):
     at = {v: i for i, v in enumerate(sorted(g.vertices))}
-    n = len(at)
-    subs = [Subspace.from_rref(n, [_row(n, at[v]) for v in subset]) for subset in maximal_disconnected_subsets(g, cap)]
-    return Arrangement(n, tuple(subs))
+    return line_arrangement(len(at), [[{at[v]: 1} for v in subset] for subset in maximal_disconnected_subsets(g, cap)])
 
 
 @dataclass(frozen=True)
@@ -81,21 +77,13 @@ def _delta_cross_ok(x, y):
     return a in l or b in k or k == l
 
 
-def _per_multiplier_options(g, arity):
-    """For each vertex: the ways to pick no, one, or a pair of its
-    components, per the requested arity set."""
-    options = []
-    for a in sorted(g.vertices):
-        comps = complement_components(g, a)
-        choices = [()]
-        if 1 in arity:
-            choices.extend(((a, k),) for k in comps)
-        if 2 in arity:
-            choices.extend(
-                ((a, k1), (a, k2)) for k1, k2 in itertools.combinations(comps, 2)
-            )
-        options.append(choices)
-    return options
+def _per_multiplier_options(g, size):
+    """For each vertex: the ways to pick none, or `size`, of its
+    components."""
+    return [
+        [()] + [tuple((a, k) for k in ks) for ks in itertools.combinations(complement_components(g, a), size)]
+        for a in sorted(g.vertices)
+    ]
 
 
 def _choice_tree_size(options):
@@ -109,20 +97,21 @@ def _choice_tree_size(options):
     return nodes
 
 
-def _maximal_valid(g, arity, cross_ok, name, cap):
+def _maximal_valid(g, size, cross_ok, name, cap):
     """(members, witness) of every inclusion-maximal valid set among the
     choice tree's leaves, sorted by members.  The tree's size is admitted
     against `cap` on every call; the sets are found once per graph and
     kept in g's instance dict under `name`, one key per family."""
-    nodes = _choice_tree_size(_per_multiplier_options(g, arity))
+    options = _per_multiplier_options(g, size)
+    nodes = _choice_tree_size(options)
     admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
     store = vars(g)
     if name not in store:
-        store[name] = _maximal_sets(g, arity, cross_ok)
+        store[name] = _maximal_sets(options, cross_ok)
     return store[name]
 
 
-def _maximal_sets(g, arity, cross_ok):
+def _maximal_sets(options, cross_ok):
     """The enumeration behind `_maximal_valid`, in time that follows the
     output rather than the choice tree.
 
@@ -143,7 +132,6 @@ def _maximal_sets(g, arity, cross_ok):
     inclusion-maximal transversals of the bicliques (A, N(A)) are then the
     maximal valid leaves.
     """
-    options = _per_multiplier_options(g, arity)
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
     every = (1 << len(members)) - 1
@@ -217,29 +205,28 @@ def _maximal_sets(g, arity, cross_ok):
 
 
 def maximal_psets(g, cap=None):
-    return [PSet(m, w) for m, w in _maximal_valid(g, {1}, _pset_cross_ok, "p-set", cap)]
+    return [PSet(m, w) for m, w in _maximal_valid(g, 1, _pset_cross_ok, "p-set", cap)]
 
 
 def maximal_delta_psets(g, cap=None):
-    return [DeltaPSet(m, w) for m, w in _maximal_valid(g, {2}, _delta_cross_ok, "delta-p-set", cap)]
+    return [DeltaPSet(m, w) for m, w in _maximal_valid(g, 2, _delta_cross_ok, "delta-p-set", cap)]
 
 
-def _delta_rows(at, members):
-    """e_K - e_L for each multiplier's pair (a, K) < (a, L), in multiplier
-    order.  Members come sorted, so each pair is adjacent."""
-    return [_row(len(at), at[first], at[second]) for first, second in zip(members[::2], members[1::2])]
+def _pairs(members):
+    """Each multiplier's pair (a, K) < (a, L) of a delta-p-set, in
+    multiplier order.  Members come sorted, so each pair is adjacent."""
+    return zip(members[::2], members[1::2])
 
 
 def psa_arrangement(g, cap=None):
     """Coordinate subspaces of the maximal p-sets, then difference
-    subspaces of the maximal delta-p-sets.  Both are written down in
-    stored form: the members come in generator order, and the rows have
-    disjoint supports and pivot entry 1."""
+    subspaces of the maximal delta-p-sets, as lines: the members come in
+    generator order, and the rows have disjoint supports and pivot
+    entry 1."""
     at = {gen: i for i, gen in enumerate(standard_generators(g))}
-    n = len(at)
-    subs = [Subspace.from_rref(n, [_row(n, at[m]) for m in p.members]) for p in maximal_psets(g, cap)]
-    subs += [Subspace.from_rref(n, _delta_rows(at, d.members)) for d in maximal_delta_psets(g, cap)]
-    return Arrangement(n, tuple(subs))
+    units = [[{at[m]: 1} for m in p.members] for p in maximal_psets(g, cap)]
+    differences = [[{at[k]: 1, at[l]: -1} for k, l in _pairs(d.members)] for d in maximal_delta_psets(g, cap)]
+    return line_arrangement(len(at), units + differences)
 
 
 def pso_hom_space(g):
@@ -264,20 +251,19 @@ def pso_arrangement(g, cap=None):
 
     The arrangement is deliberately unfiltered so that subspace indices
     line up with the delta-p-set list; homology callers apply
-    maximal_filter themselves.  Each delta-p-set row e_K - e_L is taken
-    in W's coordinates, its entries at W's pivots: e_K - e_L again, or
-    e_K when L is its multiplier's last.
+    maximal_filter themselves.  Each delta-p-set row e_K - e_L lies in W
+    when K and L share their multiplier, and is written in W's
+    coordinates, its entries at W's pivots: e_K - e_L again, or e_K when
+    L is its multiplier's last.
     """
     deltas = maximal_delta_psets(g, cap)
-    at = {gen: i for i, gen in enumerate(standard_generators(g))}
-    w = pso_hom_space(g)
-    subs = []
-    for d in deltas:
-        rows = [w.coordinates(v) for v in _delta_rows(at, d.members)]
-        if None in rows:
-            raise InvariantViolation("delta-p-set subspace escapes the outer character space")
-        subs.append(Subspace.from_rref(w.dim, rows))
-    return w, Arrangement(w.dim, tuple(subs)), deltas
+    labels = standard_generators(g)
+    # W's pivots: every generator but its multiplier's last
+    at = {gen: i for i, gen in enumerate(gen for gen, after in zip(labels, labels[1:]) if gen[0] == after[0])}
+    if any(k[0] != l[0] for d in deltas for k, l in _pairs(d.members)):
+        raise InvariantViolation("delta-p-set subspace escapes the outer character space")
+    subs = [[{at[k]: 1, at[l]: -1} if l in at else {at[k]: 1} for k, l in _pairs(d.members)] for d in deltas]
+    return pso_hom_space(g), line_arrangement(len(at), subs), deltas
 
 
 @dataclass(frozen=True)
@@ -301,20 +287,15 @@ def h1_witness(g, loop, cap=None):
     w, arrangement, deltas = pso_arrangement(g, cap)
     member_sets = [frozenset(d.members) for d in deltas]
 
-    chosen = []
-    for i in range(n):
-        pair = {(a, nodes[i]), (a, nodes[(i + 1) % n])}
-        containing = [j for j, s in enumerate(member_sets) if pair <= s]
-        if not containing:
-            raise InvariantViolation(
-                f"no maximal delta-p-set contains the consecutive pair {sorted(pair)}"
-            )
-        chosen.append(containing[0])
-
-    # the 1-chain: difference character on each chosen summand
+    # the 1-chain: for each consecutive pair (a, K), (a, L), the difference
+    # character e_K - e_L on the first delta-p-set holding both
     chain = []
-    for i, j in enumerate(chosen):
-        chain.append((j, tuple(_row(len(at), at[a, nodes[i]], at[a, nodes[(i + 1) % n]]))))
+    for i in range(n):
+        k, l = (a, nodes[i]), (a, nodes[(i + 1) % n])
+        containing = [j for j, s in enumerate(member_sets) if k in s and l in s]
+        if not containing:
+            raise InvariantViolation(f"no maximal delta-p-set contains the consecutive pair {sorted([k, l])}")
+        chain.append((containing[0], tuple(1 if c == at[k] else -1 if c == at[l] else 0 for c in range(len(at)))))
 
     total = [0] * len(at)
     for _, vec in chain:
@@ -338,19 +319,19 @@ def h1_witness(g, loop, cap=None):
         raise InvariantViolation("witness chain is not a cycle of the complex")
 
     # cocycle: the (a, K_1) coordinate functional on every delta-p-set
-    # containing the first consecutive pair, zero elsewhere
+    # containing the first consecutive pair, zero elsewhere.  It patches
+    # unless a subspace in the support and one outside meet in a line the
+    # functional sees, taken back to the generators' coordinates; two
+    # subspaces of a block-line arrangement meet in the lines they share
     first_pair = {(a, nodes[0]), (a, nodes[1])}
     support = tuple(j for j, s in enumerate(member_sets) if first_pair <= s)
     functional_index = at[a, nodes[0]]
+    masks, supports, _ = arrangement.lines
+    on_w = [row[functional_index] for row in w.rows]  # the functional in W's coordinates
+    touching = sum(1 << i for i, sup in enumerate(supports) if sum(x * on_w[c] for c, x in sup.items()))
     for i, j in itertools.combinations(range(len(deltas)), 2):
-        in_i, in_j = i in support, j in support
-        if in_i == in_j:
-            continue
-        meet = intersect([arrangement.subspaces[i], arrangement.subspaces[j]])
-        for row in meet.rows:
-            ambient = _from_coordinates(w, row)
-            if ambient[functional_index] != 0:
-                raise InvariantViolation("cocycle patching fails on a pairwise intersection")
+        if (i in support) != (j in support) and masks[i] & masks[j] & touching:
+            raise InvariantViolation("cocycle patching fails on a pairwise intersection")
 
     pairing = Fraction(0)
     for j, vec in chain:

@@ -9,6 +9,9 @@ every one built from a graph among them, take a closed form,
 b = (n - r, m - r, 0, ..., 0), every other one the full complex.
 `maximal_filter` reads the same line masks, worked out once per
 arrangement, and hands the kept ones on to the filtered arrangement.
+`line_arrangement` writes an arrangement from its rows as
+{coordinate: entry} maps and seeds its masks from the same maps, so
+only an arrangement read from a file has its stored rows read back.
 """
 
 import json
@@ -58,10 +61,11 @@ class Arrangement:
 
     @cached_property
     def lines(self):
-        """`_line_masks` of this arrangement, worked out once.
-        `maximal_filter` seeds it with the masks it keeps, whose bits may
+        """`_line_masks` of the stored rows, read back once.
+        `line_arrangement` seeds it with the masks of the rows it writes,
+        and `maximal_filter` with the masks it keeps, whose bits may
         number the lines in another order than a fresh pass would."""
-        return _line_masks(self)
+        return _line_masks([[{c: x for c, x in enumerate(row) if x} for row in s.rows] for s in self.subspaces])
 
     def to_json(self):
         return {
@@ -95,6 +99,19 @@ class BettiProfile:
 def _support(s):
     """Bit c set when some stored row of s is non-zero at coordinate c."""
     return sum(1 << c for c in {c for row in s.rows for c, x in enumerate(row) if x})
+
+
+def line_arrangement(n, subspaces):
+    """The arrangement of Q^n with the listed subspaces, each given as
+    its stored rows, {coordinate: entry} maps in coordinate order:
+    primitive integer RREF rows in pivot order, which are not checked.
+    Every arrangement built from a graph is written here.  Its line masks
+    are found from the same maps, so no stored row is read back, and the
+    block-line test and the graph rank run as on a file."""
+    dense = [[[row.get(c, 0) for c in range(n)] for row in rows] for rows in subspaces]
+    out = Arrangement(n, tuple(Subspace.from_rref(n, rows) for rows in dense))
+    out.__dict__["lines"] = _line_masks(subspaces)  # seeds the cached property
+    return out
 
 
 def arrangement_from_file(path):
@@ -281,13 +298,14 @@ def arrangement_homology(a, cap=None):
     return tuple(dims), BettiProfile(betti, a.ambient_dim - len(supports))
 
 
-def _line_masks(a):
-    """(masks, supports, graph rank) when a is block-line, else None.
-    Bit i is the i-th distinct stored row, masks[j] holds subspace j's,
-    and supports[i] maps row i's non-zero coordinates to its entries.
-    The graph rank is None unless every row is a unit or a difference."""
-    bit = {row: 1 << i for i, row in enumerate(dict.fromkeys(row for s in a.subspaces for row in s.rows))}
-    supports = [{c: x for c, x in enumerate(row) if x} for row in bit]
+def _line_masks(subspaces):
+    """(masks, supports, graph rank) when the listed subspaces, each given
+    as its stored rows, {coordinate: entry} maps in coordinate order, are
+    block-line, else None.  Bit i is the i-th distinct row, masks[j]
+    holds subspace j's, and supports[i] is row i's map.  The graph rank
+    is None unless every row is a unit or a difference."""
+    bit = {k: 1 << i for i, k in enumerate(dict.fromkeys(tuple(row.items()) for rows in subspaces for row in rows))}
+    supports = [dict(key) for key in bit]
     used = sorted({c for sup in supports for c in sup})
     at = {c: 1 << i for i, c in enumerate(used)}
     joins = neighbour_masks(used, [(min(sup), c) for sup in supports for c in sup])
@@ -298,8 +316,8 @@ def _line_masks(a):
         rest &= ~comp
     held = [block[at[min(sup)]] for sup in supports]
     masks = []
-    for s in a.subspaces:
-        rows = [bit[row] for row in s.rows]
+    for rows in subspaces:
+        rows = [bit[tuple(row.items())] for row in rows]
         if len({held[b.bit_length() - 1] for b in rows}) < len(rows):
             return None
         masks.append(sum(rows))

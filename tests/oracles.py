@@ -9,7 +9,7 @@ from math import lcm
 import networkx as nx
 
 from raagbns.bns import _per_multiplier_options, raag_arrangement
-from raagbns.errors import CapExceeded, MalformedInput
+from raagbns.errors import CapExceeded, InvariantViolation, MalformedInput
 from raagbns.graphs import (
     ForestData,
     LoopWitness,
@@ -23,7 +23,7 @@ from raagbns.graphs import (
     members_of,
     neighbour_masks,
 )
-from raagbns import homology, linalg
+from raagbns import bns, homology, linalg
 from raagbns.linalg import QMatrix, parse_rational
 from raagbns.presentations import (
     EdgeGen,
@@ -70,6 +70,30 @@ def delta_subspace(basis, members):
         first, second = sorted(by_multiplier[a])
         vectors.append([x - y for x, y in zip(basis.unit(first), basis.unit(second))])
     return linalg.Subspace(basis.dim, vectors)
+
+
+def read_back(a):
+    """The stored rows of arrangement `a`, read back as {coordinate:
+    entry} maps: the argument `homology._line_masks` takes."""
+    return [[{c: x for c, x in enumerate(row) if x} for row in s.rows] for s in a.subspaces]
+
+
+def meet_cocycle_check(g, loop):
+    """`bns.h1_witness`'s cocycle check as it was before line masks, with
+    its message: each pair of delta-subspaces, one in the cocycle's
+    support and one not, is met with `linalg.intersect`, and every row of
+    the meet, taken back to the generators' coordinates, must vanish at
+    the (a, K_1) coordinate."""
+    a, nodes = loop.owner, loop.nodes
+    functional_index = standard_generators(g).index((a, nodes[0]))
+    w, arrangement, deltas = bns.pso_arrangement(g)
+    first_pair = {(a, nodes[0]), (a, nodes[1])}
+    support = {j for j, d in enumerate(deltas) if first_pair <= set(d.members)}
+    for i, j in itertools.combinations(range(len(deltas)), 2):
+        if (i in support) != (j in support):
+            meet = linalg.intersect([arrangement.subspaces[i], arrangement.subspaces[j]])
+            if any(bns._from_coordinates(w, row)[functional_index] for row in meet.rows):
+                raise InvariantViolation("cocycle patching fails on a pairwise intersection")
 
 
 def coordinate_supports(a):
@@ -433,11 +457,11 @@ def partition_witness(members, cross_ok):
     return side1, tuple(sorted(side2))
 
 
-def walk_valid(g, arity, cross_ok, cap=float("inf")):
+def walk_valid(g, size, cross_ok, cap=float("inf")):
     """(valid (members, witness) pairs, nodes visited) of the unpruned
     walk over the per-multiplier choice tree; CapExceeded once it passes
     `cap` nodes."""
-    options = _per_multiplier_options(g, arity)
+    options = _per_multiplier_options(g, size)
     valid = []
     nodes = 0
 
@@ -459,10 +483,10 @@ def walk_valid(g, arity, cross_ok, cap=float("inf")):
     return valid, nodes
 
 
-def walk_maximal(g, arity, cross_ok):
+def walk_maximal(g, size, cross_ok):
     """Inclusion-maximal valid sets of the walk, sorted by members, each
     checked against every other."""
-    valid, _ = walk_valid(g, arity, cross_ok)
+    valid, _ = walk_valid(g, size, cross_ok)
     keyed = {frozenset(members): (members, witness) for members, witness in valid}
     out = []
     for key, (members, witness) in keyed.items():
@@ -481,7 +505,7 @@ def _unions(option_masks):
     return out
 
 
-def leaf_maximal_sets(g, arity, cross_ok):
+def leaf_maximal_sets(g, size, cross_ok):
     """`bns._maximal_sets` as it was before Close-by-One: every leaf of the
     choice tree is listed and bitmask-checked.
 
@@ -490,7 +514,7 @@ def leaf_maximal_sets(g, arity, cross_ok):
     S meets both sides and any added option keeps them apart, or S lies
     in A and the option holding a member of B does.
     """
-    options = _per_multiplier_options(g, arity)
+    options = _per_multiplier_options(g, size)
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
     failure = neighbour_masks(members, [p for p in itertools.combinations(members, 2) if not cross_ok(*p)])

@@ -32,6 +32,7 @@ of the commutation graph.
 """
 
 import dataclasses
+import functools
 import time
 
 import networkx as nx
@@ -43,14 +44,18 @@ from oracles import (
     coordinate_supports,
     far_side_dictionary,
     maximal_filter_bases,
+    meet_cocycle_check,
     pairwise_presentation_edges,
     plain_support_graph,
     pulled_back_raag_arrangement,
+    read_back,
 )
 
 from raagbns import cli
 from raagbns.bns import (
     _from_coordinates,
+    euler_report,
+    h1_witness,
     has_sil,
     maximal_delta_psets,
     maximal_psets,
@@ -58,9 +63,16 @@ from raagbns.bns import (
     pso_arrangement,
     raag_arrangement,
 )
-from raagbns.errors import CapExceeded
-from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
-from raagbns.homology import _line_masks, arrangement_homology, betti_numbers, build_chain_complex, maximal_filter
+from raagbns.errors import CapExceeded, InvariantViolation
+from raagbns.graphs import LoopWitness, SimpleGraph, forest_certificate, support_graph
+from raagbns.homology import (
+    Arrangement,
+    _line_masks,
+    arrangement_homology,
+    betti_numbers,
+    build_chain_complex,
+    maximal_filter,
+)
 from raagbns.linalg import Subspace
 from raagbns.presentations import NotAForest, generator_dictionary, presentation_graph
 
@@ -169,6 +181,10 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                 if generator_dictionary(g, chosen) != far_side_dictionary(g, chosen):
                     differ.append((sorted(g.edges), "dictionary", chosen.preferred))
         for side, arr in (("raag", raag_arrangement(g)), ("psa", psa_arrangement(g)), ("pso", pso_arrangement(g)[1])):
+            # a raw side comes with the lines of the rows it was written
+            # from; a filtered side may number its lines in another order
+            if "lines" not in vars(arr) or arr.lines != _line_masks(read_back(arr)):
+                differ.append((sorted(g.edges), side, "seeded lines"))
             kept = maximal_filter(arr)
             if [s.basis for s in kept.subspaces] != maximal_filter_bases(arr):
                 differ.append((sorted(g.edges), side, "filter"))
@@ -176,7 +192,7 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                 differ.append((sorted(g.edges), side, "cycle rank"))
             for a in (arr, kept):
                 coordinate += coordinate_supports(a) is not None
-                block_line += _line_masks(a) is not None
+                block_line += _line_masks(read_back(a)) is not None
                 c = build_chain_complex(a)
                 dims, profile = arrangement_homology(a)
                 if (dims, profile) != (c.dims, betti_numbers(c)) or any(profile.betti[2:]):
@@ -189,6 +205,51 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
     assert tuple(verdicts) == VERDICTS[n]
     assert loops == VERDICTS[n][1]
     assert (coordinate, block_line) == (COORDINATE_SIDES[n], BLOCK_LINE_SIDES[n])
+
+
+def loops(g):
+    """The loop certificate of each support graph of g that has one."""
+    certs = (forest_certificate(support_graph(g, a)) for a in sorted(g.vertices))
+    return [cert for cert in certs if isinstance(cert, LoopWitness)]
+
+
+def test_graph_arrangements_are_never_read_back(graphs_by_size, monkeypatch):
+    # every arrangement built from a graph is written with its lines, so
+    # neither the Betti profiles nor the witnesses read a stored row back
+    monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
+    reads = []
+    read = Arrangement.lines.func
+    counted = functools.cached_property(lambda a: reads.append(a) or read(a))
+    counted.__set_name__(Arrangement, "lines")
+    monkeypatch.setattr(Arrangement, "lines", counted)
+    witnesses = 0
+    for g in (g for n in sorted(graphs_by_size) for g in graphs_by_size[n]):
+        euler_report(g)
+        for loop in loops(g):
+            h1_witness(g, loop)
+            witnesses += 1
+    assert len(reads) == 0
+    assert witnesses == 844
+
+
+def test_witness_cocycle_check_matches_the_meet_oracle(graphs_by_size, monkeypatch):
+    # no loop on any atlas graph fails to patch, by masks or by meets
+    monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
+    checked, differ = 0, []
+    for g in (g for n in sorted(graphs_by_size) for g in graphs_by_size[n]):
+        for loop in loops(g):
+            outcomes = []
+            for check in (h1_witness, meet_cocycle_check):
+                try:
+                    check(g, loop)
+                    outcomes.append(None)
+                except InvariantViolation as exc:
+                    outcomes.append(str(exc))
+            checked += 1
+            if outcomes != [None, None]:
+                differ.append((sorted(g.edges), loop.owner, outcomes))
+    assert differ == []
+    assert checked == 844
 
 
 def test_dropping_a_loop_edge_breaks_the_theorem_identities():

@@ -20,7 +20,9 @@ from oracles import (
 )
 from test_acceptance import STAR7, corpus
 
+from raagbns import bns
 from raagbns.bns import (
+    DeltaPSet,
     PSet,
     _choice_tree_size,
     _delta_cross_ok,
@@ -38,9 +40,9 @@ from raagbns.bns import (
     psa_arrangement,
     raag_arrangement,
 )
-from raagbns.errors import DEFAULT_CAP, CapExceeded
+from raagbns.errors import DEFAULT_CAP, CapExceeded, InvariantViolation
 from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
-from raagbns.homology import betti_numbers, build_chain_complex, maximal_filter
+from raagbns.homology import betti_numbers, build_chain_complex, line_arrangement, maximal_filter
 from raagbns.linalg import Subspace, subspace_leq
 from raagbns.words import standard_generators
 
@@ -190,15 +192,15 @@ def test_cap_exceeded():
 
 
 FAMILIES = [
-    ({1}, _pset_cross_ok, maximal_psets),
-    ({2}, _delta_cross_ok, maximal_delta_psets),
+    (1, _pset_cross_ok, maximal_psets),
+    (2, _delta_cross_ok, maximal_delta_psets),
 ]
 
 
 def assert_matches_walk(g):
-    for arity, cross_ok, fast in FAMILIES:
+    for size, cross_ok, fast in FAMILIES:
         got = [(p.members, p.partition) for p in fast(g)]
-        assert got == walk_maximal(g, arity, cross_ok), (g.edges, arity)
+        assert got == walk_maximal(g, size, cross_ok), (g.edges, size)
 
 
 def test_enumeration_matches_walk_on_corpus():
@@ -206,17 +208,17 @@ def test_enumeration_matches_walk_on_corpus():
         if g == STAR7:
             continue
         assert_matches_walk(g)
-        for arity, cross_ok, _ in FAMILIES:
-            _, nodes = walk_valid(g, arity, cross_ok)
-            assert _choice_tree_size(_per_multiplier_options(g, arity)) == nodes, (g.edges, arity)
+        for size, cross_ok, _ in FAMILIES:
+            _, nodes = walk_valid(g, size, cross_ok)
+            assert _choice_tree_size(_per_multiplier_options(g, size)) == nodes, (g.edges, size)
 
 
 def test_enumeration_matches_leaf_listing_on_atlas():
     # Close-by-One against the choice-tree leaf listing it replaced
     for g in atlas_up_to_six():
-        for arity, cross_ok, _ in FAMILIES:
-            expected = tuple(leaf_maximal_sets(g, arity, cross_ok))
-            assert _maximal_sets(g, frozenset(arity), cross_ok) == expected, (g.edges, arity)
+        for size, cross_ok, _ in FAMILIES:
+            expected = tuple(leaf_maximal_sets(g, size, cross_ok))
+            assert _maximal_sets(_per_multiplier_options(g, size), cross_ok) == expected, (g.edges, size)
 
 
 def test_enumeration_matches_leaf_listing_on_seven_vertex_atlas():
@@ -226,29 +228,29 @@ def test_enumeration_matches_leaf_listing_on_seven_vertex_atlas():
     # nodes, which the leaf listing affords.
     checked = 0
     for g in atlas()[208:]:
-        for arity, cross_ok, _ in FAMILIES:
-            if _choice_tree_size(_per_multiplier_options(g, arity)) <= 10 ** 5:
-                expected = tuple(leaf_maximal_sets(g, arity, cross_ok))
-                assert _maximal_sets(g, frozenset(arity), cross_ok) == expected, (g.edges, arity)
+        for size, cross_ok, _ in FAMILIES:
+            if _choice_tree_size(_per_multiplier_options(g, size)) <= 10 ** 5:
+                expected = tuple(leaf_maximal_sets(g, size, cross_ok))
+                assert _maximal_sets(_per_multiplier_options(g, size), cross_ok) == expected, (g.edges, size)
                 checked += 1
     assert checked == 2071
 
 
-@pytest.mark.parametrize("arity, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
-def test_cap_boundary_matches_walk(arity, cross_ok, fast):
-    count = _choice_tree_size(_per_multiplier_options(F5, arity))
+@pytest.mark.parametrize("size, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
+def test_cap_boundary_matches_walk(size, cross_ok, fast):
+    count = _choice_tree_size(_per_multiplier_options(F5, size))
     with pytest.raises(CapExceeded) as refused:
         fast(F5, cap=count - 1)
     assert str(count) in str(refused.value) and str(count - 1) in str(refused.value)
     fast(F5, cap=count)
     with pytest.raises(CapExceeded):
-        walk_valid(F5, arity, cross_ok, cap=count - 1)
+        walk_valid(F5, size, cross_ok, cap=count - 1)
 
 
-@pytest.mark.parametrize("arity, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
-def test_stored_enumeration_still_admits_each_call(arity, cross_ok, fast):
+@pytest.mark.parametrize("size, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
+def test_stored_enumeration_still_admits_each_call(size, cross_ok, fast):
     g = edgeless(5)
-    count = _choice_tree_size(_per_multiplier_options(g, arity))
+    count = _choice_tree_size(_per_multiplier_options(g, size))
     found = fast(g, cap=count)
     assert fast(g) == found
     with pytest.raises(CapExceeded):
@@ -256,7 +258,7 @@ def test_stored_enumeration_still_admits_each_call(arity, cross_ok, fast):
     found.clear()
     assert fast(g, cap=count) == fast(edgeless(5))
 
-    walk_valid(F5, arity, cross_ok, cap=count)
+    walk_valid(F5, size, cross_ok, cap=count)
 
 
 def test_star7_refused_before_walking():
@@ -332,6 +334,34 @@ def test_h1_witness_f4():
     assert all(x == 0 for x in total)
 
 
+def test_a_delta_pair_across_two_multipliers_escapes_the_outer_character_space(monkeypatch):
+    # planted fault: a delta-p-set pairing a's component with b's.  Its
+    # row e_K - e_L sums to 1 over a's coordinates, so it is not in W
+    pair = (("a", ("b",)), ("b", ("a",)))
+    monkeypatch.setattr(bns, "maximal_delta_psets", lambda g, cap=None: [DeltaPSet(pair, (pair[:1], pair[1:]))])
+    with pytest.raises(InvariantViolation, match="delta-p-set subspace escapes the outer character space"):
+        pso_arrangement(F3)
+
+
+def test_a_non_support_subspace_holding_the_first_loop_line_fails_cocycle_patching(monkeypatch):
+    # planted fault: edgeless(4)'s loop b, c, d at a has the cocycle
+    # support (0,); the delta-subspace 3, which has no row at a, is given
+    # the line e_(a,b) - e_(a,c) of subspace 0, so the two meet in a line
+    # the (a, b) functional sees.  Both the masks and the meets refuse it
+    loop = forest_certificate(support_graph(F4, "a"))
+    h1_witness(F4, loop)
+    oracles.meet_cocycle_check(F4, loop)
+    w, arr, deltas = pso_arrangement(F4)
+    rows = oracles.read_back(arr)
+    assert not any(a == "a" for a, _ in deltas[3].members) and rows[0][0] == {0: 1, 1: -1}
+    rows[3].insert(0, rows[0][0])
+    planted = line_arrangement(w.dim, rows)
+    monkeypatch.setattr(bns, "pso_arrangement", lambda g, cap=None: (w, planted, deltas))
+    for check in (h1_witness, oracles.meet_cocycle_check):
+        with pytest.raises(InvariantViolation, match="cocycle patching fails on a pairwise intersection"):
+            check(F4, loop)
+
+
 def test_euler_report_no_sil():
     report = euler_report(PATH3)
     assert report["psa"].euler == 0
@@ -401,7 +431,7 @@ def sample_with_counts(g, rng):
 def test_recognizers_match_bfs_witness(g, rng):
     # every sample the BFS witness accepts lies in a maximal set of its family
     sample, counts = sample_with_counts(g, rng)
-    for (per_multiplier,), cross_ok, fast in FAMILIES:
+    for per_multiplier, cross_ok, fast in FAMILIES:
         valid = partition_witness(sample, cross_ok) is not None
         if valid and all(c == per_multiplier for c in counts.values()):
             assert any(set(sample) <= set(p.members) for p in fast(g))
