@@ -15,8 +15,10 @@ with no elimination: its rows are units e_K and differences e_K - e_L,
 K < L, as {coordinate: entry} maps with disjoint supports and pivot
 entry 1.  So every arrangement here is block-line, with
 b = (n - r, m - r, 0, ...) for its m lines of rank r in Q^n, and its
-line masks come from the maps, not from the dense rows.  The witness
-meets no subspaces: two delta-subspaces meet in the lines they share.
+line masks come from the maps.  No dense row is written until a
+subspace is read: `euler_report` reads none, while the `bns` command's
+output and the witness's chain read them.  The witness meets no
+subspaces: two delta-subspaces meet in the lines they share.
 """
 
 import itertools
@@ -235,15 +237,16 @@ def pso_hom_space(g):
     generators take consecutive coordinates i..j, and its RREF rows are
     e_t - e_j for i <= t < j, already primitive."""
     labels = standard_generators(g)
-    rows, start = [], 0
+    rows, pivots, start = [], [], 0
     for _, gens in itertools.groupby(labels, key=lambda gen: gen[0]):
         last = start + len(list(gens)) - 1
         for t in range(start, last):
             row = [0] * len(labels)
             row[t], row[last] = 1, -1
             rows.append(row)
+            pivots.append(t)
         start = last + 1
-    return Subspace.from_rref(len(labels), rows)
+    return Subspace.from_rref(len(labels), rows, pivots)
 
 
 def pso_arrangement(g, cap=None):

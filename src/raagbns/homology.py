@@ -9,9 +9,11 @@ every one built from a graph among them, take a closed form,
 b = (n - r, m - r, 0, ..., 0), every other one the full complex.
 `maximal_filter` reads the same line masks, worked out once per
 arrangement, and hands the kept ones on to the filtered arrangement.
-`line_arrangement` writes an arrangement from its rows as
-{coordinate: entry} maps and seeds its masks from the same maps, so
-only an arrangement read from a file has its stored rows read back.
+`line_arrangement` keeps an arrangement's rows as {coordinate: entry}
+maps and seeds its masks from the same maps; its subspaces, dense rows
+and all, are built only when read, so the Betti profile of a graph's
+arrangement builds none.  Only an arrangement read from a file has its
+stored rows read back.
 """
 
 import json
@@ -26,15 +28,25 @@ from .graphs import bits, component, neighbour_masks
 from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, subspace_leq
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    ambient_dim: int
-    subspaces: tuple
+    """Subspaces of Q^n in a list, duplicates kept.  An arrangement holds
+    its subspaces, as `Arrangement(n, subspaces)` and a file give them,
+    or their stored rows as {coordinate: entry} maps, as
+    `line_arrangement` and `maximal_filter` give them, and finds the
+    other on its first read."""
 
-    def __post_init__(self):
-        for s in self.subspaces:
-            if s.ambient_dim != self.ambient_dim:
-                raise ValueError("subspace ambient dimension mismatch")
+    def __init__(self, ambient_dim, subspaces):
+        self.ambient_dim, self.subspaces = ambient_dim, tuple(subspaces)
+        if any(s.ambient_dim != ambient_dim for s in self.subspaces):
+            raise ValueError("subspace ambient dimension mismatch")
+
+    def __eq__(self, other):
+        if not isinstance(other, Arrangement):
+            return NotImplemented
+        return (self.ambient_dim, self.subspaces) == (other.ambient_dim, other.subspaces)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.subspaces))
 
     @classmethod
     def from_json(cls, data):
@@ -60,12 +72,29 @@ class Arrangement:
         return cls(n, tuple(subs))
 
     @cached_property
+    def row_maps(self):
+        """Each subspace's stored rows as {coordinate: entry} maps, read
+        back once from the subspaces it was given."""
+        return [[{c: x for c, x in enumerate(row) if x} for row in s.rows] for s in self.subspaces]
+
+    @cached_property
+    def subspaces(self):
+        """The subspaces, built once from the row maps it was given: each
+        row straight from its map, whose first key is the row's pivot.
+        Nothing is checked, as the maps are the stored form."""
+        n = self.ambient_dim
+        return tuple(
+            Subspace.from_rref(n, [[row.get(c, 0) for c in range(n)] for row in rows], [next(iter(row)) for row in rows])
+            for rows in self.row_maps
+        )
+
+    @cached_property
     def lines(self):
-        """`_line_masks` of the stored rows, read back once.
-        `line_arrangement` seeds it with the masks of the rows it writes,
-        and `maximal_filter` with the masks it keeps, whose bits may
-        number the lines in another order than a fresh pass would."""
-        return _line_masks([[{c: x for c, x in enumerate(row) if x} for row in s.rows] for s in self.subspaces])
+        """`_line_masks` of the row maps.  `line_arrangement` seeds it with
+        the masks of the maps it is given, and `maximal_filter` with the
+        masks it keeps, whose bits may number the lines in another order
+        than a fresh pass would."""
+        return _line_masks(self.row_maps)
 
     def to_json(self):
         return {
@@ -105,12 +134,17 @@ def line_arrangement(n, subspaces):
     """The arrangement of Q^n with the listed subspaces, each given as
     its stored rows, {coordinate: entry} maps in coordinate order:
     primitive integer RREF rows in pivot order, which are not checked.
-    Every arrangement built from a graph is written here.  Its line masks
-    are found from the same maps, so no stored row is read back, and the
-    block-line test and the graph rank run as on a file."""
-    dense = [[[row.get(c, 0) for c in range(n)] for row in rows] for rows in subspaces]
-    out = Arrangement(n, tuple(Subspace.from_rref(n, rows) for rows in dense))
-    out.__dict__["lines"] = _line_masks(subspaces)  # seeds the cached property
+    Every arrangement built from a graph is made here.  It keeps the maps
+    and builds no dense row until its subspaces are read; its line masks
+    are found from the same maps, so the block-line test and the graph
+    rank run as on a file."""
+    return _from_row_maps(n, subspaces, _line_masks(subspaces))
+
+
+def _from_row_maps(n, row_maps, lines):
+    """The arrangement of Q^n holding `row_maps`, with `lines` seeded."""
+    out = Arrangement.__new__(Arrangement)
+    out.ambient_dim, out.row_maps, out.lines = n, row_maps, lines
     return out
 
 
@@ -347,7 +381,8 @@ def maximal_filter(a):
     in V_j exactly when V_j stores that very row.  Equal masks are
     therefore equal subspaces.  No line is dropped, since every dropped
     mask lies inside a kept one, so the filtered arrangement takes over
-    the kept masks, the lines and their graph rank; that the kept masks
+    the kept row maps and masks, the lines and their graph rank, and
+    builds its subspaces only when they are read; that the kept masks
     still hold every line is checked.  Any other arrangement is filtered
     by `subspace_leq` on every pair."""
     if a.lines is None:
@@ -361,9 +396,7 @@ def maximal_filter(a):
         raise InvariantViolation(
             f"filtering {len(masks)} block-line subspaces of Q^{a.ambient_dim} to {len(kept)} lost a line"
         )
-    out = Arrangement(a.ambient_dim, tuple(a.subspaces[i] for i in keep))
-    out.__dict__["lines"] = kept, supports, graph_rank  # seeds the cached property
-    return out
+    return _from_row_maps(a.ambient_dim, [a.row_maps[i] for i in keep], (kept, supports, graph_rank))
 
 
 def _maximal_masks(masks):

@@ -242,12 +242,12 @@ class Subspace:
         self.rows, self.pivots = _echelon(map(_int_row, rows), ambient_dim)
 
     @classmethod
-    def from_rref(cls, ambient_dim, rows):
-        """A subspace from rows already in the stored form: primitive
-        integer RREF rows in pivot order.  They are not checked."""
+    def from_rref(cls, ambient_dim, rows, pivots):
+        """A subspace from rows already in the stored form, primitive
+        integer RREF rows in pivot order, and their pivot columns.
+        Neither is checked."""
         s = cls.__new__(cls)
-        s.ambient_dim, s.rows = ambient_dim, tuple(map(tuple, rows))
-        s.pivots = tuple(next(j for j, x in enumerate(row) if x) for row in s.rows)
+        s.ambient_dim, s.rows, s.pivots = ambient_dim, tuple(map(tuple, rows)), tuple(pivots)
         return s
 
     @property
@@ -314,7 +314,8 @@ def intersect(subspaces):
                 f"meeting subspaces of dims {meet.dim} and {other.dim} of Q^{n}: "
                 f"the elimination kept {len(pivots)} pivots, not {meet.dim + other.dim}"
             )
-        meet = Subspace.from_rref(n, [row[n:] for row, p in zip(rows, pivots) if p >= n])
+        top = sum(p < n for p in pivots)  # the pivots ascend
+        meet = Subspace.from_rref(n, [row[n:] for row in rows[top:]], [p - n for p in pivots[top:]])
     return meet
 
 

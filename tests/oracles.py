@@ -78,6 +78,13 @@ def read_back(a):
     return [[{c: x for c, x in enumerate(row) if x} for row in s.rows] for s in a.subspaces]
 
 
+def eliminated(a):
+    """The subspaces of arrangement `a` made from its row maps by the
+    checked elimination: `linalg.Subspace` of each one's dense rows."""
+    n = a.ambient_dim
+    return [linalg.Subspace(n, [[row.get(c, 0) for c in range(n)] for row in rows]) for rows in a.row_maps]
+
+
 def meet_cocycle_check(g, loop):
     """`bns.h1_witness`'s cocycle check as it was before line masks, with
     its message: each pair of delta-subspaces, one in the cocycle's

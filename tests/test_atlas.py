@@ -42,6 +42,7 @@ from oracles import (
     atlas,
     commutation_graph,
     coordinate_supports,
+    eliminated,
     far_side_dictionary,
     maximal_filter_bases,
     meet_cocycle_check,
@@ -71,6 +72,7 @@ from raagbns.homology import (
     arrangement_homology,
     betti_numbers,
     build_chain_complex,
+    line_arrangement,
     maximal_filter,
 )
 from raagbns.linalg import Subspace
@@ -141,6 +143,14 @@ def line_graph_cycle_rank(a):
     return nxg.number_of_edges() - nxg.number_of_nodes() + nx.number_connected_components(nxg)
 
 
+def stored_form_differs(a):
+    """True unless `a` keeps row maps and each subspace built from them
+    has the rows and pivots the checked elimination gives."""
+    return "row_maps" not in vars(a) or [(s.rows, s.pivots) for s in a.subspaces] != [
+        (s.rows, s.pivots) for s in eliminated(a)
+    ]
+
+
 @pytest.fixture(scope="module")
 def graphs_by_size():
     out = {}
@@ -191,6 +201,9 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
             if side == "psa" and (arrangement_homology(kept)[1].betti + (0,))[1] != line_graph_cycle_rank(kept):
                 differ.append((sorted(g.edges), side, "cycle rank"))
             for a in (arr, kept):
+                # Fraction bases hide a row's sign; the stored form does not
+                if stored_form_differs(a):
+                    differ.append((sorted(g.edges), side, "stored form"))
                 coordinate += coordinate_supports(a) is not None
                 block_line += _line_masks(read_back(a)) is not None
                 c = build_chain_complex(a)
@@ -230,6 +243,40 @@ def test_graph_arrangements_are_never_read_back(graphs_by_size, monkeypatch):
             witnesses += 1
     assert len(reads) == 0
     assert witnesses == 844
+
+
+def test_euler_report_builds_no_subspaces(graphs_by_size, monkeypatch):
+    # a graph's arrangements keep their row maps, so the Betti profiles
+    # build no dense row; the witness reads its chain's subspaces, and
+    # builds them
+    monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
+    builds = []
+    build = Arrangement.subspaces.func
+    counted = functools.cached_property(lambda a: builds.append(a) or build(a))
+    counted.__set_name__(Arrangement, "subspaces")
+    monkeypatch.setattr(Arrangement, "subspaces", counted)
+    every = [g for n in sorted(graphs_by_size) for g in graphs_by_size[n]]
+    for g in every:
+        euler_report(g)
+    assert len(every) == 1252 and builds == []
+    witnesses = [h1_witness(g, loop) for g in every for loop in loops(g)]
+    assert len(witnesses) == 844 and len(builds) > 0
+
+
+def test_a_sign_flipped_row_breaks_the_stored_form():
+    # planted fault: one difference row of edgeless(4)'s PSO arrangement
+    # written e_L - e_K, pivot entry -1.  Its line, its Betti numbers and
+    # its Fraction basis, which is what the CLI prints, are unchanged; only
+    # the stored form tells it from the checked elimination
+    arr = pso_arrangement(SimpleGraph("abcd", []))[1]
+    assert not stored_form_differs(arr)
+    rows = [list(rows) for rows in arr.row_maps]
+    j, i = next((j, i) for j, maps in enumerate(rows) for i, row in enumerate(maps) if len(row) == 2)
+    rows[j][i] = {c: -x for c, x in rows[j][i].items()}
+    flipped = line_arrangement(arr.ambient_dim, rows)
+    assert [s.basis for s in flipped.subspaces] == [s.basis for s in arr.subspaces]
+    assert arrangement_homology(flipped) == arrangement_homology(arr)
+    assert stored_form_differs(flipped)
 
 
 def test_witness_cocycle_check_matches_the_meet_oracle(graphs_by_size, monkeypatch):

@@ -85,7 +85,7 @@ def test_maximal_disconnected_complete_bipartite():
 def test_raag_arrangement_edgeless3():
     arr = raag_arrangement(F3)
     assert arr.ambient_dim == 3
-    assert arr.subspaces == (Subspace.from_rref(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),)
+    assert arr.subspaces == (Subspace.from_rref(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2]),)
 
 
 def test_raag_arrangement_complete():
@@ -374,6 +374,31 @@ def test_euler_report_f3():
     assert report["psa"].euler == -3
     assert report["raag"].betti == (0, 0)
     assert report["pso"].euler == 0
+
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+# closed forms on three families, the expected profiles from the formulas
+# alone; the free group's is the classical case (Orlandi-Korner, Proc. AMS
+# 128, 2000).  The n-leaf star joins a centre to every leaf: the
+# automorphism sides keep the free group's profiles, and the centre gives
+# the RAAG side one free coordinate
+@pytest.mark.parametrize("n", range(3, 11))
+def test_edgeless_and_star_profiles_follow_their_closed_forms(n, monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 18))
+    leaves = LETTERS[:n]
+    psa, pso = (0, n * (n - 1) * (n - 2) // 2), (0, n * (n - 2) * (n - 3) // 2)
+    for g, raag in ((SimpleGraph(leaves, []), (0, 0)), (SimpleGraph(leaves + "z", [(v, "z") for v in leaves]), (1, 0))):
+        report = euler_report(g)
+        assert (report["raag"].betti, report["psa"].betti, report["pso"].betti) == (raag, psa, pso)
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_path_pso_profile_follows_its_closed_form(n, monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 18))
+    path = SimpleGraph(LETTERS[:n], list(zip(LETTERS, LETTERS[1:n])))
+    assert euler_report(path)["pso"].betti == (n - 4,)
 
 
 def test_has_sil():

@@ -34,11 +34,11 @@ def identity_rows(n):
 
 
 def zero(n):
-    return Subspace.from_rref(n, [])
+    return Subspace.from_rref(n, [], [])
 
 
 def full(n):
-    return Subspace.from_rref(n, identity_rows(n))
+    return Subspace.from_rref(n, identity_rows(n), range(n))
 
 
 def test_parse_rational():
