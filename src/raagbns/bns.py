@@ -24,9 +24,10 @@ subspaces: two delta-subspaces meet in the lines they share.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import InvariantViolation, admit
-from .graphs import bits, complement_components, component, members_of, neighbour_masks
+from .graphs import complement_components, component, members_of
 from .homology import arrangement_homology, line_arrangement, maximal_filter
 from .linalg import Subspace
 from .words import standard_generators
@@ -69,16 +70,6 @@ class DeltaPSet:
     partition: tuple
 
 
-def _pset_cross_ok(x, y):
-    (a, k), (b, l) = x, y
-    return a in l and b in k
-
-
-def _delta_cross_ok(x, y):
-    (a, k), (b, l) = x, y
-    return a in l or b in k or k == l
-
-
 def _per_multiplier_options(g, size):
     """For each vertex: the ways to pick none, or `size`, of its
     components."""
@@ -88,56 +79,89 @@ def _per_multiplier_options(g, size):
     ]
 
 
-def _choice_tree_size(options):
-    """Nodes of the choice tree that picks one option per multiplier in
-    turn: the root plus, at each depth, the product of the option counts
-    above it."""
+def _option_counts(g, size):
+    """How many options `_per_multiplier_options` gives each vertex, from
+    its component count alone."""
+    return [1 + comb(len(comps), size) for comps in g.component_table.values()]
+
+
+def _choice_tree_size(counts):
+    """Nodes of the choice tree that picks one of counts[i] options at
+    multiplier i in turn: the root plus, at each depth, the product of
+    the option counts above it."""
     nodes = level = 1
-    for choices in options:
-        level *= len(choices)
+    for count in counts:
+        level *= count
         nodes += level
     return nodes
 
 
-def _maximal_valid(g, size, cross_ok, name, cap):
+def _maximal_valid(g, size, name, cap):
     """(members, witness) of every inclusion-maximal valid set among the
     choice tree's leaves, sorted by members.  The tree's size is admitted
-    against `cap` on every call; the sets are found once per graph and
-    kept in g's instance dict under `name`, one key per family."""
-    options = _per_multiplier_options(g, size)
-    nodes = _choice_tree_size(options)
+    against `cap` on every call, from the component counts; the options
+    are built, and the sets found, once per graph and kept in g's
+    instance dict under `name`, one key per family."""
+    nodes = _choice_tree_size(_option_counts(g, size))
     admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
     store = vars(g)
     if name not in store:
-        store[name] = _maximal_sets(options, cross_ok)
+        store[name] = _maximal_sets(_per_multiplier_options(g, size), size == 2)
     return store[name]
 
 
-def _maximal_sets(options, cross_ok):
+def _pass_table(members, delta):
+    """Bit of each member (a, K), by position in `members`, -> bits of
+    the other members it passes with, read off masks as `_maximal_sets`
+    says."""
+    inside, at, same = {}, {}, {}
+    for i, (a, k) in enumerate(members):
+        b = 1 << i
+        at[a] = at.get(a, 0) | b
+        same[k] = same.get(k, 0) | b
+        for v in k:
+            inside[v] = inside.get(v, 0) | b
+    table = {}
+    for i, (a, k) in enumerate(members):
+        b, at_k = 1 << i, 0
+        for v in k:
+            at_k |= at.get(v, 0)
+        table[b] = (inside.get(a, 0) | at_k | same[k]) & ~b if delta else inside.get(a, 0) & at_k
+    return table
+
+
+def _maximal_sets(options, delta):
     """The enumeration behind `_maximal_valid`, in time that follows the
-    output rather than the choice tree.
+    output rather than the choice tree.  `delta` picks the family.  Its
+    pass table is read off masks, in O(members * vertices) bit operations
+    (`_pass_table`).  Write IN[v] for the members (b, L) having v in L,
+    AT[K] for those whose multiplier lies in K and SAME[K] for those with
+    component K.  The p-set rule passes (a, K) and (b, L) when a is in L
+    and b in K, so (a, K) passes IN[a] & AT[K]; the delta rule when a is
+    in L, b is in K or K = L, so (a, K) passes IN[a] | AT[K] | SAME[K],
+    less itself.
 
     An option is a non-empty choice at one multiplier.  Its members fail
-    `cross_ok` with each other, so a leaf (at most one option per
+    the rule with each other, so a leaf (at most one option per
     multiplier) is valid iff its options split into non-empty sides A | B
     with every cross pair compatible: the multipliers differ and every
-    member of one option passes `cross_ok` with every member of the
-    other.  Write N(X) for the options compatible with all of X.  If
-    A' | B' is a maximal valid leaf, then B' lies in N(A') and A' in
-    N(N(A')), and the leaf holds an option at every multiplier of the
-    biclique (N(N(A')), N(A')): an option at a multiplier it misses would
-    join the side it is compatible with and give a larger valid leaf.  So
-    the leaf is a full transversal of that biclique, one option per
-    multiplier present, and every such transversal is a valid leaf.
-    Close-by-One (Kuznetsov, 1993) lists each closed A = N(N(A)) with
-    N(A) non-empty once, over option bitmasks, with an explicit stack; the
-    inclusion-maximal transversals of the bicliques (A, N(A)) are then the
-    maximal valid leaves.
+    member of one option passes with every member of the other.  Write
+    N(X) for the options compatible with all of X.  If A' | B' is a
+    maximal valid leaf, then B' lies in N(A') and A' in N(N(A')), and
+    the leaf holds an option at every multiplier of the biclique
+    (N(N(A')), N(A')): an option at a multiplier it misses would join the
+    side it is compatible with and give a larger valid leaf.  So the leaf
+    is a full transversal of that biclique, one option per multiplier
+    present, and every such transversal is a valid leaf.  Close-by-One
+    (Kuznetsov, 1993) lists each closed A = N(N(A)) with N(A) non-empty
+    once, over option bitmasks, with an explicit stack; the
+    inclusion-maximal transversals of the bicliques (A, N(A)) are then
+    the maximal valid leaves.
     """
     members = sorted({m for choices in options for choice in choices for m in choice})
     bit = {m: 1 << i for i, m in enumerate(members)}
     every = (1 << len(members)) - 1
-    passes = neighbour_masks(members, [p for p in itertools.combinations(members, 2) if cross_ok(*p)])
+    passes = _pass_table(members, delta)
     failure = {b: every & ~b & ~ok for b, ok in passes.items()}
     # option bit -> (multiplier, bits of its members, bits of the members
     # that pass with all of them); member bit -> bits of the options
@@ -154,18 +178,28 @@ def _maximal_sets(options, cross_ok):
     # the options compatible with one are among the holders of its `ok`
     compatible = {}
     for option, (i, _, ok) in flat.items():
-        near = 0
-        for b in bits(ok):
-            near |= holders[b]
-        compatible[option] = sum(
-            o for o in bits(near) if flat[o][0] != i and not flat[o][1] & ~ok
-        )
+        near, rest = 0, ok
+        while rest:
+            low = rest & -rest
+            near |= holders[low]
+            rest ^= low
+        out = 0
+        while near:
+            o = near & -near
+            j, mask, _ = flat[o]
+            if j != i and not mask & ~ok:
+                out |= o
+            near ^= o
+        compatible[option] = out
+    full = (1 << len(flat)) - 1
 
     def common(s):
         """N(s): the options compatible with every option in bitmask s."""
-        out = (1 << len(flat)) - 1
-        for o in bits(s):
+        out = full
+        while s:
+            o = s & -s
             out &= compatible[o]
+            s ^= o
         return out
 
     leaves = set()
@@ -176,19 +210,27 @@ def _maximal_sets(options, cross_ok):
         # each biclique is listed as (A, N(A)) and as (N(A), A); take it once
         if extent and intent and extent & -extent < intent & -intent:
             by_multiplier = {}
-            for o in bits(extent | intent):
+            rest = extent | intent
+            while rest:
+                o = rest & -rest
                 i, mask, _ = flat[o]
                 by_multiplier.setdefault(i, []).append(mask)
+                rest ^= o
             partial = [0]
             for masks in by_multiplier.values():
                 partial = [t | m for t in partial for m in masks]
             leaves.update(partial)
         # only an option compatible with some option of the intent keeps
         # it non-empty; `first` is the lowest option bit still to add
-        reach = 0
-        for o in bits(intent):
+        reach, rest = 0, intent
+        while rest:
+            o = rest & -rest
             reach |= compatible[o]
-        for o in bits(reach & ~extent & -first):
+            rest ^= o
+        rest = reach & ~extent & -first
+        while rest:
+            o = rest & -rest
+            rest ^= o
             narrowed = intent & compatible[o]
             closed = common(narrowed)
             if closed & (o - 1) == extent & (o - 1):
@@ -207,11 +249,11 @@ def _maximal_sets(options, cross_ok):
 
 
 def maximal_psets(g, cap=None):
-    return [PSet(m, w) for m, w in _maximal_valid(g, 1, _pset_cross_ok, "p-set", cap)]
+    return [PSet(m, w) for m, w in _maximal_valid(g, 1, "p-set", cap)]
 
 
 def maximal_delta_psets(g, cap=None):
-    return [DeltaPSet(m, w) for m, w in _maximal_valid(g, 2, _delta_cross_ok, "delta-p-set", cap)]
+    return [DeltaPSet(m, w) for m, w in _maximal_valid(g, 2, "delta-p-set", cap)]
 
 
 def _pairs(members):

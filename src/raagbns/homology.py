@@ -24,7 +24,7 @@ from math import comb
 from operator import or_
 
 from .errors import InvariantViolation, MalformedInput, admit, enumeration_cap
-from .graphs import bits, component, neighbour_masks
+from .graphs import bits, component
 from .linalg import Subspace, ZMatrix, intersect, parse_rational, rank, subspace_leq
 
 
@@ -337,27 +337,52 @@ def _line_masks(subspaces):
     as its stored rows, {coordinate: entry} maps in coordinate order, are
     block-line, else None.  Bit i is the i-th distinct row, masks[j]
     holds subspace j's, and supports[i] is row i's map.  The graph rank
-    is None unless every row is a unit or a difference."""
-    bit = {k: 1 << i for i, k in enumerate(dict.fromkeys(tuple(row.items()) for rows in subspaces for row in rows))}
-    supports = [dict(key) for key in bit]
-    used = sorted({c for sup in supports for c in sup})
-    at = {c: 1 << i for i, c in enumerate(used)}
-    joins = neighbour_masks(used, [(min(sup), c) for sup in supports for c in sup])
-    block, rest = {}, (1 << len(used)) - 1
+    is None unless every row is a unit or a difference.
+
+    Each row is keyed once.  A new row ORs its coordinates into one mask
+    and joins each of them to that mask, so the blocks are the components
+    of the join masks."""
+    index, supports, spans, joins, own = {}, [], [], {}, []
+    graphic = True
+    for rows in subspaces:
+        held = []
+        for row in rows:
+            key = tuple(row.items())
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(supports)
+                supports.append(row)
+                span = 0
+                for c in row:
+                    span |= 1 << c
+                for c in row:
+                    joins[1 << c] = joins.get(1 << c, 0) | span
+                spans.append(span)
+                graphic = graphic and sorted(x for _, x in key) in ([1], [-1, 1])
+            held.append(i)
+        own.append(held)
+    used = reduce(or_, spans, 0)
+    block, blocks, rest = {}, 0, used
     while rest:
         comp = component(rest & -rest, rest, joins)
         block.update(dict.fromkeys(bits(comp), comp))
+        blocks += 1
         rest &= ~comp
-    held = [block[at[min(sup)]] for sup in supports]
+    row_block = [block[span & -span] for span in spans]
     masks = []
-    for rows in subspaces:
-        rows = [bit[tuple(row.items())] for row in rows]
-        if len({held[b.bit_length() - 1] for b in rows}) < len(rows):
-            return None
-        masks.append(sum(rows))
-    graphic = all(sorted(sup.values()) in ([1], [-1, 1]) for sup in supports)
-    grounded = {b for b, sup in zip(held, supports) if len(sup) == 1}
-    return masks, supports, len(used) - len(set(block.values()) - grounded) if graphic else None
+    for held in own:
+        seen = mask = 0
+        for i in held:
+            comp = row_block[i]
+            if seen & comp:
+                return None
+            seen |= comp
+            mask |= 1 << i
+        masks.append(mask)
+    if not graphic:
+        return masks, supports, None
+    grounded = {comp for comp, span in zip(row_block, spans) if span & (span - 1) == 0}
+    return masks, supports, used.bit_count() - blocks + len(grounded)
 
 
 def _containing(masks):

@@ -17,6 +17,7 @@ from raagbns.graphs import (
     SimpleGraph,
     SupportGraph,
     _canonical_cycle,
+    bits,
     classify_pair,
     complement_components,
     component,
@@ -427,6 +428,53 @@ def connected(g, subset):
                 seen.add(w)
                 queue.append(w)
     return seen == subset
+
+
+def pset_cross_ok(x, y):
+    """The p-set rule, pair by pair: (a, K) and (b, L) pass when a is in L
+    and b is in K."""
+    (a, k), (b, l) = x, y
+    return a in l and b in k
+
+
+def delta_cross_ok(x, y):
+    """The delta-p-set rule, pair by pair: (a, K) and (b, L) pass when a is
+    in L, b is in K or K = L."""
+    (a, k), (b, l) = x, y
+    return a in l or b in k or k == l
+
+
+def pairwise_pass_table(members, cross_ok):
+    """`bns._pass_table` as it was before masks: bit of each member -> bits
+    of the members it passes with, `cross_ok` called on every pair."""
+    return neighbour_masks(members, [p for p in itertools.combinations(members, 2) if cross_ok(*p)])
+
+
+def line_masks(subspaces):
+    """`homology._line_masks` as it was before each row was keyed once:
+    every row keyed twice, the blocks found over a star of joins per row
+    on the sorted used coordinates, and "graphic" read off each row's
+    sorted values."""
+    bit = {k: 1 << i for i, k in enumerate(dict.fromkeys(tuple(row.items()) for rows in subspaces for row in rows))}
+    supports = [dict(key) for key in bit]
+    used = sorted({c for sup in supports for c in sup})
+    at = {c: 1 << i for i, c in enumerate(used)}
+    joins = neighbour_masks(used, [(min(sup), c) for sup in supports for c in sup])
+    block, rest = {}, (1 << len(used)) - 1
+    while rest:
+        comp = component(rest & -rest, rest, joins)
+        block.update(dict.fromkeys(bits(comp), comp))
+        rest &= ~comp
+    held = [block[at[min(sup)]] for sup in supports]
+    masks = []
+    for rows in subspaces:
+        rows = [bit[tuple(row.items())] for row in rows]
+        if len({held[b.bit_length() - 1] for b in rows}) < len(rows):
+            return None
+        masks.append(sum(rows))
+    graphic = all(sorted(sup.values()) in ([1], [-1, 1]) for sup in supports)
+    grounded = {b for b, sup in zip(held, supports) if len(sup) == 1}
+    return masks, supports, len(used) - len(set(block.values()) - grounded) if graphic else None
 
 
 def partition_witness(members, cross_ok):

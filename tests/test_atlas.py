@@ -11,8 +11,9 @@ commutation test over every pair of records, and a flood fill per edge
 for its far side.  The dictionary is compared at the default basepoints
 and with every owner's basepoints moved.  Every RAAG, PSA and PSO
 arrangement, raw and maximal-filtered, is block-line and has its closed
-form compared with the full chain complex, and its line-mask filter with
-the pairwise containment oracle.  The sweep is never sampled.
+form compared with the full chain complex, its line masks with the
+two-pass rule they replaced, and its line-mask filter with the pairwise
+containment oracle.  The sweep is never sampled.
 
 The paper's theorem holds as exact Betti identities (Day and Wade,
 arXiv 1508.00622; Meier and VanWyk, Proc. LMS 71, 1995, for the RAAG
@@ -44,6 +45,7 @@ from oracles import (
     coordinate_supports,
     eliminated,
     far_side_dictionary,
+    line_masks,
     maximal_filter_bases,
     meet_cocycle_check,
     pairwise_presentation_edges,
@@ -205,7 +207,10 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                 if stored_form_differs(a):
                     differ.append((sorted(g.edges), side, "stored form"))
                 coordinate += coordinate_supports(a) is not None
-                block_line += _line_masks(read_back(a)) is not None
+                found = _line_masks(read_back(a))
+                if found != line_masks(read_back(a)):
+                    differ.append((sorted(g.edges), side, "line masks"))
+                block_line += found is not None
                 c = build_chain_complex(a)
                 dims, profile = arrangement_homology(a)
                 if (dims, profile) != (c.dims, betti_numbers(c)) or any(profile.betti[2:]):

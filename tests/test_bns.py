@@ -11,10 +11,13 @@ from oracles import (
     atlas_up_to_six,
     brute_force_partition_witness,
     connected,
+    delta_cross_ok,
     delta_subspace,
     generator_basis,
     leaf_maximal_sets,
+    pairwise_pass_table,
     partition_witness,
+    pset_cross_ok,
     walk_maximal,
     walk_valid,
 )
@@ -25,10 +28,10 @@ from raagbns.bns import (
     DeltaPSet,
     PSet,
     _choice_tree_size,
-    _delta_cross_ok,
     _maximal_sets,
+    _option_counts,
+    _pass_table,
     _per_multiplier_options,
-    _pset_cross_ok,
     euler_report,
     h1_witness,
     has_sil,
@@ -41,7 +44,7 @@ from raagbns.bns import (
     raag_arrangement,
 )
 from raagbns.errors import DEFAULT_CAP, CapExceeded, InvariantViolation
-from raagbns.graphs import SimpleGraph, forest_certificate, support_graph
+from raagbns.graphs import LoopWitness, SimpleGraph, forest_certificate, support_graph
 from raagbns.homology import betti_numbers, build_chain_complex, line_arrangement, maximal_filter
 from raagbns.linalg import Subspace, subspace_leq
 from raagbns.words import standard_generators
@@ -192,8 +195,8 @@ def test_cap_exceeded():
 
 
 FAMILIES = [
-    (1, _pset_cross_ok, maximal_psets),
-    (2, _delta_cross_ok, maximal_delta_psets),
+    (1, pset_cross_ok, maximal_psets),
+    (2, delta_cross_ok, maximal_delta_psets),
 ]
 
 
@@ -210,7 +213,8 @@ def test_enumeration_matches_walk_on_corpus():
         assert_matches_walk(g)
         for size, cross_ok, _ in FAMILIES:
             _, nodes = walk_valid(g, size, cross_ok)
-            assert _choice_tree_size(_per_multiplier_options(g, size)) == nodes, (g.edges, size)
+            assert _option_counts(g, size) == [len(choices) for choices in _per_multiplier_options(g, size)]
+            assert _choice_tree_size(_option_counts(g, size)) == nodes, (g.edges, size)
 
 
 def test_enumeration_matches_leaf_listing_on_atlas():
@@ -218,7 +222,7 @@ def test_enumeration_matches_leaf_listing_on_atlas():
     for g in atlas_up_to_six():
         for size, cross_ok, _ in FAMILIES:
             expected = tuple(leaf_maximal_sets(g, size, cross_ok))
-            assert _maximal_sets(_per_multiplier_options(g, size), cross_ok) == expected, (g.edges, size)
+            assert _maximal_sets(_per_multiplier_options(g, size), size == 2) == expected, (g.edges, size)
 
 
 def test_enumeration_matches_leaf_listing_on_seven_vertex_atlas():
@@ -229,16 +233,75 @@ def test_enumeration_matches_leaf_listing_on_seven_vertex_atlas():
     checked = 0
     for g in atlas()[208:]:
         for size, cross_ok, _ in FAMILIES:
-            if _choice_tree_size(_per_multiplier_options(g, size)) <= 10 ** 5:
+            if _choice_tree_size(_option_counts(g, size)) <= 10 ** 5:
                 expected = tuple(leaf_maximal_sets(g, size, cross_ok))
-                assert _maximal_sets(_per_multiplier_options(g, size), cross_ok) == expected, (g.edges, size)
+                assert _maximal_sets(_per_multiplier_options(g, size), size == 2) == expected, (g.edges, size)
                 checked += 1
     assert checked == 2071
 
 
+def option_members(g, size):
+    """The members of g's options for the family of `size`, sorted, as
+    `_maximal_sets` numbers them."""
+    return sorted({m for choices in _per_multiplier_options(g, size) for choice in choices for m in choice})
+
+
+def pass_table_mismatches(graphs, table):
+    """(edges, size) of each graph and family whose pass table, built by
+    `table(members, delta)`, differs from the pairwise rule's."""
+    return [
+        (sorted(g.edges), size)
+        for g in graphs
+        for size, cross_ok, _ in FAMILIES
+        if table(members := option_members(g, size), size == 2) != pairwise_pass_table(members, cross_ok)
+    ]
+
+
+def test_pass_tables_match_the_pairwise_rules_on_atlas():
+    assert pass_table_mismatches(atlas(), _pass_table) == []
+
+
+def test_a_delta_table_without_same_component_fails_the_pairwise_rule():
+    # planted fault: the delta rule's SAME[K] term left out.  A member
+    # (b, K) with a's very component K and b != a passes (a, K) by that
+    # term alone, since neither multiplier lies in K
+    def without_same(members, delta):
+        table = _pass_table(members, delta)
+        if not delta:
+            return table
+        same = {1 << i: sum(1 << j for j, (_, l) in enumerate(members) if l == k) for i, (_, k) in enumerate(members)}
+        return {b: ok & ~same[b] for b, ok in table.items()}
+
+    missed = pass_table_mismatches(atlas()[:60], without_same)
+    assert missed and {size for _, size in missed} == {2}
+
+
+def test_options_are_built_once_per_family_per_graph(monkeypatch):
+    # the cap is admitted from the component counts, so a stored family
+    # builds no options again: not for euler_report's PSO side, nor for
+    # any witness
+    builds = []
+    build = bns._per_multiplier_options
+    monkeypatch.setattr(bns, "_per_multiplier_options", lambda g, size: builds.append((id(g), size)) or build(g, size))
+    graphs = [SimpleGraph(g.vertices, g.edges) for g in corpus() if g != STAR7]
+    witnesses = 0
+    for g in graphs:
+        euler_report(g)
+        for a in sorted(g.vertices):
+            loop = forest_certificate(support_graph(g, a))
+            if isinstance(loop, LoopWitness):
+                h1_witness(g, loop)
+                witnesses += 1
+    assert witnesses > 0
+    assert sorted(builds) == sorted((id(g), size) for g in graphs for size in (1, 2))
+    with pytest.raises(CapExceeded, match="delta-p-set enumeration would visit 554766609 choice-tree nodes"):
+        maximal_delta_psets(STAR7)
+    assert len(builds) == 2 * len(graphs)
+
+
 @pytest.mark.parametrize("size, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
 def test_cap_boundary_matches_walk(size, cross_ok, fast):
-    count = _choice_tree_size(_per_multiplier_options(F5, size))
+    count = _choice_tree_size(_option_counts(F5, size))
     with pytest.raises(CapExceeded) as refused:
         fast(F5, cap=count - 1)
     assert str(count) in str(refused.value) and str(count - 1) in str(refused.value)
@@ -250,7 +313,7 @@ def test_cap_boundary_matches_walk(size, cross_ok, fast):
 @pytest.mark.parametrize("size, cross_ok, fast", FAMILIES, ids=["psets", "delta-psets"])
 def test_stored_enumeration_still_admits_each_call(size, cross_ok, fast):
     g = edgeless(5)
-    count = _choice_tree_size(_per_multiplier_options(g, size))
+    count = _choice_tree_size(_option_counts(g, size))
     found = fast(g, cap=count)
     assert fast(g) == found
     with pytest.raises(CapExceeded):
@@ -472,7 +535,7 @@ def test_delta_pset_recognizer_matches_brute_force(g, rng):
     slow = brute_force_partition_witness(
         sample, lambda x, y: x[0] in y[1] or y[0] in x[1] or x[1] == y[1]
     )
-    assert (partition_witness(sample, _delta_cross_ok) is None) == (slow is None)
+    assert (partition_witness(sample, delta_cross_ok) is None) == (slow is None)
     if slow is not None:
         assert any(set(sample) <= set(d.members) for d in maximal_delta_psets(g))
 

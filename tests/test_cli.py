@@ -587,9 +587,9 @@ def test_corpus_enumerates_delta_psets_once_per_graph(capsys, tmp_path, monkeypa
     calls = []
     body = bns._maximal_sets
 
-    def counted(options, cross_ok):
-        calls.append(cross_ok)
-        return body(options, cross_ok)
+    def counted(options, delta):
+        calls.append(delta)
+        return body(options, delta)
 
     monkeypatch.setattr(bns, "_maximal_sets", counted)
     corpus = tmp_path / "graphs"
@@ -598,7 +598,7 @@ def test_corpus_enumerates_delta_psets_once_per_graph(capsys, tmp_path, monkeypa
     code, report = run(capsys, "corpus", str(corpus))
     assert code == 0 and report["ok"]
     assert report["files"][0]["checks"]["witness_pairing_is_one"] is True
-    assert [cross_ok for cross_ok in calls if cross_ok is bns._delta_cross_ok] == [bns._delta_cross_ok]
+    assert [delta for delta in calls if delta] == [True]
 
 
 # A fuzz of the input boundary: graph JSON, graph text and arrangement

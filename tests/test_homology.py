@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -270,6 +270,34 @@ def test_block_line_filter_matches_the_pairwise_oracle(a):
     fresh = Arrangement(kept.ambient_dim, kept.subspaces)
     assert "lines" in vars(kept) and "lines" not in vars(fresh)
     assert arrangement_homology(kept) == arrangement_homology(fresh)
+
+
+@st.composite
+def row_map_lists(draw, max_dim=5, max_subspaces=6):
+    """The stored rows of random subspaces, as `_line_masks` takes them:
+    each the span of up to three vectors with small entries, or a copy of
+    one drawn earlier, so rows repeat within and across lists.  Many are
+    not block-line, and many lines are neither units nor differences."""
+    n = draw(st.integers(1, max_dim))
+    bound = draw(st.integers(1, 2))
+    vectors = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    subs = []
+    for _ in range(draw(st.integers(0, max_subspaces))):
+        if subs and draw(st.booleans()):
+            subs.append(draw(st.sampled_from(subs)))
+        else:
+            subs.append(Subspace(n, draw(st.lists(vectors, max_size=3))))
+    return oracles.read_back(Arrangement(n, tuple(subs)))
+
+
+@given(st.one_of(row_map_lists(), block_arrangements().map(oracles.read_back)))
+@example([[{0: 1}, {1: 1}], [{0: 1, 1: 1}]])  # a plane and a line in it: not block-line
+@example([[{0: 1, 1: 2}], [{2: 1}], [{0: 1, 1: -1}]])  # one line neither a unit nor a difference
+@example([[{0: 1, 1: -1}], [{0: 1, 1: -1}, {2: 1}], [{2: 1}], [{3: 1, 4: -1}]])  # repeated rows, an ungrounded block
+@settings(max_examples=300, deadline=None)
+def test_line_masks_match_the_two_pass_oracle(maps):
+    # masks, bit order, supports and graph rank, or None for both
+    assert homology._line_masks(maps) == oracles.line_masks(maps)
 
 
 def test_an_arrangement_block_line_only_once_filtered_finds_its_own_masks():
