@@ -22,9 +22,9 @@ subspaces: two delta-subspaces meet in the lines they share.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import InvariantViolation, admit
 from .graphs import complement_components, component, members_of
@@ -58,14 +58,12 @@ def raag_arrangement(g, cap=None):
     return line_arrangement(len(at), [[{at[v]: 1} for v in subset] for subset in maximal_disconnected_subsets(g, cap)])
 
 
-@dataclass(frozen=True)
-class PSet:
+class PSet(NamedTuple):
     members: tuple
     partition: tuple
 
 
-@dataclass(frozen=True)
-class DeltaPSet:
+class DeltaPSet(NamedTuple):
     members: tuple
     partition: tuple
 
@@ -311,8 +309,7 @@ def pso_arrangement(g, cap=None):
     return pso_hom_space(g), line_arrangement(len(at), subs), deltas
 
 
-@dataclass(frozen=True)
-class H1Witness:
+class H1Witness(NamedTuple):
     loop: object
     chain: tuple  # (arrangement index, ambient character vector) pairs
     cocycle_support: tuple

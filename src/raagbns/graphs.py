@@ -25,9 +25,9 @@ labels; all sequences of components are ordered lexicographically.
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import MalformedInput
 
@@ -272,8 +272,7 @@ def complement_components(g, a):
     return tuple(k for _, k in g.component_table[a])
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     """Component trichotomy for a nonadjacent pair (a, b).
 
     dominating_a is the component of the star complement of a that
@@ -305,8 +304,7 @@ def classify_pair(g, a, b):
     return PairClassification(a, b, dom_a, dom_b, sub_a, sub_b, shared)
 
 
-@dataclass(frozen=True)
-class SupportGraph:
+class SupportGraph(NamedTuple):
     """Per-vertex graph: one node per component of the star complement of
     `owner`, an edge {K, L} whenever some b in K makes L a shared
     component for the pair (owner, b)."""
@@ -320,14 +318,12 @@ def support_graph(g, a):
     return SupportGraph(a, complement_components(g, a), g.support_edges[a])
 
 
-@dataclass(frozen=True)
-class ForestData:
+class ForestData(NamedTuple):
     owner: str
     trees: tuple  # each tree is a sorted tuple of nodes
 
 
-@dataclass(frozen=True)
-class LoopWitness:
+class LoopWitness(NamedTuple):
     owner: str
     nodes: tuple  # cycle K_1..K_n, consecutive (and wraparound) edges
 

@@ -17,11 +17,11 @@ stored rows read back.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
+from typing import NamedTuple
 
 from .errors import InvariantViolation, MalformedInput, admit, enumeration_cap
 from .graphs import bits, component
@@ -112,15 +112,13 @@ def _json_rational(token):
     raise MalformedInput(f"matrix entries must be \"p/q\" strings or integers, not {token!r}")
 
 
-@dataclass(frozen=True)
-class ChainComplexData:
+class ChainComplexData(NamedTuple):
     dims: tuple
     boundaries: tuple  # boundaries[k]: ZMatrix of a positive multiple of d_k : C_k -> C_{k-1}
     index_sets: tuple  # per degree >= 1, tuple of (index tuple, dim V_J)
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(NamedTuple):
     betti: tuple
     euler: int
 

@@ -19,8 +19,7 @@ translate between this generating set and the standard one.
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .bns import h1_witness
 from .errors import InvariantViolation, MalformedInput, RaagBnsError
@@ -44,20 +43,23 @@ class NotAForest(RaagBnsError):
         self.loop = loop
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     generators: tuple
     relators: tuple  # words over the generators, exponents +1/-1
     kind: str  # psa, pso or raag
 
-    def __post_init__(self):
-        declared = set(self.generators)
-        for word in self.relators:
-            for sym, exp in word:
-                if sym not in declared:
-                    raise InvariantViolation(f"relator uses undeclared generator {sym!r}")
-                if exp not in (1, -1):
-                    raise InvariantViolation("relator exponents must be +1 or -1")
+
+def checked_presentation(generators, relators, kind):
+    """The presentation, once every relator letter is checked to be a
+    declared generator with exponent +1 or -1."""
+    declared = set(generators)
+    for word in relators:
+        for sym, exp in word:
+            if sym not in declared:
+                raise InvariantViolation(f"relator uses undeclared generator {sym!r}")
+            if exp not in (1, -1):
+                raise InvariantViolation("relator exponents must be +1 or -1")
+    return GroupPresentation(generators, relators, kind)
 
 
 def _commutator(x, y):
@@ -91,7 +93,7 @@ def _psa_relators(g):
 
 def psa_presentation(g):
     gens, relators = _psa_relators(g)
-    return GroupPresentation(gens, tuple(relators), "psa")
+    return checked_presentation(gens, tuple(relators), "psa")
 
 
 def pso_presentation(g):
@@ -100,31 +102,30 @@ def pso_presentation(g):
     for a, comps in g.component_table.items():
         if comps:
             relators.append(tuple(((a, k), 1) for _, k in comps))
-    return GroupPresentation(gens, tuple(relators), "pso")
+    return checked_presentation(gens, tuple(relators), "pso")
 
 
-@dataclass(frozen=True)
-class EdgeGen:
+class EdgeGen(NamedTuple):
     owner: str
     edge: tuple  # sorted pair of support-graph nodes
+    symbol: str  # owner[K|L], formatted once by `of`
 
-    @cached_property
-    def symbol(self):
-        return self.owner + "[" + "|".join(",".join(n) for n in self.edge) + "]"
+    @classmethod
+    def of(cls, owner, edge):
+        return cls(owner, edge, owner + "[" + "|".join(",".join(n) for n in edge) + "]")
 
 
-@dataclass(frozen=True)
-class TreeGen:
+class TreeGen(NamedTuple):
     owner: str
     tree: tuple  # sorted tuple of support-graph nodes
+    symbol: str  # owner{K;L;...}, formatted once by `of`
 
-    @cached_property
-    def symbol(self):
-        return self.owner + "{" + ";".join(",".join(n) for n in self.tree) + "}"
+    @classmethod
+    def of(cls, owner, tree):
+        return cls(owner, tree, owner + "{" + ";".join(",".join(n) for n in tree) + "}")
 
 
-@dataclass(frozen=True)
-class PresentationGraph:
+class PresentationGraph(NamedTuple):
     """Defining graph of the outer quotient's graphical presentation.
 
     Vertices are the symbols of the tree generators (one per maximal
@@ -198,8 +199,8 @@ def presentation_graph(g, basepoints=None):
         # the first override's tree, else the tree of the least node
         pref_tree = next(iter(chosen), trees[0])
         preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
-        tree_gens.extend(TreeGen(a, t) for t in trees if t != pref_tree)
-        edge_gens.extend(EdgeGen(a, e) for e in sg.edges)
+        tree_gens.extend(TreeGen.of(a, t) for t in trees if t != pref_tree)
+        edge_gens.extend(EdgeGen.of(a, e) for e in sg.edges)
     # each SIL row (a, b, K_a, K_b, L) parts a's edge {K_a, L} from b's
     # edge {K_b, L}; the rows come in both orders, so `apart` is symmetric
     symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
@@ -263,8 +264,7 @@ def _psi_word(th, gen, place, preferred):
     return tuple((t.symbol, -1) for t in th.tree_gens if t.owner == a) + rest
 
 
-@dataclass(frozen=True)
-class GeneratorDictionary:
+class GeneratorDictionary(NamedTuple):
     """Both translation tables between the standard generating set and
     the graphical one."""
 
@@ -338,15 +338,13 @@ def verify_relators_killed(g, th, d):
     return True
 
 
-@dataclass(frozen=True)
-class RaagVerdict:
+class RaagVerdict(NamedTuple):
     presentation_graph: PresentationGraph
     dictionary: GeneratorDictionary
     center_rank: int
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     owner: str
     loop: LoopWitness
     homology_witness: object

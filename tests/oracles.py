@@ -29,9 +29,9 @@ from raagbns.linalg import QMatrix, parse_rational
 from raagbns.presentations import (
     EdgeGen,
     GeneratorDictionary,
-    GroupPresentation,
     TreeGen,
     _commutator,
+    checked_presentation,
 )
 from raagbns.words import inverse, reduce, standard_generators
 
@@ -753,7 +753,7 @@ def plain_psa_presentation(g):
                     ((a, k), 1), ((a, l), 1), ((b, l), 1),
                     ((a, l), -1), ((a, k), -1), ((b, l), -1),
                 ))
-    return GroupPresentation(tuple(gens), tuple(relators), "psa")
+    return checked_presentation(tuple(gens), tuple(relators), "psa")
 
 
 def is_sil_pair_by_links(g, a, b):
@@ -898,15 +898,15 @@ def far_side_psi_word(th, gen, far):
     word = []
     if k != base:
         # the incident edge whose cut leaves the basepoint on the far side
-        toward = next(e for e in incident if k in far[EdgeGen(a, e)])
-        word.append((EdgeGen(a, toward).symbol, 1))
-        word.extend((EdgeGen(a, e).symbol, -1) for e in incident if e != toward)
+        toward = next(e for e in incident if k in far[EdgeGen.of(a, e)])
+        word.append((EdgeGen.of(a, toward).symbol, 1))
+        word.extend((EdgeGen.of(a, e).symbol, -1) for e in incident if e != toward)
     elif k != pref:
-        word.append((TreeGen(a, tree).symbol, 1))
-        word.extend((EdgeGen(a, e).symbol, -1) for e in incident)
+        word.append((TreeGen.of(a, tree).symbol, 1))
+        word.extend((EdgeGen.of(a, e).symbol, -1) for e in incident)
     else:
         word.extend((t.symbol, -1) for t in th.tree_gens if t.owner == a)
-        word.extend((EdgeGen(a, e).symbol, -1) for e in incident)
+        word.extend((EdgeGen.of(a, e).symbol, -1) for e in incident)
     return tuple(word)
 
 
@@ -983,7 +983,7 @@ def raag_presentation(graph):
     relators = tuple(
         _commutator(u, w) for u, w in sorted(graph.edges)
     )
-    return GroupPresentation(gens, relators, "raag")
+    return checked_presentation(gens, relators, "raag")
 
 
 def _exponent_matrix(row_labels, columns):

@@ -32,7 +32,6 @@ graph, and without an SIL the PSA arrangement is the RAAG arrangement
 of the commutation graph.
 """
 
-import dataclasses
 import functools
 import time
 
@@ -314,7 +313,7 @@ def test_dropping_a_loop_edge_breaks_the_theorem_identities():
     assert pso_betti == (0, 4) and theorem_defects(g, thetas, pso_betti) == []
     loop = forest_certificate(thetas["a"]).nodes
     edge = (min(loop[:2]), max(loop[:2]))
-    thetas["a"] = dataclasses.replace(thetas["a"], edges=tuple(e for e in thetas["a"].edges if e != edge))
+    thetas["a"] = thetas["a"]._replace(edges=tuple(e for e in thetas["a"].edges if e != edge))
     assert theorem_defects(g, thetas, pso_betti) == ["delta-p-set pairs", "pso betti"]
 
 
@@ -367,7 +366,7 @@ def test_toggling_a_defining_graph_edge_breaks_the_pull_back():
     removed, added = ("a[b|c,d]", "e[b|c]"), ("a[b|c,d]", "c[a,e|b]")
     assert removed in th.graph.edges and added not in th.graph.edges
     for edge in (removed, added):
-        toggled = dataclasses.replace(th, graph=SimpleGraph(th.graph.vertices, th.graph.edges ^ {edge}))
+        toggled = th._replace(graph=SimpleGraph(th.graph.vertices, th.graph.edges ^ {edge}))
         assert pulled_back_raag_arrangement(g, toggled, d) != ambient_pso_arrangement(g)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 from types import MappingProxyType
 
 import networkx as nx
@@ -345,13 +344,12 @@ def test_graph_functions_match_plain_bodies_on_atlas():
 
 def mutable_parts(value):
     """The lists, dicts and sets anywhere inside a stored value:
-    tuples, frozensets, frozen dataclasses and read-only maps are walked."""
+    tuples (records among them), frozensets and read-only maps are
+    walked."""
     if isinstance(value, (list, dict, set)):
         return [value]
     if isinstance(value, MappingProxyType):
         value = tuple(value.items())
-    elif dataclasses.is_dataclass(value):
-        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
     if isinstance(value, (tuple, frozenset)):
         return [part for item in value for part in mutable_parts(item)]
     return []

@@ -2,10 +2,14 @@
 module, so code deleted from one layer leaves no stale import behind in
 another; and every top-level function or class, and every method or
 property of a top-level class, is referenced from `src/`, so code that
-only the tests use lives in `tests/`."""
+only the tests use lives in `tests/`.  Importing the CLI loads neither
+`dataclasses` nor `inspect`: every record is a `NamedTuple`."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +81,36 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules `source` imports, relative imports
+    left out."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_detects_a_dataclasses_import():
+    assert imported_modules("from dataclasses import dataclass\nimport os.path\nfrom . import x\n") == {"dataclasses", "os"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter with no bytecode written, as the benchmark
+    # harness imports the package
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, raagbns.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_detects_an_unused_import():

@@ -1,6 +1,6 @@
-import dataclasses
 from collections import Counter
 
+import oracles
 import pytest
 from oracles import (
     atlas,
@@ -101,8 +101,8 @@ def test_pso_path_product_relators_skip_the_star_vertex():
 def test_pso_presentation_validates_each_relator_once(monkeypatch):
     # the PSA relators and R5 go into one presentation, checked once
     built = []
-    real = presentations.GroupPresentation.__post_init__
-    monkeypatch.setattr(presentations.GroupPresentation, "__post_init__", lambda p: built.append(p.kind) or real(p))
+    real = presentations.checked_presentation
+    monkeypatch.setattr(presentations, "checked_presentation", lambda gens, rels, kind: built.append(kind) or real(gens, rels, kind))
     pso_presentation(F3)
     assert built == ["pso"]
 
@@ -115,6 +115,26 @@ def test_an_r5_relator_with_an_undeclared_generator_is_refused(monkeypatch):
     assert psa_presentation(edgeless(2)).relators == ()
     with pytest.raises(InvariantViolation, match="relator uses undeclared generator"):
         pso_presentation(edgeless(2))
+
+
+def test_a_relator_exponent_of_two_is_refused():
+    # planted fault: one letter of a real PSA relator squared
+    p = psa_presentation(F3)
+    (sym, _), *rest = p.relators[0]
+    relators = (((sym, 2), *rest),) + p.relators[1:]
+    with pytest.raises(InvariantViolation) as err:
+        presentations.checked_presentation(p.generators, relators, "psa")
+    assert str(err.value) == "relator exponents must be +1 or -1"
+
+
+def test_oracle_presentations_are_checked(monkeypatch):
+    # planted fault: the oracles' commutator squares its first letter, so
+    # both oracle builds go through the same relator check as src/
+    monkeypatch.setattr(oracles, "_commutator", lambda x, y: ((x, 2), (y, 1), (x, -1), (y, -1)))
+    for build, g in ((raag_presentation, PATH3), (plain_psa_presentation, F3)):
+        with pytest.raises(InvariantViolation) as err:
+            build(g)
+        assert str(err.value) == "relator exponents must be +1 or -1"
 
 
 def test_raag_presentation():
@@ -222,7 +242,7 @@ def test_corrupted_dictionary_fails_verification():
     rows = list(d.from_standard)
     target, word = rows[0]
     rows[0] = (target, tuple((sym, -exp) for sym, exp in word))
-    bad = dataclasses.replace(d, from_standard=tuple(rows))
+    bad = d._replace(from_standard=tuple(rows))
     assert not verify_relators_killed(F3, th, bad)
 
 
@@ -245,7 +265,7 @@ def test_round_trip_check_catches_every_single_letter_corruption():
                 for bad in _single_letter_corruptions(word):
                     broken = rows[:i] + ((key, bad),) + rows[i + 1:]
                     with pytest.raises(InvariantViolation, match="round trip"):
-                        presentations._check_round_trips(gens, dataclasses.replace(d, **{field: broken}))
+                        presentations._check_round_trips(gens, d._replace(**{field: broken}))
                     corrupted += 1
     assert corrupted == 3 * 30  # three corruptions of each of the 30 letters
 
@@ -272,14 +292,14 @@ def test_round_trip_check_counts_an_untouched_generator_as_zero():
     }
     assert all(gen != x for _, word in d.to_standard for gen, _ in word)
     with pytest.raises(InvariantViolation, match="round trip on standard generators"):
-        presentations._check_round_trips(gens, dataclasses.replace(d, from_standard=rows))
+        presentations._check_round_trips(gens, d._replace(from_standard=rows))
 
 
 def test_round_trip_check_catches_an_unreachable_symbol():
     # the standard side still round-trips; only symbols -> standard ->
     # symbols sees a symbol whose image does not come back
     d = generator_dictionary(F3, presentation_graph(F3))
-    extra = dataclasses.replace(d, to_standard=d.to_standard + (("z[a|b]", ()),))
+    extra = d._replace(to_standard=d.to_standard + (("z[a|b]", ()),))
     with pytest.raises(InvariantViolation, match="round trip on symbols"):
         presentations._check_round_trips(standard_generators(F3), extra)
 
