@@ -6,7 +6,11 @@ the boundary deletes one index at a time with alternating signs, and
 degree one maps each subspace into the ambient space by inclusion.
 `arrangement_homology` is the entry point: block-line arrangements,
 every one built from a graph among them, take a closed form,
-b = (n - r, m - r, 0, ..., 0), every other one the full complex.
+b = (n - r, m - r, 0, ..., 0), every other one the full complex.  A
+block-line arrangement's cap is decided from its line counts or, past
+them, by Mobius inversion on the flats of its intersection lattice;
+its summands are listed only when the flats would cost more than the
+cap.
 `maximal_filter` reads the same line masks, worked out once per
 arrangement, and hands the kept ones on to the filtered arrangement.
 `line_arrangement` keeps an arrangement's rows as {coordinate: entry}
@@ -293,37 +297,59 @@ def arrangement_homology(a, cap=None):
     degree k, times l, which is exact but for l in degree 1, and d_1
     sums the m lines into a span of rank r.  Hence
     b = (n - r, m - r, 0, ..., 0) and dims_k = sum over l of C(|T_l|, k).
-    The summands are still walked in the general build's order, with
-    line masks met by `&`, so dims and the admission against the cap are
-    the general build's.  With no maps to square, the self-checks are a
-    double count, the walk's dims against the sum over l, and, when
-    every line is a unit or a difference (a graphic matroid), r against
-    the graph rank: the used coordinates less the blocks with no unit."""
+
+    No summand is listed to decide the cap.  Degree 1 is admitted on its
+    exact count.  Every non-zero meet lies in some T_l, so when
+    U = sum over l of (2^|T_l| - 1) is within the cap nothing is refused,
+    and the dims of degrees 1 and 2, counted pair by pair off the masks,
+    are checked against the closed form.  Past U, `lattice.flat_counts`
+    counts each degree's summands on the flats, and the first degree at
+    which the running count passes the cap is refused with the general
+    build's message; the flats' dims are checked against the closed form
+    in every degree, and their degree-1 count against the masks.  Only
+    when counting on the flats would take more steps than the cap, as it
+    does when they number more than the cap, and so the summands do too,
+    does `lattice.walk` list the summands, refusing within cap + 1 of
+    them.
+    When every line is a unit or a difference (a graphic matroid), r is
+    also checked against the graph rank: the used coordinates less the
+    blocks with no unit."""
     lines = a.lines
     if lines is None:
         c = build_chain_complex(a, cap)
         return c.dims, betti_numbers(c)
     masks, supports, graph_rank = lines
     cap = enumeration_cap() if cap is None else cap
-    level = [(i, m) for i, m in enumerate(masks) if m]
-    admit(len(level), cap, f"the chain complex reaches {len(level)} summands at degree 1")
-    later = [[(j, m) for j, m in level if j > i] for i in range(len(masks))]
-    dims, total = [a.ambient_dim], 0
-    while level:
-        dims.append(sum(m.bit_count() for _, m in level))
-        total += len(level)
-        nxt = []
-        for i, sup in level:
-            nxt += [(j, meet) for j, m in later[i] if (meet := sup & m)]
-            if total + len(nxt) > cap:  # one summand at a time, the count passes the cap at cap + 1
-                admit(cap + 1, cap, f"the chain complex reaches {cap + 1} summands at degree {len(dims)}")
-        level = nxt
+    held = [m for m in masks if m]
+    admit(len(held), cap, f"the chain complex reaches {len(held)} summands at degree 1")
     t = _containing(masks)
-    closed = [a.ambient_dim] + [sum(comb(x, k) for x in t) for k in range(1, 1 + max(t, default=0))]
-    r = rank(ZMatrix(a.ambient_dim, supports))
+    top = max(t, default=0)
     where = f"block-line chain complex of {len(masks)} subspaces of Q^{a.ambient_dim} with {len(supports)} lines"
-    if closed != dims:
-        raise InvariantViolation(f"{where}: the summands give dims {dims}, the closed form {closed}")
+    if sum((1 << x) - 1 for x in t) <= cap:
+        dims = [sum(comb(x, k) for x in t) for k in range(1, 1 + top)]
+        counted = [
+            sum(m.bit_count() for m in held),
+            sum((m & o).bit_count() for i, m in enumerate(held) for o in held[i + 1:]),
+        ]
+        if counted != (dims + [0, 0])[:2]:
+            raise InvariantViolation(
+                f"{where}: the masks give dims {counted} in degrees 1 and 2, the closed form {dims[:2]}"
+            )
+    else:
+        from .lattice import flat_counts, walk  # compiled only when the line counts do not settle the cap
+
+        # both lists end at the degree whose running count passes the cap
+        counts, found = flat_counts(held, cap) or walk(held, cap)
+        refused = sum(counts) > cap
+        dims = [sum(comb(x, k) for x in t) for k in range(1, 1 + (len(found) if refused else top))]
+        if found != dims:
+            raise InvariantViolation(f"{where}: the meets give dims {found}, the closed form {dims}")
+        if counts[0] != len(held):
+            raise InvariantViolation(f"{where}: the meets give {counts[0]} summands at degree 1, not {len(held)}")
+        if refused:
+            admit(cap + 1, cap, f"the chain complex reaches {cap + 1} summands at degree {len(counts)}")
+    dims.insert(0, a.ambient_dim)
+    r = rank(ZMatrix(a.ambient_dim, supports))
     if graph_rank not in (None, r):
         raise InvariantViolation(f"{where}: the lines have rank {r}, their graph rank is {graph_rank}")
     betti = (a.ambient_dim - r, len(supports) - r)[:len(dims)] + (0,) * (len(dims) - 2)

@@ -406,6 +406,15 @@ def arrangement_betti(a, filter_maximal=True):
     return homology.betti_numbers(homology.build_chain_complex(a))
 
 
+def refusal(compute, *args):
+    """The CapExceeded message of compute(*args), or None if it is admitted."""
+    try:
+        compute(*args)
+    except CapExceeded as exc:
+        return str(exc)
+    return None
+
+
 def dense_betti(dims, boundaries):
     """Betti numbers from dense_chain_complex output, by rref ranks."""
     ranks = [rref_rank(b) for b in boundaries] + [0]

@@ -12,8 +12,9 @@ for its far side.  The dictionary is compared at the default basepoints
 and with every owner's basepoints moved.  Every RAAG, PSA and PSO
 arrangement, raw and maximal-filtered, is block-line and has its closed
 form compared with the full chain complex, its line masks with the
-two-pass rule they replaced, and its line-mask filter with the pairwise
-containment oracle.  The sweep is never sampled.
+two-pass rule they replaced, its line-mask filter with the pairwise
+containment oracle, and the summand counts and refusals of its flats
+with a walk over its summands.  The sweep is never sampled.
 
 The paper's theorem holds as exact Betti identities (Day and Wade,
 arXiv 1508.00622; Meier and VanWyk, Proc. LMS 71, 1995, for the RAAG
@@ -33,6 +34,7 @@ of the commutation graph.
 """
 
 import functools
+import itertools
 import time
 
 import networkx as nx
@@ -51,9 +53,10 @@ from oracles import (
     plain_support_graph,
     pulled_back_raag_arrangement,
     read_back,
+    refusal,
 )
 
-from raagbns import cli
+from raagbns import bns, cli, lattice
 from raagbns.bns import (
     _from_coordinates,
     euler_report,
@@ -65,7 +68,7 @@ from raagbns.bns import (
     pso_arrangement,
     raag_arrangement,
 )
-from raagbns.errors import CapExceeded, InvariantViolation
+from raagbns.errors import DEFAULT_CAP, CapExceeded, InvariantViolation
 from raagbns.graphs import LoopWitness, SimpleGraph, forest_certificate, support_graph
 from raagbns.homology import (
     Arrangement,
@@ -93,6 +96,12 @@ VERDICTS = {1: (1, 0), 2: (2, 0), 3: (4, 0), 4: (10, 1), 5: (29, 5), 6: (128, 28
 # closed form.
 COORDINATE_SIDES = {1: 6, 2: 12, 3: 22, 4: 56, 5: 158, 6: 678, 7: 4328}
 BLOCK_LINE_SIDES = {1: 6, 2: 12, 3: 24, 4: 66, 5: 204, 6: 936, 7: 6264}
+
+# euler_report on every atlas graph and on cycle(8), cycle(9) and
+# cycle(10) at the default cap: (arrangements it takes the homology of,
+# those past U, graphs refused).  Only the two larger cycles pass U, on
+# their RAAG sides, and are refused there
+EULER_REPORT_SIDES = (3751, 2, 7)
 
 
 def moved_basepoints(th):
@@ -150,6 +159,21 @@ def stored_form_differs(a):
     return "row_maps" not in vars(a) or [(s.rows, s.pivots) for s in a.subspaces] != [
         (s.rows, s.pivots) for s in eliminated(a)
     ]
+
+
+def lattice_defects(a):
+    """Where the flats of block-line `a` disagree with the walk over its
+    summands: the counts and dims per degree, and the refusal at each cap
+    just under and at each degree's running count, where the flats or the
+    walk decide it."""
+    held = [m for m in a.lines[0] if m]
+    counts, dims = lattice.walk(held, RAISED_CAP)
+    defects = [] if lattice.flat_counts(held, RAISED_CAP) == (counts, dims) else ["counts"]
+    for total in itertools.accumulate(counts):
+        for cap in (total - 1, total):
+            if refusal(arrangement_homology, a, cap) != refusal(lattice.walk, held, cap):
+                defects.append(cap)
+    return defects
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +238,8 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
                 dims, profile = arrangement_homology(a)
                 if (dims, profile) != (c.dims, betti_numbers(c)) or any(profile.betti[2:]):
                     differ.append((sorted(g.edges), side, len(a.subspaces)))
+                if defects := lattice_defects(a):
+                    differ.append((sorted(g.edges), side, "flats", defects))
         pso_betti = arrangement_homology(maximal_filter(pso_arrangement(g)[1]))[1].betti
         if defects := theorem_defects(g, {a: plain_support_graph(g, a) for a in g.vertices}, pso_betti):
             differ.append((sorted(g.edges), defects))
@@ -265,6 +291,42 @@ def test_euler_report_builds_no_subspaces(graphs_by_size, monkeypatch):
     assert len(every) == 1252 and builds == []
     witnesses = [h1_witness(g, loop) for g in every for loop in loops(g)]
     assert len(witnesses) == 844 and len(builds) > 0
+
+
+def test_euler_report_walks_no_summands_and_builds_flats_only_past_the_line_bound(graphs_by_size, monkeypatch):
+    # at the default cap a side takes the flats exactly when
+    # U = sum over its lines l of (2^|T_l| - 1) passes the cap, and no side
+    # lists its summands
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    sides, past, built = [], [], []
+    real_homology, real_lattice = bns.arrangement_homology, lattice.flat_counts
+
+    def homology_of(a, cap=None):
+        sides.append(a)
+        if sum(2 ** t - 1 for t in line_counts(a.lines[0])) > DEFAULT_CAP:
+            past.append(a)
+        return real_homology(a, cap)
+
+    monkeypatch.setattr(bns, "arrangement_homology", homology_of)
+    monkeypatch.setattr(
+        lattice, "flat_counts", lambda masks, cap: built.append(sides[-1]) or real_lattice(masks, cap)
+    )
+    monkeypatch.setattr(lattice, "walk", lambda masks, cap: pytest.fail("walked the summands"))
+    refused = 0
+    cycles = [SimpleGraph(range(n), [(i, (i + 1) % n) for i in range(n)]) for n in (8, 9, 10)]
+    for g in [*(g for n in sorted(graphs_by_size) for g in graphs_by_size[n]), *cycles]:
+        try:
+            euler_report(g)
+        except CapExceeded:
+            refused += 1
+    assert built == past
+    assert (len(sides), len(past), refused) == EULER_REPORT_SIDES
+
+
+def line_counts(masks):
+    """|T_l| for each line l held by some mask, bit by bit."""
+    lines = functools.reduce(lambda x, y: x | y, masks, 0)
+    return [sum(m >> b & 1 for m in masks) for b in range(lines.bit_length()) if lines >> b & 1]
 
 
 def test_a_sign_flipped_row_breaks_the_stored_form():

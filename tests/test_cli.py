@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from raagbns import bns, cli
+from raagbns import bns, cli, lattice
 from raagbns.cli import main
 from raagbns.graphs import SimpleGraph
 
@@ -121,6 +121,38 @@ def test_homology_raw_on_sixteen_copies_of_a_line_off_the_axes(capsys, tmp_path)
     assert code == 0
     assert report["dims"] == [2] + [math.comb(16, k) for k in range(1, 17)]
     assert report["betti"] == [1] + [0] * 16
+
+
+def cycle_file(tmp_path, n):
+    path = tmp_path / f"cycle{n}.json"
+    vertices = [f"v{i}" for i in range(n)]
+    path.write_text(json.dumps({"vertices": vertices, "edges": [[vertices[i - 1], v] for i, v in enumerate(vertices)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, degree", [(9, 7), (10, 6)])
+def test_cycles_past_the_cap_are_refused_on_the_flats(capsys, tmp_path, monkeypatch, n, degree):
+    # the RAAG side's lines bound 1.9e7 and 2.7e9 summands, past the default
+    # cap, so the flats count the refusal and no summand is listed
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    monkeypatch.setattr(lattice, "walk", lambda masks, cap: pytest.fail("walked the summands"))
+    assert main(["euler-report", cycle_file(tmp_path, n)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the chain complex reaches 1000001 summands at degree {degree}, over the cap of 1000000; "
+        "raise RAAGBNS_CAP to insist\n"
+    )
+
+
+def test_cycle12_at_a_raised_cap_is_decided_from_its_line_counts(capsys, tmp_path, monkeypatch):
+    # 4.1e14 summands a side, within U = 4.2e14 and the cap of 10^15: m = r = n
+    # lines, so every RAAG and PSA Betti number is 0, and nothing is counted
+    monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 15))
+    for slow in ("walk", "flats"):
+        monkeypatch.setattr(lattice, slow, lambda masks, cap, slow=slow: pytest.fail(f"called {slow}"))
+    code, report = run(capsys, "euler-report", cycle_file(tmp_path, 12))
+    assert code == 0
+    assert report["raag"]["betti"] == report["psa"]["betti"] == [0] * 46
+    assert report["pso"]["betti"] == [0]
 
 
 # a plane, a unit line in it twice, the z-axis and a last line in the plane:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import arrangement_betti, dense_betti, dense_chain_complex, dense_product_is_zero, h0_dim
-from raagbns.bns import pso_arrangement, psa_arrangement, raag_arrangement
-from raagbns import homology
-from raagbns.errors import CapExceeded, InvariantViolation
+from oracles import arrangement_betti, dense_betti, dense_chain_complex, dense_product_is_zero, h0_dim, refusal
+from raagbns.bns import euler_report, pso_arrangement, psa_arrangement, raag_arrangement
+from raagbns import homology, lattice
+from raagbns.errors import InvariantViolation
 from raagbns.graphs import SimpleGraph
 from raagbns.homology import (
     Arrangement,
@@ -162,15 +163,6 @@ def general_homology(a, cap=None):
     arrangement_homology's closed form."""
     c = build_chain_complex(a, cap)
     return c.dims, betti_numbers(c)
-
-
-def refusal(compute, a, cap):
-    """The CapExceeded message of compute(a, cap), or None if it is admitted."""
-    try:
-        compute(a, cap)
-    except CapExceeded as exc:
-        return str(exc)
-    return None
 
 
 @st.composite
@@ -367,6 +359,96 @@ def test_closed_form_self_check_catches_a_wrong_coordinate_count(monkeypatch):
         arrangement_homology(a)
 
 
+def unit_arrangement(masks, n=6):
+    """The coordinate arrangement of Q^n whose subspace j spans the unit
+    vectors of the bits of masks[j]."""
+    return homology.line_arrangement(n, [[{b: 1} for b in range(n) if m >> b & 1] for m in masks])
+
+
+@given(st.lists(st.integers(0, 2 ** 7 - 1), max_size=12))
+@example([0b011, 0b110, 0b101, 0b111, 0b111])  # three pairs meeting in three lines, a repeated mask
+@example([0b11, 0b11, 0b01, 0b10, 0b01])  # a flat {a, b} over the flats {a} and {b}
+@settings(max_examples=200, deadline=None)
+def test_lattice_counts_match_the_walk(masks):
+    # per degree, the k-sets with a non-zero meet and their dims, in full
+    # and cut at each degree whose running count passes a cap
+    held = [m for m in masks if m]
+    counts, dims = lattice.walk(held, math.inf)
+    assert lattice.flat_counts(held, math.inf) == (counts, dims)
+    for k, total in enumerate(itertools.accumulate(counts), start=1):
+        assert lattice.flat_counts(held, total - 1) in (None, (counts[:k], dims[:k]))
+    flats = lattice.flats(held, math.inf)
+    assert len(flats) <= sum(counts)
+    f = len(flats)
+    steps = f * (f - 1) // 2 + 2 * f * len(set(held))
+    assert lattice.flats(held, steps) == flats and lattice.flats(held, steps - 1) is None
+
+
+@given(st.lists(st.integers(0, 2 ** 6 - 1), max_size=7))
+@settings(max_examples=60, deadline=None)
+def test_mask_list_refusals_match_the_full_complex(masks):
+    # every cap below the summand count is below U = sum of (2^|T_l| - 1),
+    # so the flats count the refusal, or the walk where the flats would take
+    # more steps than the cap
+    a = unit_arrangement(masks)
+    c = build_chain_complex(a, cap=10 ** 6)
+    for cap in range(sum(map(len, c.index_sets)) + 2):
+        assert refusal(arrangement_homology, a, cap) == refusal(build_chain_complex, a, cap)
+
+
+def test_forty_copies_of_a_line_refuse_like_the_full_complex_without_a_walk(monkeypatch):
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    a = Arrangement(3, (coordinate_subspace(3, [2]),) * 40)
+    expected = refusal(build_chain_complex, a, None)
+    monkeypatch.setattr(lattice, "walk", lambda masks, cap: pytest.fail("walked the summands"))
+    assert refusal(arrangement_homology, a, None) == expected == (
+        "the chain complex reaches 1000001 summands at degree 6, over the cap of 1000000; raise RAAGBNS_CAP to insist"
+    )
+
+
+def lattice_case(monkeypatch):
+    """The 26 coordinate subspaces of Q^5 of dimension 2 and up, whose
+    flats are the 31 non-zero coordinate subspaces, and a cap under
+    U = 5 (2^15 - 1) and over the 2,077 steps of counting on the flats,
+    so that the flats, and never the walk, decide it."""
+    monkeypatch.setattr(lattice, "walk", lambda masks, cap: pytest.fail("walked the summands"))
+    return unit_arrangement([m for m in range(32) if m.bit_count() >= 2], n=5), 10 ** 4
+
+
+@pytest.mark.parametrize("fault", [(1, 0), (-1, 0), (0, 1), (0, -1)], ids=["c+1", "c-1", "e+1", "e-1"])
+def test_a_wrong_mobius_value_at_any_flat_is_caught(monkeypatch, fault):
+    # planted fault: c_X or e_X off by one at one flat, each flat in turn
+    a, cap = lattice_case(monkeypatch)
+    assert refusal(arrangement_homology, a, cap) == refusal(build_chain_complex, a, cap) == (
+        "the chain complex reaches 10001 summands at degree 5, over the cap of 10000; raise RAAGBNS_CAP to insist"
+    )
+    flats = lattice.flats([m for m in a.lines[0] if m], cap)
+    assert len(flats) == 31
+    real = lattice.mobius
+    for wrong in range(len(flats)):
+        monkeypatch.setattr(
+            lattice,
+            "mobius",
+            lambda flats: [
+                (c + fault[0] * (i == wrong), e + fault[1] * (i == wrong)) for i, (c, e) in enumerate(real(flats))
+            ],
+        )
+        with pytest.raises(InvariantViolation, match="the meets give"):
+            arrangement_homology(a, cap)
+
+
+def test_a_flat_left_out_of_the_closure_is_caught(monkeypatch):
+    # planted fault: each flat in turn missing from the closure
+    a, cap = lattice_case(monkeypatch)
+    real = lattice.flats
+    for missing in range(31):
+        monkeypatch.setattr(
+            lattice, "flats", lambda masks, cap: [x for i, x in enumerate(real(masks, cap)) if i != missing]
+        )
+        with pytest.raises(InvariantViolation, match="the 30 flats of 26 block-line subspaces miss"):
+            arrangement_homology(a, cap)
+
+
 small_entry = st.integers(-3, 3)
 
 
@@ -496,6 +578,17 @@ def test_graph_arrangements_match_dense_oracle(name):
     for a in (raag_arrangement(g), psa_arrangement(g), pso_arrangement(g)[1]):
         c, _ = assert_matches_dense_oracle(maximal_filter(a))
         assert arrangement_homology(maximal_filter(a)) == (c.dims, betti_numbers(c))
+
+
+def test_benchmark_graphs_are_decided_from_their_line_counts(monkeypatch):
+    # every side bounds at most 378 summands, under the default cap, so
+    # neither the flats nor the walk is needed
+    monkeypatch.delenv("RAAGBNS_CAP", raising=False)
+    for slow in ("walk", "flats"):
+        monkeypatch.setattr(lattice, slow, lambda masks, cap, slow=slow: pytest.fail(f"called {slow}"))
+    for name, g in BENCH_GRAPHS.items():
+        report = euler_report(SimpleGraph(g.vertices, g.edges))
+        assert all(not any(p.betti[2:]) for p in report.values()), name
 
 
 # p/q entries with non-unit denominators and either sign: the benchmark's

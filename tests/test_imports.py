@@ -3,9 +3,12 @@ module, so code deleted from one layer leaves no stale import behind in
 another; and every top-level function or class, and every method or
 property of a top-level class, is referenced from `src/`, so code that
 only the tests use lives in `tests/`.  Importing the CLI loads neither
-`dataclasses` nor `inspect`: every record is a `NamedTuple`."""
+`dataclasses` nor `inspect`: every record is a `NamedTuple`; and
+`raagbns.lattice` is imported only by a chain complex whose line counts
+do not settle the cap."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -111,6 +114,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     probe = "import sys, raagbns.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("n, code, loaded", [(6, 0, False), (9, 3, True)])
+def test_the_lattice_module_is_imported_only_past_the_line_counts(tmp_path, n, code, loaded):
+    # euler-report on the 6-cycle, one of the benchmark's graphs, settles the
+    # cap from its line counts and never compiles raagbns.lattice; the 9-cycle
+    # at the default cap counts its summands on the flats
+    vertices = [f"v{i}" for i in range(n)]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": [[vertices[i - 1], v] for i, v in enumerate(vertices)]}))
+    env = {k: v for k, v in os.environ.items() if k != "RAAGBNS_CAP"}
+    env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, raagbns.cli; code = raagbns.cli.main(sys.argv[1:]); print(code, 'raagbns.lattice' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe, "euler-report", str(path)], env=env, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == f"{code} {loaded}"
 
 
 def test_detects_an_unused_import():
