@@ -329,7 +329,7 @@ def arrangement_homology(a, cap=None):
         dims = [sum(comb(x, k) for x in t) for k in range(1, 1 + top)]
         counted = [
             sum(m.bit_count() for m in held),
-            sum((m & o).bit_count() for i, m in enumerate(held) for o in held[i + 1:]),
+            sum((m & o).bit_count() for i, m in enumerate(held) for o in held[i + 1:]) if len(held) > 1 else 0,
         ]
         if counted != (dims + [0, 0])[:2]:
             raise InvariantViolation(

@@ -3,18 +3,49 @@
 Words are tuples of (vertex, exponent) letters with exponent +1 or -1.
 reduce() returns a canonical normal form: two words are equal in the
 group iff their normal forms are literally equal.  After a free
-reduction, which settles most short words, it makes two linear passes:
+reduction, which settles most short words, the letters are piled on
+columns, one per vertex of the word, in label order (the piling of
+Crisp, Godelle and Wiest: Viennot's heap of pieces kept as one stack per
+vertex).  A column holds its vertex's live letters and, between them,
+counts of spacers; a spacer on column u stands for a live letter of
+another vertex that does not commute with u.
 
-1. Cancellation.  Each vertex keeps a stack of its live letters.  A
-   letter (v, e) finds the latest live letter whose vertex is v or not
-   adjacent to v; if that is (v, -e) both cancel, else (v, e) is pushed.
-2. Lex shuffle.  Each surviving letter waits on the last earlier letter
-   of each vertex that is v or not adjacent to v (its heap of pieces).
-   Kahn's algorithm emits the lex-least letter with no pending waits;
-   ready letters have distinct vertices, so there are no ties.
+1. Push or cancel.  A letter (v, e) cancels when the top of column v is
+   (v, -e) with no spacer above it: that letter is popped, and so is one
+   spacer from each column of a vertex that does not commute with v.
+   Otherwise (v, e) is pushed on column v and one spacer on each of
+   those columns.
+2. Read-off.  The columns are read bottom-up.  A vertex is ready when
+   the lowest remaining entry of its column is a letter; the least ready
+   vertex's letter is emitted, and its own column and each
+   non-commuting column advance by one.
 
-A letter looks at each vertex seen so far once per pass, so a word of n
-letters over a graph with |V| vertices reduces in O(n * |V|) time.
+When the word's vertices pairwise commute no column ever holds a
+spacer, so each column is a power of its vertex, and the normal form is
+those powers in label order.
+
+Why the columns are exact.  Call a letter a blocker of v when its vertex
+is v or does not commute with v.  Every live blocker of v has left an
+entry on column v, and an entry goes only with its letter, so the top of
+column v is the latest live blocker of v.  A letter of v therefore
+cancels exactly when the latest live blocker of v is its inverse, the
+cancellation of the heap of pieces.  Read bottom-up, a letter is lowest
+in its column exactly when every earlier blocker of its vertex has been
+emitted, so the read-off is Kahn's algorithm on the heap with the
+lex-least ready letter first; ready letters have distinct vertices, so
+there are no ties.  The spacers taken are the right ones: when a letter
+of v cancels, no live letter of a non-commuting u came after it (that
+letter would have left a spacer above it on column v), and when it is
+emitted, none comes before it (that spacer would be below it).  So on
+column u every entry between its spacer and the end being taken from is
+also a spacer, and as spacers are not told apart, taking any of them is
+the same as taking its own.
+
+Each letter touches the columns of the vertices it does not commute
+with once on the way in and once on the way out, and the read-off looks
+along the columns, in label order, for the first ready one.  So a word
+of n letters over k distinct vertices reduces in O(n * k) time, and
+only the neighbour sets of those k vertices are read.
 """
 
 from .errors import MalformedInput, admit
@@ -28,7 +59,7 @@ def parse_word(g, text):
     """Tokens "v", "v^k" separated by whitespace; k may be negative.  The
     expanded length is checked against the enumeration cap before any
     letter is built."""
-    tokens = []
+    tokens, length = [], 0
     for tok in text.split():
         if "^" in tok:
             v, _, power = tok.partition("^")
@@ -38,14 +69,17 @@ def parse_word(g, text):
                 raise MalformedInput(f"bad word token {tok!r}") from exc
         else:
             v, k = tok, 1
-        if not g.has_vertex(v):
+        if v not in g.neighbors:
             raise MalformedInput(f"unknown vertex {v!r} in word")
         tokens.append((v, k))
-    length = sum(abs(k) for _, k in tokens)
+        length += abs(k)
     admit(length, None, f"word would expand to {length} letters")
     letters = []
     for v, k in tokens:
-        letters.extend([(v, 1 if k > 0 else -1)] * abs(k))
+        if k == 1:
+            letters.append((v, 1))
+        else:
+            letters += [(v, 1 if k > 0 else -1)] * abs(k)
     return tuple(letters)
 
 
@@ -55,70 +89,63 @@ def format_word(word):
     return " ".join(v if e == 1 else f"{v}^-1" for v, e in word)
 
 
-def _cancel(neighbors, word):
-    """Pass 1: the word with its cancelling pairs removed, found with one
-    stack of live positions per vertex."""
-    live, dead = {}, set()
-    for i, (v, e) in enumerate(word):
-        nbrs = neighbors.get(v, ())
-        top = -1
-        for u, stack in live.items():
-            if stack[-1] > top and u not in nbrs:
-                top = stack[-1]
-        if top >= 0 and word[top] == (v, -e):
-            stack = live[v]
-            stack.pop()
-            if not stack:
-                del live[v]
-            dead.update((top, i))
-        elif v in live:
-            live[v].append(i)
-        else:
-            live[v] = [i]
-    return [x for i, x in enumerate(word) if i not in dead] if dead else word
-
-
-def _lex_shuffle(neighbors, letters):
-    """Pass 2: Kahn's algorithm on the heap of pieces, lex-least ready
-    letter first."""
-    waits, later, last, ready = [], [], {}, {}
-    for i, (v, _) in enumerate(letters):
-        nbrs = neighbors.get(v, ())
-        count = 0
-        for u, j in last.items():
-            if u not in nbrs:
-                later[j].append(i)
-                count += 1
-        if not count:
-            ready[v] = i
-        waits.append(count)
-        later.append([])
-        last[v] = i
-    out = []
-    while ready:
-        i = ready.pop(min(ready))
-        out.append(letters[i])
-        for j in later[i]:
-            waits[j] -= 1
-            if not waits[j]:
-                ready[letters[j][0]] = j
-    return tuple(out)
-
-
 def reduce(g, word):
-    """Canonical normal form of a word (reduced, then shuffled lex-least)."""
-    free = []
-    for v, e in word:
-        if free and free[-1] == (v, -e):
-            free.pop()
+    """Canonical normal form of a word: freely reduced, then pushed on or
+    cancelled from the columns of its vertices and read off bottom-up."""
+    letters = []
+    for letter in word:
+        if letters and letters[-1][0] == letter[0] and letters[-1][1] == -letter[1]:
+            letters.pop()
         else:
-            free.append((v, e))
-    if len(free) < 2:
-        return tuple(free)
-    letters = _cancel(g.neighbors, free)
+            letters.append(letter)
     if len(letters) < 2:
         return tuple(letters)
-    return _lex_shuffle(g.neighbors, letters)
+    vertices = {v for v, _ in letters}
+    labels = sorted(vertices)
+    non_commuting = []
+    for v in labels:
+        others = vertices.difference(g.neighbors.get(v, ()))
+        others.discard(v)
+        non_commuting.append(others)
+    if not any(non_commuting):
+        # no column ever holds a spacer, so each is a power of its vertex
+        powers = dict.fromkeys(labels, 0)
+        for v, e in letters:
+            powers[v] += e
+        out = []
+        for v, n in powers.items():
+            if n:
+                out += [(v, 1 if n > 0 else -1)] * abs(n)
+        return tuple(out)
+    # [sentinel, spacers, letter, spacers, ..., letter, spacers]: the
+    # sentinel cancels nothing, and the top is always a spacer count
+    columns = {v: [(None, 0), 0] for v in labels}
+    stacks = {v: (columns[v], list(map(columns.__getitem__, others))) for v, others in zip(labels, non_commuting)}
+    for letter in letters:
+        column, others = stacks[letter[0]]
+        if column[-1] or column[-2][1] != -letter[1]:
+            column += (letter, 0)
+            for other in others:
+                other[-1] += 1
+        else:
+            del column[-2:]
+            for other in others:
+                other[-1] -= 1
+    # turned over, each column pops from its bottom
+    for column in columns.values():
+        column.reverse()
+        column.pop()
+    out = []
+    while True:
+        for column, others in stacks.values():
+            if not column[-1] and len(column) > 1:
+                break
+        else:
+            return tuple(out)
+        column.pop()
+        out.append(column.pop())
+        for other in others:
+            other[-1] -= 1
 
 
 def standard_generators(g):

@@ -210,6 +210,77 @@ def shuffle_normal_form(g, word):
     return _lex_shuffle(g, _cancel_pass(g, word))
 
 
+def _stack_cancel(neighbors, word):
+    """The word with its cancelling pairs removed, found with one stack of
+    live positions per vertex: a letter scans the top of every stack for
+    the latest live letter it does not commute with."""
+    live, dead = {}, set()
+    for i, (v, e) in enumerate(word):
+        nbrs = neighbors.get(v, ())
+        top = -1
+        for u, stack in live.items():
+            if stack[-1] > top and u not in nbrs:
+                top = stack[-1]
+        if top >= 0 and word[top] == (v, -e):
+            stack = live[v]
+            stack.pop()
+            if not stack:
+                del live[v]
+            dead.update((top, i))
+        elif v in live:
+            live[v].append(i)
+        else:
+            live[v] = [i]
+    return [x for i, x in enumerate(word) if i not in dead] if dead else word
+
+
+def _kahn_shuffle(neighbors, letters):
+    """Kahn's algorithm on the heap of pieces, lex-least ready letter
+    first: each letter waits on the last earlier letter of every vertex it
+    does not commute with."""
+    waits, later, last, ready = [], [], {}, {}
+    for i, (v, _) in enumerate(letters):
+        nbrs = neighbors.get(v, ())
+        count = 0
+        for u, j in last.items():
+            if u not in nbrs:
+                later[j].append(i)
+                count += 1
+        if not count:
+            ready[v] = i
+        waits.append(count)
+        later.append([])
+        last[v] = i
+    out = []
+    while ready:
+        i = ready.pop(min(ready))
+        out.append(letters[i])
+        for j in later[i]:
+            waits[j] -= 1
+            if not waits[j]:
+                ready[letters[j][0]] = j
+    return tuple(out)
+
+
+def stack_normal_form(g, word):
+    """The normal form as reduce() computed it before it kept one column
+    per vertex: a free reduction, then two linear passes, per-vertex
+    cancellation stacks and Kahn's lex-least shuffle, each scanning every
+    live vertex for every letter."""
+    free = []
+    for v, e in word:
+        if free and free[-1] == (v, -e):
+            free.pop()
+        else:
+            free.append((v, e))
+    if len(free) < 2:
+        return tuple(free)
+    letters = _stack_cancel(g.neighbors, free)
+    if len(letters) < 2:
+        return tuple(letters)
+    return _kahn_shuffle(g.neighbors, letters)
+
+
 def word_eq(g, u, v):
     return reduce(g, u) == reduce(g, v)
 

@@ -10,6 +10,7 @@ import oracles
 from oracles import (
     _commuting_schema,
     apply_partial_conjugation,
+    atlas_up_to_six,
     automorphism_table,
     closure_normal_form,
     commutator_class_out,
@@ -20,12 +21,15 @@ from oracles import (
     per_word_closure_normal_form,
     rewriting_closure,
     shuffle_normal_form,
+    stack_normal_form,
     word_eq,
 )
 from test_acceptance import K33, atlas_graphs, cycle
 
+from raagbns import presentations
 from raagbns.errors import CapExceeded
 from raagbns.graphs import SimpleGraph
+from raagbns.presentations import NotAForest, generator_dictionary, presentation_graph, verify_relators_killed
 from raagbns.words import format_word, inverse, parse_word, reduce, standard_generators
 
 FREE2 = SimpleGraph("ab", [])
@@ -265,6 +269,24 @@ def test_reduce_matches_shuffle_oracle(gw):
     assert reduce(g, word) == shuffle_normal_form(g, word)
 
 
+@given(planted_graph_and_word())
+@settings(max_examples=400, deadline=None)
+def test_reduce_matches_stack_oracle(gw):
+    g, word = gw
+    assert reduce(g, word) == stack_normal_form(g, word)
+
+
+def induced(g, vertices):
+    return SimpleGraph(sorted(vertices), [e for e in g.edges if set(e) <= vertices])
+
+
+@given(planted_graph_and_word())
+@settings(max_examples=200, deadline=None)
+def test_reduce_reads_only_the_vertices_of_the_word(gw):
+    g, word = gw
+    assert reduce(g, word) == reduce(induced(g, {v for v, _ in word}), word)
+
+
 def adversarial(k):
     """v u^k (v^-1 v)^k on the edge u-v: a cancellation pass that scans
     back letter by letter crosses the whole commuting run u^k for every
@@ -285,6 +307,30 @@ def test_adversarial_families_match_shuffle_oracle():
     for k in (0, 1, 2, 3, 10, 50, 300):
         for word in (adversarial(k), buried_inverses(k)):
             assert reduce(EDGE_UVW, word) == shuffle_normal_form(EDGE_UVW, word), k
+            assert reduce(EDGE_UVW, word) == stack_normal_form(EDGE_UVW, word), k
+
+
+def test_relator_images_match_stack_oracle(monkeypatch):
+    # every word verify_relators_killed reduces, on each forest-side graph
+    # of the atlas up to six vertices
+    images = []
+
+    def recording(g, word):
+        images.append((g, word))
+        return reduce(g, word)
+
+    monkeypatch.setattr(presentations, "reduce", recording)
+    forests = 0
+    for g in atlas_up_to_six():
+        try:
+            th = presentation_graph(g)
+        except NotAForest:
+            continue
+        assert verify_relators_killed(g, th, generator_dictionary(g, th)), g.edges
+        forests += 1
+    assert forests and images
+    for th_graph, word in images:
+        assert reduce(th_graph, word) == stack_normal_form(th_graph, word) == (), word
 
 
 def test_enumeration_order_matches_oracle_driven_enumeration(monkeypatch):
