@@ -97,10 +97,12 @@ def _choice_tree_size(counts):
 def _maximal_valid(g, size, name, cap):
     """(members, witness) of every inclusion-maximal valid set among the
     choice tree's leaves, sorted by members.  The tree's size is admitted
-    against `cap` on every call, from the component counts; the options
-    are built, and the sets found, once per graph and kept in g's
-    instance dict under `name`, one key per family."""
-    nodes = _choice_tree_size(_option_counts(g, size))
+    against `cap` on every call, from the component counts taken largest
+    first: the most nodes any order of the multipliers gives, so the
+    admission does not depend on the labels.  The options are built, and
+    the sets found, once per graph and kept in g's instance dict under
+    `name`, one key per family."""
+    nodes = _choice_tree_size(sorted(_option_counts(g, size), reverse=True))
     admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
     store = vars(g)
     if name not in store:

@@ -180,16 +180,20 @@ class SimpleGraph:
         the shared components are the masks both sides list.  They are
         the same for (a, b) and (b, a), so each unordered pair is taken
         once and gives the rows of both orders; sorting the rows puts
-        them in table order."""
+        them in table order.  A shared component is never K_a, which
+        holds b, so a pair is skipped unless both sides have two
+        components."""
         labels, masks = self.masks
         table = self.component_table
         rows = []
         for i, a in enumerate(labels):
             comps_a = table[a]
+            if len(comps_a) < 2:
+                continue
             for j in range(i + 1, len(labels)):
-                if masks[1 << i] >> j & 1:
-                    continue
                 b, comps_b = labels[j], table[labels[j]]
+                if masks[1 << i] >> j & 1 or len(comps_b) < 2:
+                    continue
                 dom_a = next(k for s, k in comps_a if s >> j & 1)
                 dom_b = next(k for s, k in comps_b if s >> i & 1)
                 common = {s for s, _ in comps_b}

@@ -321,10 +321,10 @@ def arrangement_homology(a, cap=None):
     masks, supports, graph_rank = lines
     cap = enumeration_cap() if cap is None else cap
     held = [m for m in masks if m]
-    admit(len(held), cap, f"the chain complex reaches {len(held)} summands at degree 1")
+    if len(held) > cap:  # the claim is formatted only to refuse
+        admit(len(held), cap, f"the chain complex reaches {len(held)} summands at degree 1")
     t = _containing(masks)
     top = max(t, default=0)
-    where = f"block-line chain complex of {len(masks)} subspaces of Q^{a.ambient_dim} with {len(supports)} lines"
     if sum((1 << x) - 1 for x in t) <= cap:
         dims = [sum(comb(x, k) for x in t) for k in range(1, 1 + top)]
         counted = [
@@ -333,7 +333,7 @@ def arrangement_homology(a, cap=None):
         ]
         if counted != (dims + [0, 0])[:2]:
             raise InvariantViolation(
-                f"{where}: the masks give dims {counted} in degrees 1 and 2, the closed form {dims[:2]}"
+                f"{_where(a)}: the masks give dims {counted} in degrees 1 and 2, the closed form {dims[:2]}"
             )
     else:
         from .lattice import flat_counts, walk  # compiled only when the line counts do not settle the cap
@@ -343,17 +343,23 @@ def arrangement_homology(a, cap=None):
         refused = sum(counts) > cap
         dims = [sum(comb(x, k) for x in t) for k in range(1, 1 + (len(found) if refused else top))]
         if found != dims:
-            raise InvariantViolation(f"{where}: the meets give dims {found}, the closed form {dims}")
+            raise InvariantViolation(f"{_where(a)}: the meets give dims {found}, the closed form {dims}")
         if counts[0] != len(held):
-            raise InvariantViolation(f"{where}: the meets give {counts[0]} summands at degree 1, not {len(held)}")
+            raise InvariantViolation(f"{_where(a)}: the meets give {counts[0]} summands at degree 1, not {len(held)}")
         if refused:
             admit(cap + 1, cap, f"the chain complex reaches {cap + 1} summands at degree {len(counts)}")
     dims.insert(0, a.ambient_dim)
     r = rank(ZMatrix(a.ambient_dim, supports))
     if graph_rank not in (None, r):
-        raise InvariantViolation(f"{where}: the lines have rank {r}, their graph rank is {graph_rank}")
+        raise InvariantViolation(f"{_where(a)}: the lines have rank {r}, their graph rank is {graph_rank}")
     betti = (a.ambient_dim - r, len(supports) - r)[:len(dims)] + (0,) * (len(dims) - 2)
     return tuple(dims), BettiProfile(betti, a.ambient_dim - len(supports))
+
+
+def _where(a):
+    """Block-line arrangement a, as a failed check names it."""
+    masks, supports, _ = a.lines
+    return f"block-line chain complex of {len(masks)} subspaces of Q^{a.ambient_dim} with {len(supports)} lines"
 
 
 def _line_masks(subspaces):

@@ -18,7 +18,7 @@ non-preferred maximal subtree, and the two generator dictionaries
 translate between this generating set and the standard one.
 """
 
-from collections import Counter
+from collections import defaultdict
 from typing import NamedTuple
 
 from .bns import h1_witness
@@ -66,43 +66,43 @@ def _commutator(x, y):
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 
 
-def _psa_relators(g):
-    """(generators, relator list): R1-R3 for each pair of generators in
-    order, tested on masks (a's bit, K's mask and a's neighbours' mask for
-    generator (a, K)), then R4 for each SIL row; no two pairs or rows give
-    one relator."""
-    gens = standard_generators(g)
+def _commutators(g, live=None):
+    """R1-R3: the commutator of each pair of standard generators, in order,
+    that commute by a test on masks (a's bit, K's mask and a's
+    neighbours' mask for generator (a, K)); only pairs of `live`
+    generators when that set is given."""
     labels, masks = g.masks
     table = g.component_table
-    keys = [(1 << i, s, masks[1 << i]) for i, a in enumerate(labels) for s, _ in table[a]]
+    keys = [((a, k), 1 << i, s, masks[1 << i]) for i, a in enumerate(labels) for s, k in table[a]
+            if live is None or (a, k) in live]
     relators = []
-    for i, (p, k, adj) in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            q, l, _ = keys[j]
+    for i, (x, p, k, adj) in enumerate(keys):
+        for y, q, l, _ in keys[i + 1:]:
             if (p == q or q & adj  # R1
                     or not (k & l or q & k or p & l)  # R2
                     or not (p | k) & ~l or not (q | l) & ~k):  # R3
-                relators.append(_commutator(gens[i], gens[j]))
-    for a, b, k, _, l in g.sil_rows:
-        relators.append((
-            ((a, k), 1), ((a, l), 1), ((b, l), 1),
-            ((a, l), -1), ((a, k), -1), ((b, l), -1),
-        ))
-    return gens, relators
+                relators.append(_commutator(x, y))
+    return relators
+
+
+def _r4(g):
+    return [(((a, k), 1), ((a, l), 1), ((b, l), 1), ((a, l), -1), ((a, k), -1), ((b, l), -1))
+            for a, b, k, _, l in g.sil_rows]
+
+
+def _r5(g):
+    return [tuple(((a, k), 1) for _, k in comps) for a, comps in g.component_table.items() if comps]
 
 
 def psa_presentation(g):
-    gens, relators = _psa_relators(g)
-    return checked_presentation(gens, tuple(relators), "psa")
+    """R1-R3 for each pair of generators in order, then R4 for each SIL
+    row; no two pairs or rows give one relator."""
+    return checked_presentation(standard_generators(g), tuple(_commutators(g) + _r4(g)), "psa")
 
 
 def pso_presentation(g):
     """The PSA relators and R5, validated once, as one presentation."""
-    gens, relators = _psa_relators(g)
-    for a, comps in g.component_table.items():
-        if comps:
-            relators.append(tuple(((a, k), 1) for _, k in comps))
-    return checked_presentation(gens, tuple(relators), "pso")
+    return checked_presentation(standard_generators(g), tuple(_commutators(g) + _r4(g) + _r5(g)), "pso")
 
 
 class EdgeGen(NamedTuple):
@@ -185,22 +185,24 @@ def presentation_graph(g, basepoints=None):
     edge_gens = []
     basepoint_rows = []
     preferred_rows = []
-    for a in sorted(g.vertices):
-        sg = support_graph(g, a)
-        cert = forest_certificate(sg)
+    support = g.support_edges
+    for a, comps in g.component_table.items():
+        edges = support[a]
+        # an edgeless support graph is a tree per node, as forest_certificate says
+        cert = forest_certificate(support_graph(g, a)) if edges else None
         if isinstance(cert, LoopWitness):
             raise NotAForest(a, cert)
-        trees = cert.trees
+        trees = cert.trees if cert else tuple((k,) for _, k in comps)
         if not trees:
             continue
-        chosen = _resolve_basepoints(a, trees, overrides.get(a, ()))
+        chosen = _resolve_basepoints(a, trees, overrides[a]) if a in overrides else {}
         for t in trees:
             basepoint_rows.append((a, t, chosen.get(t, t[0])))
         # the first override's tree, else the tree of the least node
         pref_tree = next(iter(chosen), trees[0])
         preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
         tree_gens.extend(TreeGen.of(a, t) for t in trees if t != pref_tree)
-        edge_gens.extend(EdgeGen.of(a, e) for e in sg.edges)
+        edge_gens.extend(EdgeGen.of(a, e) for e in edges)
     # each SIL row (a, b, K_a, K_b, L) parts a's edge {K_a, L} from b's
     # edge {K_b, L}; the rows come in both orders, so `apart` is symmetric
     symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
@@ -289,7 +291,7 @@ def generator_dictionary(g, th):
 def _composed_sums(word, table):
     """Exponent sums of `word` after each letter is replaced by its word
     in `table`: the abelianized composite of the two translations."""
-    sums = Counter()
+    sums = defaultdict(int)
     for letter, exp in word:
         for x, e in table[letter]:
             sums[x] += exp * e
@@ -308,7 +310,9 @@ def _check_round_trips(gens, d):
         back[sym] -= 1
         if any(back.values()):
             raise InvariantViolation("abelianized round trip on symbols is not the identity")
-    size, known = Counter(a for a, _ in gens), set(gens)
+    size, known = defaultdict(int), set(gens)
+    for a, _ in gens:
+        size[a] += 1
     for gen, word in d.from_standard:
         back = _composed_sums(word, phi)
         back[gen] -= 1
@@ -325,11 +329,20 @@ def _check_round_trips(gens, d):
 
 def verify_relators_killed(g, th, d):
     """True iff the image of every relator of the outer quotient reduces
-    to the empty word in the graphical group."""
+    to the empty word in the graphical group.  A standard generator is
+    live when its image is not empty; a dead one drops out of every
+    image, so a commutator with a dead generator maps to w w^-1 and a
+    relator of dead letters to the empty word.  Only the commutators of
+    two live generators and the R4 and R5 relators holding a live letter
+    are formed, validated and reduced."""
+    live = {gen for gen, word in d.from_standard if word}
+    if not live:
+        return True
     image = {}
     for gen, word in d.from_standard:
         image[gen, 1], image[gen, -1] = word, inverse(word)
-    for relator in pso_presentation(g).relators:
+    relators = _commutators(g, live) + [r for r in _r4(g) + _r5(g) if not live.isdisjoint(x for x, _ in r)]
+    for relator in checked_presentation(standard_generators(g), tuple(relators), "pso").relators:
         word = []
         for letter in relator:
             word += image[letter]

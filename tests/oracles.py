@@ -32,6 +32,7 @@ from raagbns.presentations import (
     TreeGen,
     _commutator,
     checked_presentation,
+    pso_presentation,
 )
 from raagbns.words import inverse, reduce, standard_generators
 
@@ -1088,6 +1089,22 @@ def dictionary_matrices(g, th, d):
     symbols = [r.symbol for r in th.records()]
     gens = standard_generators(g)
     return _exponent_matrix(gens, d.to_standard), _exponent_matrix(symbols, d.from_standard)
+
+
+def full_relators_killed(g, th, d):
+    """`verify_relators_killed` before it formed only the relators that
+    hold live letters: the image of every relator of the whole outer
+    presentation, reduced in the graphical group."""
+    image = {}
+    for gen, word in d.from_standard:
+        image[gen, 1], image[gen, -1] = word, inverse(word)
+    for relator in pso_presentation(g).relators:
+        word = []
+        for letter in relator:
+            word += image[letter]
+        if reduce(th.graph, tuple(word)):
+            return False
+    return True
 
 
 def pso_relator_matrix(g):

@@ -748,3 +748,52 @@ def test_fuzz_graph_text(capsys, tmp_path, monkeypatch, content, command):
 def test_fuzz_arrangement_json(capsys, tmp_path, monkeypatch, content, command):
     monkeypatch.delenv("RAAGBNS_CAP", raising=False)
     assert_clean_and_stable(capsys, tmp_path / "a.json", content, command)
+
+
+def star7_file(tmp_path, centre, leaves):
+    path = tmp_path / f"star7-{centre}.json"
+    path.write_text(json.dumps({"vertices": [centre, *leaves], "edges": [[v, centre] for v in leaves]}))
+    return str(path)
+
+
+def test_star7_is_refused_alike_centre_first_and_centre_last(capsys, tmp_path, monkeypatch):
+    # the admission takes the option counts largest first, so the centre's
+    # single option comes last whatever its label
+    monkeypatch.setenv("RAAGBNS_CAP", "300000000")
+    errors = []
+    for centre, leaves in (("a", "bcdefgh"), ("x", "abcdefg")):
+        assert main(["classify", star7_file(tmp_path, centre, leaves)]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: delta-p-set enumeration would visit 554766609 choice-tree nodes, "
+        "over the cap of 300000000; raise RAAGBNS_CAP to insist\n"
+    )
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_refusals_do_not_depend_on_the_labels(capsys, tmp_path, monkeypatch, data):
+    # a graph on up to 7 vertices under two labellings, at caps one below
+    # and at each family's admitted count: the same exit codes and messages
+    vs = "abcdefg"[:data.draw(st.integers(1, 7))]
+    pairs = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    relabel = dict(zip(vs, data.draw(st.permutations(vs))))
+    g = SimpleGraph(vs, edges)
+    counts = [bns._choice_tree_size(sorted(bns._option_counts(g, size), reverse=True)) for size in (1, 2)]
+    caps = sorted({count + shift for count in counts for shift in (-1, 0)})
+    outcomes = []
+    for labels in ({v: v for v in vs}, relabel):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": [labels[v] for v in vs], "edges": [[labels[u], labels[w]] for u, w in edges]}))
+        outcomes.append([])
+        for cap in caps:
+            monkeypatch.setenv("RAAGBNS_CAP", str(cap))
+            code = main(["bns", "--group", "psa", str(path)])
+            outcomes[-1].append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][caps.index(counts[0] - 1)] == (
+        3,
+        f"error: p-set enumeration would visit {counts[0]} choice-tree nodes, over the cap of {counts[0] - 1}; "
+        "raise RAAGBNS_CAP to insist\n",
+    )

@@ -1,12 +1,16 @@
 from collections import Counter
+from functools import cache
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     atlas,
     atlas_up_to_six,
     automorphism_table,
     dictionary_matrices,
+    full_relators_killed,
     is_inner_bounded,
     plain_psa_presentation,
     plain_standard_generators,
@@ -244,6 +248,96 @@ def test_corrupted_dictionary_fails_verification():
     rows[0] = (target, tuple((sym, -exp) for sym, exp in word))
     bad = d._replace(from_standard=tuple(rows))
     assert not verify_relators_killed(F3, th, bad)
+
+
+@cache
+def forest_atlas():
+    """(g, th, d) for each atlas graph on the forest side."""
+    out = []
+    for g in atlas():
+        try:
+            th = presentation_graph(g)
+        except NotAForest:
+            continue
+        out.append((g, th, generator_dictionary(g, th)))
+    return out
+
+
+def holds_live_letters(relator, live):
+    """A commutator [x, y] needs both x and y live to be formed; an R4 or
+    R5 relator needs one live letter."""
+    letters = [x for x, _ in relator]
+    if len(relator) == 4 and relator[2][1] == -1:
+        return letters[0] in live and letters[1] in live
+    return any(x in live for x in letters)
+
+
+def test_relator_check_forms_the_live_relators_and_matches_the_oracle_on_atlas(monkeypatch):
+    # the relators formed are the outer presentation's relators that hold
+    # live letters, in its order, and the verdict is the full oracle's
+    assert len(forest_atlas()) == 1016
+    formed = []
+    real = presentations.checked_presentation
+    monkeypatch.setattr(presentations, "checked_presentation", lambda gens, rels, kind: formed.append(rels) or real(gens, rels, kind))
+    skipped = 0
+    for g, th, d in forest_atlas():
+        full = pso_presentation(g).relators
+        formed.clear()
+        assert verify_relators_killed(g, th, d) is True, g.edges
+        live = {gen for gen, word in d.from_standard if word}
+        expected = tuple(r for r in full if holds_live_letters(r, live))
+        assert formed == ([expected] if live else []), g.edges
+        skipped += len(full) - len(expected)
+        assert full_relators_killed(g, th, d) is True, g.edges
+    assert skipped > 0
+
+
+def planted_fault(data, th, word):
+    """One fault in a dictionary word: a letter dropped, inverted or
+    doubled, or the whole word inverted, doubled or emptied; an empty
+    word, a dead generator's, gets a non-empty word over the symbols."""
+    if not word:
+        letters = st.tuples(st.sampled_from(th.graph.vertices), st.sampled_from((1, -1)))
+        return tuple(data.draw(st.lists(letters, min_size=1, max_size=3)))
+    i = data.draw(st.integers(0, len(word) - 1))
+    sym, exp = word[i]
+    return data.draw(st.sampled_from((
+        word[:i] + word[i + 1:],
+        word[:i] + ((sym, -exp),) + word[i + 1:],
+        word[:i + 1] + word[i:],
+        inverse(word),
+        word + word,
+        (),
+    )))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_relator_check_matches_the_oracle_on_planted_faults(data):
+    graphs = [(g, th, d) for g, th, d in forest_atlas() if th.records()]
+    g, th, d = graphs[data.draw(st.integers(0, len(graphs) - 1))]
+    rows = d.from_standard
+    i = data.draw(st.integers(0, len(rows) - 1))
+    broken = d._replace(from_standard=rows[:i] + ((rows[i][0], planted_fault(data, th, rows[i][1])),) + rows[i + 1:])
+    assert verify_relators_killed(g, th, broken) == full_relators_killed(g, th, broken)
+
+
+def test_an_empty_defining_graph_forms_and_reduces_no_relator(monkeypatch):
+    # every dictionary image is the empty word, so no generator is live
+    # and the outer presentation is not built
+    k5_less_an_edge = SimpleGraph("abcde", [e for e in complete(5).edges if e != ("a", "b")])
+    graphs = (k5_less_an_edge, SimpleGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]), PATH3, complete(4))
+    assert all(pso_presentation(g).relators for g in graphs[:3])
+    cases = [(g, presentation_graph(g)) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("a relator was formed or reduced")
+
+    for name in ("reduce", "checked_presentation", "_commutators", "_r4", "_r5"):
+        monkeypatch.setattr(presentations, name, refuse)
+    for g, th in cases:
+        assert th.graph.vertices == ()
+        assert verify_relators_killed(g, th, generator_dictionary(g, th))
 
 
 def _single_letter_corruptions(word):
