@@ -3,17 +3,14 @@ files, runs one computation, and prints a deterministic JSON report:
 dictionary keys are sorted, lists are emitted in a fixed order and
 rationals are "p/q" strings, so identical inputs give identical bytes.
 
-One table, COMMANDS, drives both the argument parsing (one argparse
-parser per command, built at import) and the `--help` texts.  Usage
-errors exit 2 with one line, like malformed input.
+One table, COMMANDS, drives both the argument parsing and the `--help`
+texts.  Usage errors exit 2 with one line, like malformed input.
 """
 
-import argparse
 import json
 import os
 import pathlib
 import sys
-import textwrap
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -357,29 +354,100 @@ HELP = Option("--help", "Show this message and exit.")
 WIDTH = 78  # --help is laid out at a fixed width, whatever the terminal
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise MalformedInput(f"{self.prog}: {message}")
+def _reads_as(arg, options):
+    """How one argument ahead of the first "--" is read: None for a
+    positional, else the pair (option, the value given after "=" or None),
+    where the option is None if the command has no such flag."""
+    if arg in options:
+        return options[arg], None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    flag, equals, value = arg.partition("=")
+    if equals and flag in options:
+        return options[flag], value
+    # a negative number (argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches
+    # before a final newline) or an argument holding a space is a positional
+    whole, dot, fraction = arg[1:].removesuffix("\n").partition(".")
+    if (whole.isdecimal() and not dot) or (fraction.isdecimal() and (whole.isdecimal() or not whole)) or " " in arg:
+        return None
+    return None, None
 
 
-def _parser(name, command):
-    parser = _Parser(prog=f"raagbns {name}", add_help=False, allow_abbrev=False)
-    for argument in command.arguments:
-        parser.add_argument(argument.lower(), metavar=argument)
-    for option in command.options:
-        if option.metavar or option.choices:
-            parser.add_argument(option.flag, choices=option.choices or None, required=option.required)
-        else:
-            parser.add_argument(option.flag, action="store_true")
-    return parser
+def _parse(name, args):
+    """The keyword values of command `name` for its arguments `args`, read
+    as argparse reads them: positionals in order, `--opt value` or
+    `--opt=value` anywhere, the last of repeated options winning, and the
+    first "--" ending the options.  A usage error raises MalformedInput."""
+    command = COMMANDS[name]
+    options = {option.flag: option for option in command.options}
+    cut = args.index("--") if "--" in args else len(args)
 
+    def fail(message):
+        # an unknown flag is named ahead of every other error
+        unknown = [arg for arg in args[:cut] if arg[:1] == "-" and arg != "-" and arg.split("=", 1)[0] not in options]
+        if unknown:
+            message = f"unrecognized arguments: {' '.join(unknown)}"
+        raise MalformedInput(f"raagbns {name}: {message}")
 
-PARSERS = {name: _parser(name, command) for name, command in COMMANDS.items()}
+    values = {option.flag[2:]: None if option.metavar or option.choices else False for option in command.options}
+    waiting = list(command.arguments)  # the positionals still to fill
+    extras = []
+    placed = False  # whether the last argument read filled a positional
+    i = 0
+    while i < cut:
+        arg = args[i]
+        i += 1
+        read = _reads_as(arg, options)
+        placed = read is None and bool(waiting)
+        if placed:
+            values[waiting.pop(0).lower()] = arg
+            continue
+        option, value = read or (None, None)
+        if option is None:
+            extras.append(arg)
+            continue
+        if not (option.metavar or option.choices):
+            if value is not None:
+                fail(f"argument {option.flag}: ignored explicit argument {value!r}")
+            values[option.flag[2:]] = True
+            continue
+        if value is None:
+            if i == cut or _reads_as(args[i], options) is not None:
+                fail(f"argument {option.flag}: expected one argument")
+            value = args[i]
+            i += 1
+        if option.choices and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            fail(f"argument {option.flag}: invalid choice: {value!r} (choose from {choices})")
+        values[option.flag[2:]] = value
+    if cut < len(args):
+        # the "--" joins the positional filled just before it, or else the
+        # next one; argparse then strips the first "--" from each
+        # positional's strings, so a later "--" alone reads as an empty list
+        tail = args[cut + 1 :]
+        if not placed:
+            if waiting and tail:
+                values[waiting.pop(0).lower()] = tail.pop(0)
+            else:
+                extras.append("--")
+        for arg in tail:
+            if waiting:
+                values[waiting.pop(0).lower()] = [] if arg == "--" else arg
+            else:
+                extras.append(arg)
+    missing = waiting + [option.flag for option in command.options if option.required and values[option.flag[2:]] is None]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    return values
 
 
 def _rows(rows):
     """Help rows: each term padded to a common column, its text wrapped
     beside it."""
+    import textwrap
+
     column = max(len(term) for term, _ in rows) + 2
     lines = []
     for term, text in rows:
@@ -402,6 +470,8 @@ def _option_row(option):
 def _help(name):
     """The --help text of one command, or of the program when `name` is
     None."""
+    import textwrap
+
     if name is None:
         usage, text, options = "raagbns [OPTIONS] COMMAND [ARGS]...", DESCRIPTION, (HELP,)
         width = WIDTH - 6 - max(map(len, COMMANDS))
@@ -440,15 +510,7 @@ def _run(args):
     if "--help" in head:
         sys.stdout.write(_help(name))
         return 0
-    try:
-        values = vars(PARSERS[name].parse_args(rest))
-    except MalformedInput:
-        # argparse names a missing argument before an unknown option
-        flags = {option.flag for option in COMMANDS[name].options}
-        unknown = [arg for arg in head if arg[:1] == "-" and arg != "-" and arg.split("=", 1)[0] not in flags]
-        if unknown:
-            raise MalformedInput(f"raagbns {name}: unrecognized arguments: {' '.join(unknown)}") from None
-        raise
+    values = _parse(name, rest)
     enumeration_cap()  # a malformed RAAGBNS_CAP fails every command alike
     return COMMANDS[name].body(**values) or 0
 

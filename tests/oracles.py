@@ -1,5 +1,6 @@
 """Brute-force oracles shared by the unit and acceptance suites."""
 
+import argparse
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from raagbns.graphs import (
     neighbour_masks,
 )
 from raagbns import bns, homology, linalg
+from raagbns.cli import COMMANDS
 from raagbns.linalg import QMatrix, parse_rational
 from raagbns.presentations import (
     EdgeGen,
@@ -1317,3 +1319,39 @@ def maximal_filter_bases(a):
     """The RREF bases of the subspaces of the raagbns arrangement a that
     maximal_filter above keeps, in its order."""
     return [s.basis for s in maximal_filter([Subspace(s.ambient_dim, s.basis) for s in a.subspaces])]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _parser(name, command):
+    parser = _Parser(prog=f"raagbns {name}", add_help=False, allow_abbrev=False)
+    for argument in command.arguments:
+        parser.add_argument(argument.lower(), metavar=argument)
+    for option in command.options:
+        if option.metavar or option.choices:
+            parser.add_argument(option.flag, choices=option.choices or None, required=option.required)
+        else:
+            parser.add_argument(option.flag, action="store_true")
+    return parser
+
+
+PARSERS = {name: _parser(name, command) for name, command in COMMANDS.items()}
+
+
+def argparse_values(name, args):
+    """cli._parse by argparse, as Python 3.11 has it: one parser per
+    command, built from COMMANDS; an unknown flag is named ahead of every
+    other error argparse raises."""
+    try:
+        return vars(PARSERS[name].parse_args(args))
+    except MalformedInput:
+        # argparse names a missing argument before an unknown option
+        flags = {option.flag for option in COMMANDS[name].options}
+        head = args[: args.index("--")] if "--" in args else args
+        unknown = [arg for arg in head if arg[:1] == "-" and arg != "-" and arg.split("=", 1)[0] not in flags]
+        if unknown:
+            raise MalformedInput(f"raagbns {name}: unrecognized arguments: {' '.join(unknown)}") from None
+        raise

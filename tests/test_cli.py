@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from raagbns import bns, cli, lattice
 from raagbns.cli import main
 from raagbns.graphs import SimpleGraph
@@ -507,49 +511,77 @@ def test_closed_stdout_exits_141_silently(f3_file):
     assert (result.returncode, result.stderr) == (141, b"")
 
 
-# Every usage error: exit 2, nothing on stdout, one stderr line naming the
-# command or the file, and the argument.  "@" stands for the test's directory.
+# Every usage error: exit 2, nothing on stdout and one stderr line.  A usage
+# error of the command line is given as that whole line; an error about a file
+# names the file and the trouble.  "@" stands for the test's directory.
+USAGE_ERRORS = [
+    ([], "raagbns: missing command, one of bns, classify, corpus, euler-report, homology, presentation, support-graphs, word-reduce"),
+    (["bogus", "@f3.json"], "raagbns: no such command 'bogus'"),
+    (["--bogus", "classify"], "raagbns: no such option '--bogus'"),
+    (["classify", "--bogus", "@f3.json"], "raagbns classify: unrecognized arguments: --bogus"),
+    (["classify"], "raagbns classify: the following arguments are required: GRAPH_FILE"),
+    (["word-reduce", "@f3.json"], "raagbns word-reduce: the following arguments are required: WORD"),
+    (["bns", "@f3.json"], "raagbns bns: the following arguments are required: --group"),
+    (["bns", "@f3.json", "--group"], "raagbns bns: argument --group: expected one argument"),
+    (["classify", "@f3.json", "--basepoints"], "raagbns classify: argument --basepoints: expected one argument"),
+    (["bns", "@f3.json", "--group", "psx"], "raagbns bns: argument --group: invalid choice: 'psx' (choose from 'raag', 'psa', 'pso')"),
+    (["presentation", "@f3.json", "--group=raag"], "raagbns presentation: argument --group: invalid choice: 'raag' (choose from 'psa', 'pso')"),
+    (["classify", "@f3.json", "extra"], "raagbns classify: unrecognized arguments: extra"),
+    (["word-reduce", "@f3.json", "a", "b"], "raagbns word-reduce: unrecognized arguments: b"),
+    (["word-reduce", "@f3.json", "-a"], "raagbns word-reduce: unrecognized arguments: -a"),
+    (["classify", "--pretty=yes", "@f3.json"], "raagbns classify: argument --pretty: ignored explicit argument 'yes'"),
+    (["classify", "@missing.json"], ["graph file", "missing.json"]),
+    (["homology", "@missing.json"], ["arrangement file", "missing.json"]),
+    (["classify", "@f3.json", "--basepoints", "@missing.json"], ["basepoint file", "missing.json"]),
+    (["corpus", "@missing"], ["corpus directory", "missing"]),
+    (["euler-report", "@dir"], ["graph file", "dir"]),
+    (["homology", "@dir"], ["arrangement file", "dir"]),
+    (["classify", "@f3.json", "--basepoints=@dir"], ["basepoint file", "dir"]),
+    (["corpus", "@f3.json"], ["corpus directory", "f3.json"]),
+    # a string or an object where a list of vertices belongs
+    (["classify", "@abe.json", "--basepoints", "@char.json"], ["basepoint nodes must be lists of vertices"]),
+    (["classify", "@abe.json", "--basepoints", "@string.json"], ["basepoint nodes must be lists of vertices"]),
+    (["classify", "@abe.json", "--basepoints", "@object.json"], ["basepoint nodes must be lists of vertices"]),
+    # a JSON number past the interpreter's 4,300-digit limit, and an
+    # exponent that Fraction would multiply out to a billion digits
+    (["classify", "@huge.json"], ["bad graph JSON", "4300"]),
+    (["homology", "@huge.json"], ["bad arrangement JSON", "4300"]),
+    (["classify", "@abe.json", "--basepoints", "@huge.json"], ["unreadable basepoint file", "4300"]),
+    (["homology", "@exponent.json"], ["bad rational literal '1e999999999'", "4300 digits"]),
+    # JSON nested past the interpreter's recursion limit
+    (["classify", "@nested-graph.json"], ["bad graph JSON", "recursion"]),
+    (["homology", "@nested.json"], ["bad arrangement JSON", "recursion"]),
+    (["classify", "@abe.json", "--basepoints", "@nested.json"], ["unreadable basepoint file", "recursion"]),
+    # the first "--" is dropped, once: the second is the word, so "a" is extra
+    (["word-reduce", "@f3.json", "--", "--", "a"], "raagbns word-reduce: unrecognized arguments: a"),
+    # a lone "-", a negative number and an argument holding a space are positionals
+    (["word-reduce", "@f3.json", "-", "x"], "raagbns word-reduce: unrecognized arguments: x"),
+    (["classify", "-"], ["unreadable graph file", "'-'"]),
+    (["classify", "-1"], ["unreadable graph file", "'-1'"]),
+    (["classify", "-a b"], ["unreadable graph file", "'-a b'"]),
+    # an empty choice, and an explicit value given to a flag
+    (["bns", "@f3.json", "--group="], "raagbns bns: argument --group: invalid choice: '' (choose from 'raag', 'psa', 'pso')"),
+    (["classify", "@f3.json", "--pretty="], "raagbns classify: argument --pretty: ignored explicit argument ''"),
+    # the last of repeated options wins, and is checked
+    (["bns", "@f3.json", "--group", "pso", "--group=psx"], "raagbns bns: argument --group: invalid choice: 'psx' (choose from 'raag', 'psa', 'pso')"),
+    # a value that looks like a flag is named as an unknown flag
+    (["classify", "@f3.json", "--basepoints", "-x"], "raagbns classify: unrecognized arguments: -x"),
+    (["bns", "@f3.json", "--group", "-1"], "raagbns bns: unrecognized arguments: -1"),
+    # missing arguments are named in the order of --help, positionals first
+    (["bns"], "raagbns bns: the following arguments are required: GRAPH_FILE, --group"),
+    # unknown flags are named alone, ahead of every other error
+    (["bns", "--bogus", "-q"], "raagbns bns: unrecognized arguments: --bogus -q"),
+    (["bns", "@f3.json", "--group", "psx", "extra", "--bogus"], "raagbns bns: unrecognized arguments: --bogus"),
+    # an option that takes a value stops at "--"; a "--" that no argument can
+    # take is extra
+    (["classify", "@f3.json", "--basepoints", "--"], "raagbns classify: argument --basepoints: expected one argument"),
+    (["classify", "@f3.json", "--pretty", "--"], "raagbns classify: unrecognized arguments: --"),
+    (["classify", "@f3.json", "x", "--", "y"], "raagbns classify: unrecognized arguments: x -- y"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, named",
-    [
-        ([], ["raagbns", "missing command"]),
-        (["bogus", "@f3.json"], ["raagbns", "'bogus'"]),
-        (["--bogus", "classify"], ["raagbns", "'--bogus'"]),
-        (["classify", "--bogus", "@f3.json"], ["raagbns classify", "--bogus"]),
-        (["classify"], ["raagbns classify", "GRAPH_FILE"]),
-        (["word-reduce", "@f3.json"], ["raagbns word-reduce", "WORD"]),
-        (["bns", "@f3.json"], ["raagbns bns", "--group"]),
-        (["bns", "@f3.json", "--group"], ["raagbns bns", "--group"]),
-        (["classify", "@f3.json", "--basepoints"], ["raagbns classify", "--basepoints"]),
-        (["bns", "@f3.json", "--group", "psx"], ["raagbns bns", "--group", "'psx'"]),
-        (["presentation", "@f3.json", "--group=raag"], ["raagbns presentation", "--group", "'raag'"]),
-        (["classify", "@f3.json", "extra"], ["raagbns classify", "extra"]),
-        (["word-reduce", "@f3.json", "a", "b"], ["raagbns word-reduce", "b"]),
-        (["word-reduce", "@f3.json", "-a"], ["raagbns word-reduce", "unrecognized arguments: -a"]),
-        (["classify", "--pretty=yes", "@f3.json"], ["raagbns classify", "--pretty"]),
-        (["classify", "@missing.json"], ["graph file", "missing.json"]),
-        (["homology", "@missing.json"], ["arrangement file", "missing.json"]),
-        (["classify", "@f3.json", "--basepoints", "@missing.json"], ["basepoint file", "missing.json"]),
-        (["corpus", "@missing"], ["corpus directory", "missing"]),
-        (["euler-report", "@dir"], ["graph file", "dir"]),
-        (["homology", "@dir"], ["arrangement file", "dir"]),
-        (["classify", "@f3.json", "--basepoints=@dir"], ["basepoint file", "dir"]),
-        (["corpus", "@f3.json"], ["corpus directory", "f3.json"]),
-        # a string or an object where a list of vertices belongs
-        (["classify", "@abe.json", "--basepoints", "@char.json"], ["basepoint nodes must be lists of vertices"]),
-        (["classify", "@abe.json", "--basepoints", "@string.json"], ["basepoint nodes must be lists of vertices"]),
-        (["classify", "@abe.json", "--basepoints", "@object.json"], ["basepoint nodes must be lists of vertices"]),
-        # a JSON number past the interpreter's 4,300-digit limit, and an
-        # exponent that Fraction would multiply out to a billion digits
-        (["classify", "@huge.json"], ["bad graph JSON", "4300"]),
-        (["homology", "@huge.json"], ["bad arrangement JSON", "4300"]),
-        (["classify", "@abe.json", "--basepoints", "@huge.json"], ["unreadable basepoint file", "4300"]),
-        (["homology", "@exponent.json"], ["bad rational literal '1e999999999'", "4300 digits"]),
-        # JSON nested past the interpreter's recursion limit
-        (["classify", "@nested-graph.json"], ["bad graph JSON", "recursion"]),
-        (["homology", "@nested.json"], ["bad arrangement JSON", "recursion"]),
-        (["classify", "@abe.json", "--basepoints", "@nested.json"], ["unreadable basepoint file", "recursion"]),
-    ],
+    "argv, named", USAGE_ERRORS, ids=[f"argv{i}-named{i}" for i in range(len(USAGE_ERRORS))]
 )
 def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
     (tmp_path / "f3.json").write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": []}))
@@ -564,8 +596,11 @@ def test_usage_error_exits_2_with_one_line(capsys, tmp_path, argv, named):
     assert main([arg.replace("@", f"{tmp_path}/") for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert all(fragment in err for fragment in named), err
+    if isinstance(named, str):
+        assert err == f"error: {named}\n"
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(fragment in err for fragment in named), err
 
 
 @pytest.mark.parametrize(
@@ -604,6 +639,54 @@ def test_help_anywhere_prints_to_stdout_and_exits_0(capsys, f3_file, argv, same_
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1] and outputs[0].err == ""
     assert outputs[0].out.startswith("Usage: raagbns ")
+
+
+# Tokens for argv over every command: every command's option strings, so some
+# are unknown to the command drawn, their --x= and --x=v forms, the choices and
+# near misses, "--", "-", negative numbers, arguments holding a space, unknown
+# flags, --help and plain words.
+FLAGS = sorted({option.flag for command in cli.COMMANDS.values() for option in command.options})
+VALUES = ["", "raag", "psa", "pso", "psx", "PSA", "yes", "g", "-x", "-1", "a=b", "a b"]
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS),
+    st.sampled_from(["--", "-", "-1", "-.5", "-1.", "-2\n", "-a b", "--bogus", "-x", "--pre", "--help", "--help=x"]),
+    st.sampled_from(VALUES),
+    st.builds("{}={}".format, st.sampled_from([*FLAGS, "--bogus"]), st.sampled_from(VALUES)),
+)
+
+
+def front_end(argv, parse):
+    """Exit code, stdout, stderr and the keyword values a command body was
+    called with, for `main(argv)` with `parse` reading the command's
+    arguments and every body only recording its values."""
+    calls = []
+    bodies = {name: command._replace(body=lambda **values: calls.append(values)) for name, command in cli.COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_parse", parse), mock.patch.dict(cli.COMMANDS, bodies):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), calls
+
+
+def argv_pieces(command):
+    """Lists of argv pieces for `command`: plain words, its options each
+    with a value it takes, given apart or after "=", and any of TOKENS."""
+    pieces = [st.sampled_from(["g", "w"]).map(lambda word: [word]), TOKENS.map(lambda token: [token])]
+    for option in command.options:
+        if option.metavar or option.choices:
+            value = st.sampled_from(option.choices or VALUES)
+            pieces.append(value.map(lambda v, flag=option.flag: [flag, v]))
+            pieces.append(value.map(lambda v, flag=option.flag: [f"{flag}={v}"]))
+        else:
+            pieces.append(st.just([option.flag]))
+    return st.lists(st.one_of(pieces), max_size=6).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(cli.COMMANDS)))
+def test_argv_is_read_as_argparse_reads_it(data, name):
+    argv = [name, *data.draw(argv_pieces(cli.COMMANDS[name]))]
+    assert front_end(argv, cli._parse) == front_end(argv, oracles.argparse_values)
 
 
 def test_runs_without_click():

@@ -3,9 +3,10 @@ module, so code deleted from one layer leaves no stale import behind in
 another; and every top-level function or class, and every method or
 property of a top-level class, is referenced from `src/`, so code that
 only the tests use lives in `tests/`.  Importing the CLI loads neither
-`dataclasses` nor `inspect`: every record is a `NamedTuple`; and
-`raagbns.lattice` is imported only by a chain complex whose line counts
-do not settle the cap."""
+`dataclasses` nor `inspect`: every record is a `NamedTuple`; nor
+`argparse` and `textwrap`: argv is parsed from the command table, and
+only `--help` wraps text; and `raagbns.lattice` is imported only by a
+chain complex whose line counts do not settle the cap."""
 
 import ast
 import json
@@ -107,13 +108,26 @@ def test_detects_a_dataclasses_import():
     assert imported_modules("from dataclasses import dataclass\nimport os.path\nfrom . import x\n") == {"dataclasses", "os"}
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter with no bytecode written, as the benchmark
-    # harness imports the package
+def fresh_interpreter(probe):
+    """stdout of `probe` run in a fresh interpreter with no bytecode
+    written, as the benchmark harness imports the package."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
-    probe = "import sys, raagbns.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert fresh_interpreter("import sys, raagbns.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") == "[]\n"
+
+
+def test_cli_import_loads_no_argument_parser_and_no_text_wrapper():
+    probe = "import sys, raagbns.cli; print(sorted({'argparse', 'gettext', 'locale', 'textwrap'} & set(sys.modules)))"
+    assert fresh_interpreter(probe) == "[]\n"
+
+
+def test_help_loads_the_text_wrapper_and_prints_the_golden_text():
+    out = fresh_interpreter("import sys, raagbns.cli; code = raagbns.cli.main(['--help']); print(code, 'textwrap' in sys.modules)")
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text(encoding="utf-8"))["help"]["raagbns --help"]
+    assert out == golden + "0 True\n"
 
 
 @pytest.mark.parametrize("n, code, loaded", [(6, 0, False), (9, 3, True)])
@@ -135,13 +149,9 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == [(1, "os"), (2, "c")]
 
 
-# argparse calls its parser's `error` hook; no raagbns code names it
-HOOKS = {("cli", "_Parser.error")}
-
-
 def test_no_test_only_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert unreferenced_definitions(sources, traced_names() | HOOKS) == []
+    assert unreferenced_definitions(sources, traced_names()) == []
 
 
 def test_detects_an_unreferenced_definition():
