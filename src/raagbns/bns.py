@@ -16,13 +16,12 @@ K < L, as {coordinate: entry} maps with disjoint supports and pivot
 entry 1.  So every arrangement here is block-line, with
 b = (n - r, m - r, 0, ...) for its m lines of rank r in Q^n, and its
 line masks come from the maps.  No dense row is written until a
-subspace is read: `euler_report` reads none, while the `bns` command's
-output and the witness's chain read them.  The witness meets no
-subspaces: two delta-subspaces meet in the lines they share.
+subspace is read, and only the `bns` command's output reads one.  The
+witness reads line masks alone: each component of its chain is looked
+up as a line, and two delta-subspaces meet in the lines they share.
 """
 
 import itertools
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -58,16 +57,6 @@ def raag_arrangement(g, cap=None):
     return line_arrangement(len(at), [[{at[v]: 1} for v in subset] for subset in maximal_disconnected_subsets(g, cap)])
 
 
-class PSet(NamedTuple):
-    members: tuple
-    partition: tuple
-
-
-class DeltaPSet(NamedTuple):
-    members: tuple
-    partition: tuple
-
-
 def _per_multiplier_options(g, size):
     """For each vertex: the ways to pick none, or `size`, of its
     components."""
@@ -95,13 +84,13 @@ def _choice_tree_size(counts):
 
 
 def _maximal_valid(g, size, name, cap):
-    """(members, witness) of every inclusion-maximal valid set among the
-    choice tree's leaves, sorted by members.  The tree's size is admitted
-    against `cap` on every call, from the component counts taken largest
-    first: the most nodes any order of the multipliers gives, so the
-    admission does not depend on the labels.  The options are built, and
-    the sets found, once per graph and kept in g's instance dict under
-    `name`, one key per family."""
+    """The members of every inclusion-maximal valid set among the choice
+    tree's leaves, each a sorted tuple, in sorted order.  The tree's size
+    is admitted against `cap` on every call, from the component counts
+    taken largest first: the most nodes any order of the multipliers
+    gives, so the admission does not depend on the labels.  The options
+    are built, and the sets found, once per graph and kept in g's
+    instance dict under `name`, one key per family."""
     nodes = _choice_tree_size(sorted(_option_counts(g, size), reverse=True))
     admit(nodes, cap, f"{name} enumeration would visit {nodes} choice-tree nodes")
     store = vars(g)
@@ -162,7 +151,6 @@ def _maximal_sets(options, delta):
     bit = {m: 1 << i for i, m in enumerate(members)}
     every = (1 << len(members)) - 1
     passes = _pass_table(members, delta)
-    failure = {b: every & ~b & ~ok for b, ok in passes.items()}
     # option bit -> (multiplier, bits of its members, bits of the members
     # that pass with all of them); member bit -> bits of the options
     # holding it
@@ -241,19 +229,15 @@ def _maximal_sets(options, delta):
     for s in sorted(leaves, key=int.bit_count, reverse=True):
         if not any(s & t == s for t in maximal):
             maximal.append(s)
-    out = []
-    for s in maximal:
-        comp = component(s & -s, s, failure)
-        out.append((members_of(members, s), (members_of(members, comp), members_of(members, s & ~comp))))
-    return tuple(sorted(out, key=lambda mw: mw[0]))
+    return tuple(sorted(members_of(members, s) for s in maximal))
 
 
 def maximal_psets(g, cap=None):
-    return [PSet(m, w) for m, w in _maximal_valid(g, 1, "p-set", cap)]
+    return list(_maximal_valid(g, 1, "p-set", cap))
 
 
 def maximal_delta_psets(g, cap=None):
-    return [DeltaPSet(m, w) for m, w in _maximal_valid(g, 2, "delta-p-set", cap)]
+    return list(_maximal_valid(g, 2, "delta-p-set", cap))
 
 
 def _pairs(members):
@@ -268,8 +252,8 @@ def psa_arrangement(g, cap=None):
     generator order, and the rows have disjoint supports and pivot
     entry 1."""
     at = {gen: i for i, gen in enumerate(standard_generators(g))}
-    units = [[{at[m]: 1} for m in p.members] for p in maximal_psets(g, cap)]
-    differences = [[{at[k]: 1, at[l]: -1} for k, l in _pairs(d.members)] for d in maximal_delta_psets(g, cap)]
+    units = [[{at[m]: 1} for m in p] for p in maximal_psets(g, cap)]
+    differences = [[{at[k]: 1, at[l]: -1} for k, l in _pairs(d)] for d in maximal_delta_psets(g, cap)]
     return line_arrangement(len(at), units + differences)
 
 
@@ -305,9 +289,9 @@ def pso_arrangement(g, cap=None):
     labels = standard_generators(g)
     # W's pivots: every generator but its multiplier's last
     at = {gen: i for i, gen in enumerate(gen for gen, after in zip(labels, labels[1:]) if gen[0] == after[0])}
-    if any(k[0] != l[0] for d in deltas for k, l in _pairs(d.members)):
+    if any(k[0] != l[0] for d in deltas for k, l in _pairs(d)):
         raise InvariantViolation("delta-p-set subspace escapes the outer character space")
-    subs = [[{at[k]: 1, at[l]: -1} if l in at else {at[k]: 1} for k, l in _pairs(d.members)] for d in deltas]
+    subs = [[{at[k]: 1, at[l]: -1} if l in at else {at[k]: 1} for k, l in _pairs(d)] for d in deltas]
     return pso_hom_space(g), line_arrangement(len(at), subs), deltas
 
 
@@ -315,7 +299,7 @@ class H1Witness(NamedTuple):
     loop: object
     chain: tuple  # (arrangement index, ambient character vector) pairs
     cocycle_support: tuple
-    pairing_value: Fraction
+    pairing_value: int
 
 
 def h1_witness(g, loop, cap=None):
@@ -329,7 +313,7 @@ def h1_witness(g, loop, cap=None):
         raise InvariantViolation("loop witness must have >= 3 distinct nodes")
     at = {gen: i for i, gen in enumerate(standard_generators(g))}
     w, arrangement, deltas = pso_arrangement(g, cap)
-    member_sets = [frozenset(d.members) for d in deltas]
+    member_sets = [frozenset(d) for d in deltas]
 
     # the 1-chain: for each consecutive pair (a, K), (a, L), the difference
     # character e_K - e_L on the first delta-p-set holding both
@@ -348,17 +332,22 @@ def h1_witness(g, loop, cap=None):
         raise InvariantViolation("witness chain components do not sum to zero")
 
     # degree-one boundaries are inclusions, so d_1 of the chain is the sum
-    # over its components of local coordinates times summand basis rows
+    # of its components in W's coordinates.  Each component is e_K - e_L,
+    # which W writes as one unit or difference row, a line in one block;
+    # a block-line subspace meets each block in its own line or in 0, so
+    # the component lies in its summand exactly when that line, signed so
+    # its first entry is positive, is a bit of the summand's mask
+    masks, supports, _ = arrangement.lines
+    line_bit = {tuple(sup.items()): 1 << i for i, sup in enumerate(supports)}
     boundary = [0] * w.dim
     for j, vec in chain:
-        sub = arrangement.subspaces[j]
         in_w = w.coordinates(list(vec))
         if in_w is None:
             raise InvariantViolation("chain component escapes the outer character space")
-        local = sub.coordinates(in_w)
-        if local is None:
+        sign = next((x for x in in_w if x), 1)
+        if not masks[j] & line_bit.get(tuple((c, x * sign) for c, x in enumerate(in_w) if x), 0):
             raise InvariantViolation("chain component escapes its summand")
-        boundary = [x + y for x, y in zip(boundary, _from_coordinates(sub, local))]
+        boundary = [x + y for x, y in zip(boundary, in_w)]
     if any(boundary):
         raise InvariantViolation("witness chain is not a cycle of the complex")
 
@@ -370,31 +359,16 @@ def h1_witness(g, loop, cap=None):
     first_pair = {(a, nodes[0]), (a, nodes[1])}
     support = tuple(j for j, s in enumerate(member_sets) if first_pair <= s)
     functional_index = at[a, nodes[0]]
-    masks, supports, _ = arrangement.lines
     on_w = [row[functional_index] for row in w.rows]  # the functional in W's coordinates
     touching = sum(1 << i for i, sup in enumerate(supports) if sum(x * on_w[c] for c, x in sup.items()))
     for i, j in itertools.combinations(range(len(deltas)), 2):
         if (i in support) != (j in support) and masks[i] & masks[j] & touching:
             raise InvariantViolation("cocycle patching fails on a pairwise intersection")
 
-    pairing = Fraction(0)
-    for j, vec in chain:
-        if j in support:
-            pairing += vec[functional_index]
+    pairing = sum(vec[functional_index] for j, vec in chain if j in support)
     if pairing != 1:
         raise InvariantViolation(f"witness pairing is {pairing}, expected 1")
     return H1Witness(loop, tuple(chain), support, pairing)
-
-
-def _from_coordinates(s, coords):
-    """The vector of subspace s with RREF coordinates `coords`: ints while
-    the coordinates are ints and each pivot entry met is 1."""
-    out = [0] * s.ambient_dim
-    for c, row, p in zip(coords, s.rows, s.pivots):
-        if c:
-            c = c if row[p] == 1 else Fraction(c, row[p])
-            out = [x + c * y for x, y in zip(out, row)]
-    return out
 
 
 def euler_report(g, cap=None):

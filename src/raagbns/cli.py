@@ -422,8 +422,8 @@ def _parse(name, args):
         values[option.flag[2:]] = value
     if cut < len(args):
         # the "--" joins the positional filled just before it, or else the
-        # next one; argparse then strips the first "--" from each
-        # positional's strings, so a later "--" alone reads as an empty list
+        # next one; a later "--" alone, which argparse strips to an empty
+        # list, is kept as the string "--"
         tail = args[cut + 1 :]
         if not placed:
             if waiting and tail:
@@ -432,7 +432,7 @@ def _parse(name, args):
                 extras.append("--")
         for arg in tail:
             if waiting:
-                values[waiting.pop(0).lower()] = [] if arg == "--" else arg
+                values[waiting.pop(0).lower()] = arg
             else:
                 extras.append(arg)
     missing = waiting + [option.flag for option in command.options if option.required and values[option.flag[2:]] is None]

@@ -99,12 +99,23 @@ def meet_cocycle_check(g, loop):
     functional_index = standard_generators(g).index((a, nodes[0]))
     w, arrangement, deltas = bns.pso_arrangement(g)
     first_pair = {(a, nodes[0]), (a, nodes[1])}
-    support = {j for j, d in enumerate(deltas) if first_pair <= set(d.members)}
+    support = {j for j, d in enumerate(deltas) if first_pair <= set(d)}
     for i, j in itertools.combinations(range(len(deltas)), 2):
         if (i in support) != (j in support):
             meet = linalg.intersect([arrangement.subspaces[i], arrangement.subspaces[j]])
-            if any(bns._from_coordinates(w, row)[functional_index] for row in meet.rows):
+            if any(from_coordinates(w, row)[functional_index] for row in meet.rows):
                 raise InvariantViolation("cocycle patching fails on a pairwise intersection")
+
+
+def from_coordinates(s, coords):
+    """The vector of subspace s with RREF coordinates `coords`: ints while
+    the coordinates are ints and each pivot entry met is 1."""
+    out = [0] * s.ambient_dim
+    for c, row, p in zip(coords, s.rows, s.pivots):
+        if c:
+            c = c if row[p] == 1 else Fraction(c, row[p])
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
 
 
 def coordinate_supports(a):
@@ -622,17 +633,11 @@ def walk_valid(g, size, cross_ok, cap=float("inf")):
 
 
 def walk_maximal(g, size, cross_ok):
-    """Inclusion-maximal valid sets of the walk, sorted by members, each
-    checked against every other."""
+    """The members of the inclusion-maximal valid sets of the walk, in
+    sorted order, each set checked against every other."""
     valid, _ = walk_valid(g, size, cross_ok)
-    keyed = {frozenset(members): (members, witness) for members, witness in valid}
-    out = []
-    for key, (members, witness) in keyed.items():
-        if any(other > key for other in keyed):
-            continue
-        out.append((members, witness))
-    out.sort(key=lambda mw: mw[0])
-    return out
+    keyed = {frozenset(members): members for members, _ in valid}
+    return sorted(members for key, members in keyed.items() if not any(other > key for other in keyed))
 
 
 
@@ -661,25 +666,22 @@ def leaf_maximal_sets(g, size, cross_ok):
     # and a tail over the rest, so only the halves are ever listed
     half = len(option_masks) // 2
     tails = _unions(option_masks[half:])
-    valid = {}
+    valid = set()
     for head in _unions(option_masks[:half]):
         for tail in tails:
             s = head | tail
-            comp = component(s & -s, s, failure)
-            if comp != s:
-                valid[s] = comp
+            if component(s & -s, s, failure) != s:
+                valid.add(s)
     # (bits of a multiplier's members, its non-empty options)
     extensions = [
         (sum({bit[m] for choice in choices for m in choice}), choice_masks[1:])
         for choices, choice_masks in zip(options, option_masks)
     ]
-    out = [
-        (members_of(members, s), (members_of(members, comp), members_of(members, s & ~comp)))
-        for s, comp in valid.items()
+    return sorted(
+        members_of(members, s)
+        for s in valid
         if not any(s | c in valid for used, choices in extensions if not s & used for c in choices)
-    ]
-    out.sort(key=lambda mw: mw[0])
-    return out
+    )
 
 
 def parse_qmatrix(text):

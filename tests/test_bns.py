@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,6 @@ from test_acceptance import STAR7, corpus
 
 from raagbns import bns
 from raagbns.bns import (
-    DeltaPSet,
-    PSet,
     _choice_tree_size,
     _maximal_sets,
     _option_counts,
@@ -104,43 +103,43 @@ def test_raag_arrangement_path():
 
 def test_is_pset_mutual_pair():
     # the mutual pair of the edgeless pair is its one maximal p-set
-    assert maximal_psets(edgeless(2)) == [
-        PSet((gen("a", "b"), gen("b", "a")), ((gen("a", "b"),), (gen("b", "a"),)))
-    ]
+    (p,) = maximal_psets(edgeless(2))
+    assert p == (gen("a", "b"), gen("b", "a"))
+    assert partition_witness(p, pset_cross_ok) == ((gen("a", "b"),), (gen("b", "a"),))
 
 
 def test_is_pset_singleton():
     # a p-set splits into two nonempty sides, so no singleton is one
     for g in (F3, F4, PATH3):
         for p in maximal_psets(g):
-            side1, side2 = p.partition
+            side1, side2 = partition_witness(p, pset_cross_ok)
             assert side1 and side2
 
 
 def test_is_pset_rejects_second_gen_of_multiplier():
     for g in (F3, F4):
         for p in maximal_psets(g):
-            multipliers = [a for a, _ in p.members]
+            multipliers = [a for a, _ in p]
             assert len(set(multipliers)) == len(multipliers)
-            assert not {gen("a", "b"), gen("a", "c")} <= set(p.members)
+            assert not {gen("a", "b"), gen("a", "c")} <= set(p)
 
 
 def test_is_delta_pset_four_member():
     s = {gen("a", "b"), gen("a", "c"), gen("b", "a"), gen("b", "c")}
-    assert any(s <= set(d.members) for d in maximal_delta_psets(F3))
+    assert any(s <= set(d) for d in maximal_delta_psets(F3))
 
 
 def test_is_delta_pset_full_six_on_f3():
     (d,) = maximal_delta_psets(F3)
-    assert set(d.members) == set(standard_generators(F3))
-    side1, side2 = d.partition
+    assert set(d) == set(standard_generators(F3))
+    side1, side2 = partition_witness(d, delta_cross_ok)
     for a, k in side1:
         for b, l in side2:
             assert a in l or b in k or k == l
 
 
 def test_maximal_psets_f3():
-    got = [p.members for p in maximal_psets(F3)]
+    got = maximal_psets(F3)
     assert got == [
         (gen("a", "b"), gen("b", "a")),
         (gen("a", "c"), gen("c", "a")),
@@ -149,7 +148,7 @@ def test_maximal_psets_f3():
 
 
 def test_maximal_delta_psets_f3_single_full_set():
-    got = [d.members for d in maximal_delta_psets(F3)]
+    got = maximal_delta_psets(F3)
     assert got == [tuple(standard_generators(F3))]
 
 
@@ -179,7 +178,7 @@ def brute_force_delta_psets(g):
 
 
 def test_maximal_delta_psets_f4_brute_force():
-    got = [d.members for d in maximal_delta_psets(F4)]
+    got = maximal_delta_psets(F4)
     assert got == brute_force_delta_psets(F4)
     assert len(got) == 4
     assert all(len(m) == 6 for m in got)
@@ -202,8 +201,9 @@ FAMILIES = [
 
 def assert_matches_walk(g):
     for size, cross_ok, fast in FAMILIES:
-        got = [(p.members, p.partition) for p in fast(g)]
+        got = fast(g)
         assert got == walk_maximal(g, size, cross_ok), (g.edges, size)
+        assert all(partition_witness(members, cross_ok) for members in got), (g.edges, size)
 
 
 def test_enumeration_matches_walk_on_corpus():
@@ -384,7 +384,7 @@ def test_delta_subspaces_live_in_hom_space():
         w = pso_hom_space(g)
         _, arr, deltas = pso_arrangement(g)
         for d in deltas:
-            assert subspace_leq(delta_subspace(basis, d.members), w)
+            assert subspace_leq(delta_subspace(basis, d), w)
 
 
 def test_h1_witness_f4():
@@ -401,7 +401,7 @@ def test_a_delta_pair_across_two_multipliers_escapes_the_outer_character_space(m
     # planted fault: a delta-p-set pairing a's component with b's.  Its
     # row e_K - e_L sums to 1 over a's coordinates, so it is not in W
     pair = (("a", ("b",)), ("b", ("a",)))
-    monkeypatch.setattr(bns, "maximal_delta_psets", lambda g, cap=None: [DeltaPSet(pair, (pair[:1], pair[1:]))])
+    monkeypatch.setattr(bns, "maximal_delta_psets", lambda g, cap=None: [pair])
     with pytest.raises(InvariantViolation, match="delta-p-set subspace escapes the outer character space"):
         pso_arrangement(F3)
 
@@ -416,13 +416,100 @@ def test_a_non_support_subspace_holding_the_first_loop_line_fails_cocycle_patchi
     oracles.meet_cocycle_check(F4, loop)
     w, arr, deltas = pso_arrangement(F4)
     rows = oracles.read_back(arr)
-    assert not any(a == "a" for a, _ in deltas[3].members) and rows[0][0] == {0: 1, 1: -1}
+    assert not any(a == "a" for a, _ in deltas[3]) and rows[0][0] == {0: 1, 1: -1}
     rows[3].insert(0, rows[0][0])
     planted = line_arrangement(w.dim, rows)
     monkeypatch.setattr(bns, "pso_arrangement", lambda g, cap=None: (w, planted, deltas))
     for check in (h1_witness, oracles.meet_cocycle_check):
         with pytest.raises(InvariantViolation, match="cocycle patching fails on a pairwise intersection"):
             check(F4, loop)
+
+
+def plant(monkeypatch, w, rows, deltas):
+    """Hand the witness W, delta-subspaces of the given row maps and the
+    delta-p-sets `deltas` in place of the PSO arrangement."""
+    arr = line_arrangement(w.dim, rows)
+    monkeypatch.setattr(bns, "pso_arrangement", lambda g, cap=None: (w, arr, deltas))
+
+
+def test_a_loop_of_two_or_repeated_nodes_is_refused():
+    for nodes in ((("b",), ("c",)), (("b",), ("c",), ("b",))):
+        with pytest.raises(InvariantViolation, match="loop witness must have >= 3 distinct nodes"):
+            h1_witness(F4, LoopWitness("a", nodes))
+
+
+def test_a_loop_pair_in_no_delta_p_set_is_refused(monkeypatch):
+    # planted fault: only edgeless(4)'s first delta-p-set is kept, which
+    # holds the loop's first pair (a, b), (a, c) but not its second
+    loop = forest_certificate(support_graph(F4, "a"))
+    w, arr, deltas = pso_arrangement(F4)
+    plant(monkeypatch, w, arr.row_maps[:1], deltas[:1])
+    message = "no maximal delta-p-set contains the consecutive pair [('a', ('c',)), ('a', ('d',))]"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        h1_witness(F4, loop)
+
+
+def test_a_chain_component_outside_w_escapes_the_outer_character_space(monkeypatch):
+    # planted fault: W loses its row e_(a,b) - e_(a,d), so the chain's
+    # first component e_(a,b) - e_(a,c) no longer lies in it
+    loop = forest_certificate(support_graph(F4, "a"))
+    w, arr, deltas = pso_arrangement(F4)
+    assert h1_witness(F4, loop).chain[0][1][:3] == (1, -1, 0) and w.pivots[0] == 0
+    smaller = Subspace.from_rref(w.ambient_dim, w.rows[1:], w.pivots[1:])
+    monkeypatch.setattr(bns, "pso_arrangement", lambda g, cap=None: (smaller, arr, deltas))
+    with pytest.raises(InvariantViolation, match="chain component escapes the outer character space"):
+        h1_witness(F4, loop)
+
+
+def test_a_summand_without_its_loop_line_lets_the_chain_component_escape(monkeypatch):
+    # planted fault: the delta-subspace the chain's first component lies on
+    # loses the line of the loop's first pair
+    loop = forest_certificate(support_graph(F4, "a"))
+    w, arr, deltas = pso_arrangement(F4)
+    (j, vec), *_ = h1_witness(F4, loop).chain
+    line = {c for c, x in enumerate(w.coordinates(list(vec))) if x}
+    rows = [[row for row in maps if not (i == j and set(row) == line)] for i, maps in enumerate(arr.row_maps)]
+    assert sum(map(len, rows)) == sum(map(len, arr.row_maps)) - 1
+    plant(monkeypatch, w, rows, deltas)
+    with pytest.raises(InvariantViolation, match="chain component escapes its summand"):
+        h1_witness(F4, loop)
+
+
+def test_a_sign_flipped_coordinate_map_breaks_the_cycle(monkeypatch):
+    # planted fault: W reports the first chain component's coordinates
+    # with the wrong sign.  The flipped vector still spans its summand's
+    # line, but d_1 of the chain is then twice that vector, not 0
+    loop = forest_certificate(support_graph(F4, "a"))
+    w, arr, deltas = pso_arrangement(F4)
+    first = h1_witness(F4, loop).chain[0][1]
+
+    class Flipped(Subspace):
+        __slots__ = ()
+
+        def coordinates(self, v):
+            coords = super().coordinates(v)
+            return [-x for x in coords] if tuple(v) == first else coords
+
+    flipped = Flipped.from_rref(w.ambient_dim, w.rows, w.pivots)
+    monkeypatch.setattr(bns, "pso_arrangement", lambda g, cap=None: (flipped, arr, deltas))
+    with pytest.raises(InvariantViolation, match="witness chain is not a cycle of the complex"):
+        h1_witness(F4, loop)
+
+
+def test_a_delta_p_set_with_three_members_at_the_owner_breaks_the_pairing(monkeypatch):
+    # planted fault: edgeless(4)'s loop b, c, d at a on three planted sets,
+    # {b, c}, {c, d} and {b, c, d} at a.  The last holds the closing pair
+    # d, b and the first pair too, so it is in the cocycle's support, and
+    # the pairing loses the -1 it reads there
+    loop = forest_certificate(support_graph(F4, "a"))
+    assert loop.nodes == (("b",), ("c",), ("d",))
+    w, _, _ = pso_arrangement(F4)
+    ab, ac, ad = gen("a", "b"), gen("a", "c"), gen("a", "d")
+    # in W's coordinates e_(a,b) - e_(a,c) is e_0 - e_1, e_(a,c) - e_(a,d) is
+    # e_1 and e_(a,b) - e_(a,d) is e_0
+    plant(monkeypatch, w, [[{0: 1, 1: -1}], [{1: 1}], [{0: 1}]], [(ab, ac), (ac, ad), (ab, ac, ad)])
+    with pytest.raises(InvariantViolation, match="witness pairing is 0, expected 1"):
+        h1_witness(F4, loop)
 
 
 def test_euler_report_no_sil():
@@ -522,7 +609,7 @@ def test_recognizers_match_bfs_witness(g, rng):
     for per_multiplier, cross_ok, fast in FAMILIES:
         valid = partition_witness(sample, cross_ok) is not None
         if valid and all(c == per_multiplier for c in counts.values()):
-            assert any(set(sample) <= set(p.members) for p in fast(g))
+            assert any(set(sample) <= set(p) for p in fast(g))
 
 
 @given(graphs(max_n=4), st.randoms(use_true_random=False))
@@ -537,22 +624,22 @@ def test_delta_pset_recognizer_matches_brute_force(g, rng):
     )
     assert (partition_witness(sample, delta_cross_ok) is None) == (slow is None)
     if slow is not None:
-        assert any(set(sample) <= set(d.members) for d in maximal_delta_psets(g))
+        assert any(set(sample) <= set(d) for d in maximal_delta_psets(g))
 
 
 @given(graphs(max_n=4))
 @settings(max_examples=40, deadline=None)
 def test_returned_witnesses_satisfy_conditions(g):
     for p in maximal_psets(g):
-        side1, side2 = p.partition
-        assert set(side1) | set(side2) == set(p.members)
+        side1, side2 = partition_witness(p, pset_cross_ok)
+        assert set(side1) | set(side2) == set(p)
         for a, k in side1:
             for b, l in side2:
                 assert a in l and b in k
     for d in maximal_delta_psets(g):
-        side1, side2 = d.partition
+        side1, side2 = partition_witness(d, delta_cross_ok)
         counts = {}
-        for a, _ in d.members:
+        for a, _ in d:
             counts[a] = counts.get(a, 0) + 1
         assert all(c == 2 for c in counts.values())
         for a, k in side1:
