@@ -325,21 +325,17 @@ def h1_witness(g, loop, cap=None):
             raise InvariantViolation(f"no maximal delta-p-set contains the consecutive pair {sorted([k, l])}")
         chain.append((containing[0], tuple(1 if c == at[k] else -1 if c == at[l] else 0 for c in range(len(at)))))
 
-    total = [0] * len(at)
-    for _, vec in chain:
-        total = [x + y for x, y in zip(total, vec)]
-    if any(x != 0 for x in total):
-        raise InvariantViolation("witness chain components do not sum to zero")
-
-    # degree-one boundaries are inclusions, so d_1 of the chain is the sum
-    # of its components in W's coordinates.  Each component is e_K - e_L,
-    # which W writes as one unit or difference row, a line in one block;
-    # a block-line subspace meets each block in its own line or in 0, so
-    # the component lies in its summand exactly when that line, signed so
-    # its first entry is positive, is a bit of the summand's mask
+    # the chain is a cycle: degree-one boundaries are inclusions, so d_1
+    # of it is the sum of its components in W's coordinates, and the
+    # components e_{K_i} - e_{K_{i+1}} of a loop of >= 3 distinct nodes
+    # telescope to 0, which the linear map w.coordinates keeps.  Each
+    # component is e_K - e_L, which W writes as one unit or difference
+    # row, a line in one block; a block-line subspace meets each block in
+    # its own line or in 0, so the component lies in its summand exactly
+    # when that line, signed so its first entry is positive, is a bit of
+    # the summand's mask
     masks, supports, _ = arrangement.lines
     line_bit = {tuple(sup.items()): 1 << i for i, sup in enumerate(supports)}
-    boundary = [0] * w.dim
     for j, vec in chain:
         in_w = w.coordinates(list(vec))
         if in_w is None:
@@ -347,9 +343,6 @@ def h1_witness(g, loop, cap=None):
         sign = next((x for x in in_w if x), 1)
         if not masks[j] & line_bit.get(tuple((c, x * sign) for c, x in enumerate(in_w) if x), 0):
             raise InvariantViolation("chain component escapes its summand")
-        boundary = [x + y for x, y in zip(boundary, in_w)]
-    if any(boundary):
-        raise InvariantViolation("witness chain is not a cycle of the complex")
 
     # cocycle: the (a, K_1) coordinate functional on every delta-p-set
     # containing the first consecutive pair, zero elsewhere.  It patches

@@ -1,7 +1,14 @@
-"""Command-line front door.  Every subcommand reads graph or arrangement
-files, runs one computation, and prints a deterministic JSON report:
-dictionary keys are sorted, lists are emitted in a fixed order and
-rationals are "p/q" strings, so identical inputs give identical bytes.
+"""Command-line front door.  Every subcommand reads one input, runs one
+computation, and prints a deterministic JSON report: dictionary keys are
+sorted, lists are emitted in a fixed order and rationals are "p/q"
+strings, so identical inputs give identical bytes.
+
+A command's body is a function from its loaded input to its report dict:
+it gets a graph for GRAPH_FILE, an Arrangement for ARRANGEMENT_FILE or the
+path string for DIRECTORY, then its options as keywords, less --pretty.
+`_run` alone reads the input and prints the report, with the tool and,
+for a read input, its echo under "input"; a report with "ok": false
+exits 1.
 
 One table, COMMANDS, drives both the argument parsing and the `--help`
 texts.  Usage errors exit 2 with one line, like malformed input.
@@ -36,7 +43,6 @@ from .homology import (
     arrangement_homology,
     maximal_filter,
 )
-from .linalg import format_rational
 from .presentations import (
     ObstructionVerdict,
     RaagVerdict,
@@ -48,18 +54,6 @@ from .presentations import (
 from .words import format_word, parse_word, reduce
 
 
-def _dump(payload, pretty):
-    if pretty:
-        return json.dumps(payload, sort_keys=True, indent=2)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(payload, pretty):
-    body = {"tool": {"name": "raagbns", "version": __version__}}
-    body.update(payload)
-    print(_dump(body, pretty))
-
-
 def _profile_json(profile):
     return {"betti": list(profile.betti), "euler": profile.euler}
 
@@ -68,11 +62,11 @@ def _witness_json(witness):
     return {
         "loop": [list(n) for n in witness.loop.nodes],
         "chain": [
-            {"subspace": j, "vector": [format_rational(x) for x in vec]}
+            {"subspace": j, "vector": [str(x) for x in vec]}
             for j, vec in witness.chain
         ],
         "cocycle_support": list(witness.cocycle_support),
-        "pairing": format_rational(witness.pairing_value),
+        "pairing": str(witness.pairing_value),
     }
 
 
@@ -128,8 +122,7 @@ def _load_basepoints(path):
     return raw
 
 
-def support_graphs_cmd(graph_file, pretty):
-    g = graph_from_file(graph_file)
+def support_graphs_cmd(g):
     per = {}
     for a in sorted(g.vertices):
         sg = support_graph(g, a)
@@ -145,49 +138,35 @@ def support_graphs_cmd(graph_file, pretty):
             entry["forest"] = True
             entry["trees"] = [[list(n) for n in t] for t in cert.trees]
         per[a] = entry
-    _emit({"input": g.to_json(), "support_graphs": per}, pretty)
+    return {"support_graphs": per}
 
 
-def classify_cmd(graph_file, basepoints, pretty):
-    g = graph_from_file(graph_file)
+def classify_cmd(g, basepoints):
     verdict = classify_pso(g, _load_basepoints(basepoints))
-    _emit({"input": g.to_json(), **_verdict_json(g, verdict)}, pretty)
+    return _verdict_json(g, verdict)
 
 
-def homology_cmd(arrangement_file, raw, pretty):
-    arr = arrangement_from_file(arrangement_file)
+def homology_cmd(arr, raw):
     kept = arr if raw else maximal_filter(arr)
     dims, profile = arrangement_homology(kept)
-    _emit(
-        {
-            "input": arr.to_json(),
-            "dims": list(dims),
-            "betti": list(profile.betti),
-            "euler": profile.euler,
-        },
-        pretty,
-    )
+    return {"dims": list(dims), **_profile_json(profile)}
 
 
-def bns_cmd(graph_file, group, witness, pretty):
-    g = graph_from_file(graph_file)
-    payload = {"input": g.to_json(), "group": group}
+def bns_cmd(g, group, witness):
+    report = {"group": group}
     if group == "raag":
         arr = raag_arrangement(g)
     elif group == "psa":
         arr = psa_arrangement(g)
     else:
         w, arr, _ = pso_arrangement(g)
-        payload["outer_space"] = w.basis.to_token_rows()
+        report["outer_space"] = w.basis.to_token_rows()
     kept = maximal_filter(arr)
     _, profile = arrangement_homology(kept)
-    payload["ambient_dim"] = kept.ambient_dim
-    payload["subspaces"] = [s.basis.to_token_rows() for s in kept.subspaces]
-    payload["betti"] = list(profile.betti)
-    payload["euler"] = profile.euler
+    report.update(kept.to_json(), **_profile_json(profile))
     if witness and group == "pso":
-        payload["witness"] = _first_loop_witness(g)
-    _emit(payload, pretty)
+        report["witness"] = _first_loop_witness(g)
+    return report
 
 
 def _first_loop_witness(g):
@@ -198,40 +177,24 @@ def _first_loop_witness(g):
     return None
 
 
-def presentation_cmd(graph_file, group, pretty):
-    g = graph_from_file(graph_file)
+def presentation_cmd(g, group):
     p = psa_presentation(g) if group == "psa" else pso_presentation(g)
-    _emit(
-        {
-            "input": g.to_json(),
-            "group": group,
-            "generators": [generator_symbol(x) for x in p.generators],
-            "relators": [
-                [[generator_symbol(x), e] for x, e in word] for word in p.relators
-            ],
-        },
-        pretty,
-    )
+    return {
+        "group": group,
+        "generators": [generator_symbol(x) for x in p.generators],
+        "relators": [
+            [[generator_symbol(x), e] for x, e in word] for word in p.relators
+        ],
+    }
 
 
-def euler_report_cmd(graph_file, pretty):
-    g = graph_from_file(graph_file)
-    report = euler_report(g)
-    _emit(
-        {
-            "input": g.to_json(),
-            "raag": _profile_json(report["raag"]),
-            "psa": _profile_json(report["psa"]),
-            "pso": _profile_json(report["pso"]),
-        },
-        pretty,
-    )
+def euler_report_cmd(g):
+    return {side: _profile_json(profile) for side, profile in euler_report(g).items()}
 
 
-def word_reduce_cmd(graph_file, word, pretty):
-    g = graph_from_file(graph_file)
+def word_reduce_cmd(g, word):
     reduced = reduce(g, parse_word(g, word))
-    _emit({"input": g.to_json(), "word": word, "reduced": format_word(reduced)}, pretty)
+    return {"word": word, "reduced": format_word(reduced)}
 
 
 def _corpus_checks(g):
@@ -260,7 +223,7 @@ def _corpus_checks(g):
     return isinstance(verdict, RaagVerdict), checks
 
 
-def corpus_cmd(directory, pretty):
+def corpus_cmd(directory):
     root = pathlib.Path(directory)
     try:
         files = sorted(
@@ -283,8 +246,7 @@ def corpus_cmd(directory, pretty):
         except RaagBnsError as err:
             rows.append({"file": path.name, "error": str(err), "ok": False})
     ok = bool(rows) and all(r["ok"] for r in rows)
-    _emit({"directory": root.name, "files": rows, "ok": ok}, pretty)
-    return 0 if ok else 1
+    return {"directory": root.name, "files": rows, "ok": ok}
 
 
 class Option(NamedTuple):
@@ -494,8 +456,8 @@ def _help(name):
 
 
 def _run(args):
-    """Parse `args`, then print help or run the command; returns its exit
-    code."""
+    """Parse `args`, then print help, or read the command's input, run its
+    body and print the report; returns the exit code."""
     name = args[0] if args else None
     if name == "--help":
         sys.stdout.write(_help(None))
@@ -512,7 +474,18 @@ def _run(args):
         return 0
     values = _parse(name, rest)
     enumeration_cap()  # a malformed RAAGBNS_CAP fails every command alike
-    return COMMANDS[name].body(**values) or 0
+    pretty = values.pop("pretty")
+    first = COMMANDS[name].arguments[0]
+    source = values.pop(first.lower())
+    # built on each run, so that a reader rebound on the module is the one called
+    read = {"GRAPH_FILE": graph_from_file, "ARRANGEMENT_FILE": arrangement_from_file}.get(first)
+    data = read(source) if read else source
+    report = {"tool": {"name": "raagbns", "version": __version__}, **COMMANDS[name].body(data, **values)}
+    if read:
+        report["input"] = data.to_json()
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    print(json.dumps(report, sort_keys=True, **layout))
+    return 0 if report.get("ok", True) else 1
 
 
 def main(argv=None):

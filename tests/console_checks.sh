@@ -100,6 +100,19 @@ printf '{"vertices": ["a", "b", "c", "d", "e"], "edges": []}' > "$RUNNER_TEMP/co
 cp "$RUNNER_TEMP/path4.json" "$RUNNER_TEMP/corpus/path4.json"
 raagbns corpus "$RUNNER_TEMP/corpus" > "$RUNNER_TEMP/corpus.out"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["ok"] is not True or [f["pso_is_raag"] for f in r["files"]] != [False, True])' "$RUNNER_TEMP/corpus.out"
+# a corpus holding one malformed graph exits 1, its report saying "ok": false
+# with that file's error row
+mkdir "$RUNNER_TEMP/broken-corpus"
+printf '{"vertices": ["a"' > "$RUNNER_TEMP/broken-corpus/broken.json"
+status=0
+raagbns corpus "$RUNNER_TEMP/broken-corpus" > "$RUNNER_TEMP/broken-corpus.out" || status=$?
+test "$status" -eq 1
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); f = r["files"]; sys.exit(r["ok"] is not False or len(f) != 1 or f[0]["file"] != "broken.json" or f[0]["ok"] is not False or "error" not in f[0])' "$RUNNER_TEMP/broken-corpus.out"
+# --pretty changes the layout of a report, not its content
+raagbns classify "$RUNNER_TEMP/path4.json" > "$RUNNER_TEMP/compact.out"
+raagbns classify --pretty "$RUNNER_TEMP/path4.json" > "$RUNNER_TEMP/pretty.out"
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1])) != json.load(open(sys.argv[2])))' "$RUNNER_TEMP/compact.out" "$RUNNER_TEMP/pretty.out"
+cmp -s "$RUNNER_TEMP/compact.out" "$RUNNER_TEMP/pretty.out" && exit 1
 # the PSO witness reads the Δ-p-sets the arrangement stored on the graph
 printf '{"vertices": ["a", "b", "c", "d"], "edges": []}' > "$RUNNER_TEMP/edgeless4.json"
 raagbns bns "$RUNNER_TEMP/edgeless4.json" --group pso --witness > "$RUNNER_TEMP/bns.out"

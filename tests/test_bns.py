@@ -475,27 +475,6 @@ def test_a_summand_without_its_loop_line_lets_the_chain_component_escape(monkeyp
         h1_witness(F4, loop)
 
 
-def test_a_sign_flipped_coordinate_map_breaks_the_cycle(monkeypatch):
-    # planted fault: W reports the first chain component's coordinates
-    # with the wrong sign.  The flipped vector still spans its summand's
-    # line, but d_1 of the chain is then twice that vector, not 0
-    loop = forest_certificate(support_graph(F4, "a"))
-    w, arr, deltas = pso_arrangement(F4)
-    first = h1_witness(F4, loop).chain[0][1]
-
-    class Flipped(Subspace):
-        __slots__ = ()
-
-        def coordinates(self, v):
-            coords = super().coordinates(v)
-            return [-x for x in coords] if tuple(v) == first else coords
-
-    flipped = Flipped.from_rref(w.ambient_dim, w.rows, w.pivots)
-    monkeypatch.setattr(bns, "pso_arrangement", lambda g, cap=None: (flipped, arr, deltas))
-    with pytest.raises(InvariantViolation, match="witness chain is not a cycle of the complex"):
-        h1_witness(F4, loop)
-
-
 def test_a_delta_p_set_with_three_members_at_the_owner_breaks_the_pairing(monkeypatch):
     # planted fault: edgeless(4)'s loop b, c, d at a on three planted sets,
     # {b, c}, {c, d} and {b, c, d} at a.  The last holds the closing pair

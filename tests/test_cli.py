@@ -658,17 +658,27 @@ TOKENS = st.one_of(
 )
 
 
+class Parsed(BaseException):
+    """Carries the keyword values a command's arguments parse to out of
+    main, which catches only Exception, ahead of any file read."""
+
+
 def front_end(argv, parse):
-    """Exit code, stdout, stderr and the keyword values a command body was
-    called with, for `main(argv)` with `parse` reading the command's
-    arguments and every body only recording its values."""
-    calls = []
-    bodies = {name: command._replace(body=lambda **values: calls.append(values)) for name, command in cli.COMMANDS.items()}
+    """Exit code, stdout and stderr of `main(argv)` with `parse` reading the
+    command's arguments, and the keyword values it returned; main stops as
+    soon as they parse, so no file is read and the code is None."""
+
+    def parsed(name, args):
+        raise Parsed(parse(name, args))
+
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "_parse", parse), mock.patch.dict(cli.COMMANDS, bodies):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code, values = None, None
+    with mock.patch.object(cli, "_parse", parsed), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
             code = main(argv)
-    return code, out.getvalue(), err.getvalue(), calls
+        except Parsed as stop:
+            values = stop.args[0]
+    return code, out.getvalue(), err.getvalue(), values
 
 
 def argv_pieces(command):
@@ -695,6 +705,62 @@ def test_argv_is_read_as_argparse_reads_it(data, name):
 
     argv = [name, *data.draw(argv_pieces(cli.COMMANDS[name]))]
     assert front_end(argv, cli._parse) == front_end(argv, argparse_values)
+
+
+# Each command's body with every option it takes: its keyword values, given
+# on the command line as flags, option values or the WORD positional
+BODY_CALLS = [
+    ("support-graphs", {}),
+    ("classify", {"basepoints": None}),
+    ("classify", {"basepoints": "base.json"}),
+    ("homology", {"raw": False}),
+    ("homology", {"raw": True}),
+    *[("bns", {"group": group, "witness": witness}) for group in ("raag", "psa", "pso") for witness in (False, True)],
+    ("presentation", {"group": "psa"}),
+    ("presentation", {"group": "pso"}),
+    ("euler-report", {}),
+    ("word-reduce", {"word": "a b a^-1 c"}),
+    ("corpus", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, basepoints",
+    [
+        ({"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"]]}, {"a": [["c", "d"]]}),
+        ({"vertices": ["a", "b", "c", "d"], "edges": []}, {"a": [["c"]]}),
+    ],
+    ids=["path4", "f4"],
+)
+def test_each_body_returns_the_report_main_prints(capsys, tmp_path, monkeypatch, graph, basepoints):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "graph.json").write_text(json.dumps(graph))
+    g = cli.graph_from_file("corpus/graph.json")
+    (tmp_path / "arrangement.json").write_text(json.dumps(bns.pso_arrangement(g)[1].to_json()))
+    (tmp_path / "base.json").write_text(json.dumps(basepoints))
+    inputs = {
+        "GRAPH_FILE": ("corpus/graph.json", g),
+        "ARRANGEMENT_FILE": ("arrangement.json", cli.arrangement_from_file("arrangement.json")),
+        "DIRECTORY": ("corpus", "corpus"),
+    }
+    for name, options in BODY_CALLS:
+        path, data = inputs[cli.COMMANDS[name].arguments[0]]
+        argv = [name, path]
+        for key, value in options.items():
+            if key == "word":
+                argv.append(value)
+            elif value is True:
+                argv.append(f"--{key}")
+            elif value:
+                argv += [f"--{key}", value]
+        report = cli.COMMANDS[name].body(data, **options)
+        for pretty in ([], ["--pretty"]):
+            code, printed = run(capsys, *argv, *pretty)
+            assert code == 0, argv
+            printed.pop("tool")
+            printed.pop("input", None)
+            assert report == printed, argv
 
 
 def test_runs_without_click():
