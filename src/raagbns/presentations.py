@@ -185,17 +185,21 @@ def presentation_graph(g, basepoints=None):
     edge_gens = []
     basepoint_rows = []
     preferred_rows = []
-    support = g.support_edges
     for a, comps in g.component_table.items():
-        edges = support[a]
+        # no support edge: a lone component is its own tree and basepoint
+        if len(comps) < 2 and a not in overrides:
+            basepoint_rows += [(a, (k,), k) for _, k in comps]
+            preferred_rows += [(a, k) for _, k in comps]
+            continue
+        edges = g.support_edges[a] if len(comps) > 1 else ()
         # an edgeless support graph is a tree per node, as forest_certificate says
         cert = forest_certificate(support_graph(g, a)) if edges else None
         if isinstance(cert, LoopWitness):
             raise NotAForest(a, cert)
         trees = cert.trees if cert else tuple((k,) for _, k in comps)
+        chosen = _resolve_basepoints(a, trees, overrides[a]) if a in overrides else {}
         if not trees:
             continue
-        chosen = _resolve_basepoints(a, trees, overrides[a]) if a in overrides else {}
         for t in trees:
             basepoint_rows.append((a, t, chosen.get(t, t[0])))
         # the first override's tree, else the tree of the least node
@@ -207,7 +211,7 @@ def presentation_graph(g, basepoints=None):
     # edge {K_b, L}; the rows come in both orders, so `apart` is symmetric
     symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
     apart = {}
-    for a, b, ka, kb, l in g.sil_rows:
+    for a, b, ka, kb, l in g.sil_rows if edge_gens else ():
         x = symbol[a, (min(ka, l), max(ka, l))]
         apart.setdefault(x, []).append(symbol[b, (min(kb, l), max(kb, l))])
     symbols = [r.symbol for r in tree_gens + edge_gens]
@@ -224,19 +228,19 @@ def presentation_graph(g, basepoints=None):
     )
 
 
-def _hang(th):
-    """Hang each tree of th from its basepoint by one BFS.  Returns
-    `place`, mapping (owner, node) to the node's tree, the edge generator
-    above it (None at the basepoint) and its edge generators in order,
-    and `below`, mapping (owner, edge) to the sorted nodes below that
-    edge: the far side whose partial conjugations multiply to the edge
-    generator."""
+def _hang(th, owners):
+    """Hang each tree of th that one of the `owners` has from its
+    basepoint by one BFS.  Returns `place`, mapping (owner, node) to the
+    node's tree, the edge generator above it (None at the basepoint) and
+    its edge generators in order, and `below`, mapping (owner, edge) to
+    the sorted nodes below that edge: the far side whose partial
+    conjugations multiply to the edge generator."""
     edges = {}
     for r in th.edge_gens:  # sorted, so each node's edges come in order
         for n in r.edge:
             edges.setdefault((r.owner, n), []).append(r)
     place, below = {}, {}
-    for a, tree, base in th.basepoints:
+    for a, tree, base in (row for row in th.basepoints if row[0] in owners):
         place[a, base] = (tree, None, edges.get((a, base), []))
         order = [(base, None)]  # (node, the node above it), in BFS order
         for u, _ in order:
@@ -276,15 +280,19 @@ class GeneratorDictionary(NamedTuple):
 
 def generator_dictionary(g, th):
     gens = standard_generators(g)
-    place, below = _hang(th)
+    owners = {r.owner for r in th.records()}  # the multipliers with two or more components
+    place, below = _hang(th, owners) if owners else ({}, {})
     to_standard = []
     for r in th.records():
         members = r.tree if isinstance(r, TreeGen) else below[r.owner, r.edge]
         to_standard.append((r.symbol, tuple(((r.owner, k), 1) for k in members)))
     preferred = dict(th.preferred)
-    from_standard = [(gen, _psi_word(th, gen, place, preferred)) for gen in gens]
-    d = GeneratorDictionary(tuple(to_standard), tuple(from_standard))
-    _check_round_trips(gens, d)
+    psi = {gen: _psi_word(th, gen, place, preferred) for gen in gens if gen[0] in owners}
+    d = GeneratorDictionary(tuple(to_standard), tuple((gen, psi.get(gen, ())) for gen in gens))
+    # a multiplier owning no symbol has at most one generator, of empty image and in no
+    # symbol's word: its round trip is -1 on it alone, which its product relation absorbs
+    if psi:
+        _check_round_trips(list(psi), d._replace(from_standard=tuple(psi.items())))
     return d
 
 

@@ -22,8 +22,10 @@ from raagbns.graphs import (
     classify_pair,
     complement_components,
     component,
+    forest_certificate,
     members_of,
     neighbour_masks,
+    support_graph,
 )
 from raagbns import bns, homology, linalg
 from raagbns.cli import COMMANDS
@@ -31,8 +33,13 @@ from raagbns.linalg import QMatrix, parse_rational
 from raagbns.presentations import (
     EdgeGen,
     GeneratorDictionary,
+    NotAForest,
+    PresentationGraph,
     TreeGen,
+    _check_round_trips,
     _commutator,
+    _psi_word,
+    _resolve_basepoints,
     checked_presentation,
     pso_presentation,
 )
@@ -1005,6 +1012,95 @@ def far_side_dictionary(g, th):
     )
     from_standard = tuple((gen, far_side_psi_word(th, gen, far)) for gen in standard_generators(g))
     return GeneratorDictionary(to_standard, from_standard)
+
+
+# The defining graph and dictionary as they were built before a multiplier
+# with at most one component took its rows without a search: every
+# multiplier reads its support edges, every tree is hung, every generator
+# gets a `_psi_word`, and both round trips run over every row.  One line
+# differs from that code: an override is resolved before a multiplier
+# with no component is skipped, so a node named under one is refused
+# rather than dropped.
+
+
+def searched_presentation_graph(g, basepoints=None):
+    overrides = dict(basepoints or {})
+    unknown = sorted(set(overrides) - set(g.vertices))
+    if unknown:
+        raise MalformedInput(f"basepoint key {unknown[0]!r} names no vertex of the graph")
+    tree_gens = []
+    edge_gens = []
+    basepoint_rows = []
+    preferred_rows = []
+    support = g.support_edges
+    for a, comps in g.component_table.items():
+        edges = support[a]
+        cert = forest_certificate(support_graph(g, a)) if edges else None
+        if isinstance(cert, LoopWitness):
+            raise NotAForest(a, cert)
+        trees = cert.trees if cert else tuple((k,) for _, k in comps)
+        chosen = _resolve_basepoints(a, trees, overrides[a]) if a in overrides else {}
+        if not trees:
+            continue
+        for t in trees:
+            basepoint_rows.append((a, t, chosen.get(t, t[0])))
+        pref_tree = next(iter(chosen), trees[0])
+        preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
+        tree_gens.extend(TreeGen.of(a, t) for t in trees if t != pref_tree)
+        edge_gens.extend(EdgeGen.of(a, e) for e in edges)
+    symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
+    apart = {}
+    for a, b, ka, kb, l in g.sil_rows:
+        x = symbol[a, (min(ka, l), max(ka, l))]
+        apart.setdefault(x, []).append(symbol[b, (min(kb, l), max(kb, l))])
+    symbols = [r.symbol for r in tree_gens + edge_gens]
+    everyone = frozenset(symbols)
+    if len(everyone) < len(symbols):
+        raise MalformedInput("duplicate vertex labels")
+    neighbors = {x: everyone.difference((x,), apart.get(x, ())) for x in symbols}
+    return PresentationGraph(
+        SimpleGraph._trusted(symbols, neighbors),
+        tuple(tree_gens),
+        tuple(edge_gens),
+        tuple(basepoint_rows),
+        tuple(preferred_rows),
+    )
+
+
+def _hang_every_tree(th):
+    edges = {}
+    for r in th.edge_gens:
+        for n in r.edge:
+            edges.setdefault((r.owner, n), []).append(r)
+    place, below = {}, {}
+    for a, tree, base in th.basepoints:
+        place[a, base] = (tree, None, edges.get((a, base), []))
+        order = [(base, None)]
+        for u, _ in order:
+            for r in place[a, u][2]:
+                w = r.edge[1] if r.edge[0] == u else r.edge[0]
+                if (a, w) not in place:
+                    place[a, w] = (tree, r, edges.get((a, w), []))
+                    order.append((w, u))
+        subtree = {w: [w] for w, _ in order}
+        for w, u in reversed(order[1:]):
+            subtree[u] += subtree[w]
+            below[a, place[a, w][1].edge] = tuple(sorted(subtree[w]))
+    return place, below
+
+
+def searched_generator_dictionary(g, th):
+    gens = standard_generators(g)
+    place, below = _hang_every_tree(th)
+    to_standard = []
+    for r in th.records():
+        members = r.tree if isinstance(r, TreeGen) else below[r.owner, r.edge]
+        to_standard.append((r.symbol, tuple(((r.owner, k), 1) for k in members)))
+    preferred = dict(th.preferred)
+    from_standard = [(gen, _psi_word(th, gen, place, preferred)) for gen in gens]
+    d = GeneratorDictionary(tuple(to_standard), tuple(from_standard))
+    _check_round_trips(gens, d)
+    return d
 
 
 def least_shortest_cycle(d):

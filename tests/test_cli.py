@@ -344,6 +344,18 @@ def test_unknown_basepoint_key_exits_2(capsys, f3_file, tmp_path):
     assert "'q'" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("owner", ["a", "b"])
+def test_a_stranger_basepoint_exits_2_under_a_vertex_with_or_without_components(capsys, tmp_path, owner):
+    # b dominates the path a-b-c, so its star complement is empty; a named
+    # node there used to be dropped with exit 0
+    graph = tmp_path / "p3.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
+    override = tmp_path / "bp.json"
+    override.write_text(json.dumps({owner: [["zz"]]}))
+    assert main(["classify", str(graph), "--basepoints", str(override)]) == 2
+    assert one_line_error(capsys) == f"error: ('zz',) is not a component left by removing the star of {owner!r}\n"
+
+
 def test_byte_identical_reports(capsys, f4_file):
     main(["classify", f4_file])
     first = capsys.readouterr().out

@@ -6,7 +6,8 @@ only the tests use lives in `tests/`.  Importing the CLI loads neither
 `dataclasses` nor `inspect`: every record is a `NamedTuple`; nor
 `argparse` and `textwrap`: argv is parsed from the command table, and
 only `--help` wraps text; and `raagbns.lattice` is imported only by a
-chain complex whose line counts do not settle the cap."""
+chain complex whose line counts do not settle the cap.  Every file under
+`src/`, `tests/` and `perfbench/` parses under the 3.10 grammar."""
 
 import ast
 import json
@@ -76,6 +77,16 @@ def traced_names():
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
     )
     return {tuple(key.value.split(".", 1)) for key in targets.keys}
+
+
+@pytest.mark.parametrize("folder", ["src", "tests", "perfbench"])
+def test_every_file_parses_under_the_310_grammar(folder):
+    # pyproject.toml declares Python 3.10 as the floor; this checks the
+    # grammar only, not how the standard library behaves on 3.10
+    paths = sorted((ROOT / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_sources_found():

@@ -15,12 +15,14 @@ from oracles import (
     plain_psa_presentation,
     plain_standard_generators,
     raag_presentation,
+    searched_generator_dictionary,
+    searched_presentation_graph,
     support_components,
 )
 
-from raagbns import presentations
+from raagbns import graphs, presentations
 from raagbns.errors import InvariantViolation, MalformedInput
-from raagbns.graphs import SimpleGraph, support_graph
+from raagbns.graphs import SimpleGraph, complement_components, support_graph
 from raagbns.linalg import QMatrix
 from raagbns.presentations import (
     EdgeGen,
@@ -193,6 +195,21 @@ def test_basepoint_override_rejects_strangers():
         presentation_graph(F3, {"a": [("a",)]})
     with pytest.raises(MalformedInput):
         presentation_graph(F3, {"a": [("b",), ("c",)]})
+    # x dominates PATH3, so its star complement is empty; a and b have one
+    # component each, and take their rows without a search unless named
+    for owner, nodes, message in (
+        ("x", [("zz",)], "('zz',) is not a component left by removing the star of 'x'"),
+        ("x", [("a",)], "('a',) is not a component left by removing the star of 'x'"),
+        ("x", ["zz"], "basepoint nodes must be lists of vertices"),
+        ("x", [[1]], "basepoint nodes must be lists of vertices"),
+        ("a", [("x",)], "('x',) is not a component left by removing the star of 'a'"),
+        ("a", [("b",), ("b",)], "two basepoints requested in one subtree of the support graph of 'a'"),
+    ):
+        with pytest.raises(MalformedInput) as err:
+            presentation_graph(PATH3, {owner: nodes})
+        assert str(err.value) == message
+    assert presentation_graph(PATH3, {"x": []}) == presentation_graph(PATH3)
+    assert presentation_graph(PATH3, {"a": [("b",)]}) == presentation_graph(PATH3)
 
 
 @pytest.mark.parametrize("nodes", [["e"], {"e": 0}, "e", [[1]]])
@@ -548,3 +565,83 @@ def test_trusted_defining_graph_builds_its_own_tables():
     assert d.component_table == plain.component_table and d.sil_rows == plain.sil_rows
     assert d.sil_rows and d.component_table is not g.component_table
     assert set(vars(d)) == {"masks", "component_table", "sil_rows"}
+
+
+def outcome(build, dictionary, g, basepoints=None):
+    """The defining graph and dictionary, or the refusal, of one build."""
+    try:
+        th = build(g, basepoints)
+    except MalformedInput as err:
+        return "malformed", str(err)
+    except NotAForest as err:
+        return "loop", err.owner, err.loop
+    return th, dictionary(g, th)
+
+
+def test_defining_graph_and_dictionary_match_the_searched_build_on_atlas():
+    for g in atlas():
+        assert outcome(presentation_graph, generator_dictionary, g) == outcome(
+            searched_presentation_graph, searched_generator_dictionary, g
+        ), g.edges
+
+
+@st.composite
+def graphs_with_overrides(draw):
+    """A graph on up to 7 vertices, and an override naming nodes of some
+    multipliers' star complements, zero- and one-component multipliers
+    among them, and sometimes one stranger node or malformed entry."""
+    vertices = "abcdefg"[:draw(st.integers(1, 7))]
+    pairs = [(u, w) for i, u in enumerate(vertices) for w in vertices[i + 1:]]
+    g = SimpleGraph(vertices, [e for e in pairs if draw(st.booleans())])
+    overrides = {}
+    for a in draw(st.lists(st.sampled_from(vertices), unique=True, max_size=3)):
+        comps = complement_components(g, a)
+        overrides[a] = draw(st.lists(st.sampled_from(comps), max_size=2)) if comps else []
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(vertices))
+        nodes = overrides.setdefault(a, [])
+        stranger = draw(st.sampled_from([("zz",), (a,), "zz", [1]]))
+        nodes.insert(draw(st.integers(0, len(nodes))), stranger)
+    return g, overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_overrides())
+def test_defining_graph_and_dictionary_match_the_searched_build(case):
+    g, overrides = case
+    for basepoints in (None, overrides):
+        assert outcome(presentation_graph, generator_dictionary, g, basepoints) == outcome(
+            searched_presentation_graph, searched_generator_dictionary, g, basepoints
+        )
+
+
+@pytest.mark.parametrize("g", [
+    PATH3,
+    SimpleGraph("abcde", [e for e in complete(5).edges if e not in PATH5.edges]),
+    SimpleGraph("abcde", [*complete(4).edges, ("a", "e")]),
+], ids=["path3", "path5-complement", "k4-plus-pendant"])
+def test_one_component_multipliers_take_their_rows_without_a_search(monkeypatch, g):
+    g = SimpleGraph(g.vertices, g.edges)  # a copy with no table read yet
+    assert all(len(comps) < 2 for comps in g.component_table.values())
+
+    def refuse(*args):
+        raise AssertionError("a support graph was searched or a tree was hung")
+
+    monkeypatch.setattr(graphs, "forest_certificate", refuse)
+    for name in ("forest_certificate", "_hang", "_psi_word"):
+        monkeypatch.setattr(presentations, name, refuse)
+    verdict = classify_pso(g)
+    assert isinstance(verdict, RaagVerdict) and verdict.presentation_graph.records() == ()
+    assert all(word == () for _, word in verdict.dictionary.from_standard)
+    assert "support_edges" not in vars(g) and "sil_rows" not in vars(g)
+
+
+def test_round_trip_check_catches_a_word_on_a_one_component_generator():
+    # planted fault: a's one generator in PATH5 gets c's tree generator as
+    # its image, so c's sums read 1 on one of its two generators
+    d = generator_dictionary(PATH5, presentation_graph(PATH5))
+    target = gen("a", "c", "d", "e")
+    assert [x for x in standard_generators(PATH5) if x[0] == "a"] == [target]
+    rows = tuple((x, (("c{e}", 1),) if x == target else word) for x, word in d.from_standard)
+    with pytest.raises(InvariantViolation, match="round trip on standard generators"):
+        presentations._check_round_trips(standard_generators(PATH5), d._replace(from_standard=rows))
