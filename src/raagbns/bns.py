@@ -53,7 +53,7 @@ def maximal_disconnected_subsets(g, cap=None):
 
 
 def raag_arrangement(g, cap=None):
-    at = {v: i for i, v in enumerate(sorted(g.vertices))}
+    at = {v: i for i, v in enumerate(g.masks[0])}
     return line_arrangement(len(at), [[{at[v]: 1} for v in subset] for subset in maximal_disconnected_subsets(g, cap)])
 
 
@@ -62,7 +62,7 @@ def _per_multiplier_options(g, size):
     components."""
     return [
         [()] + [tuple((a, k) for k in ks) for ks in itertools.combinations(complement_components(g, a), size)]
-        for a in sorted(g.vertices)
+        for a in g.masks[0]
     ]
 
 

@@ -124,7 +124,7 @@ def _load_basepoints(path):
 
 def support_graphs_cmd(g):
     per = {}
-    for a in sorted(g.vertices):
+    for a in g.masks[0]:
         sg = support_graph(g, a)
         cert = forest_certificate(sg)
         entry = {
@@ -170,7 +170,7 @@ def bns_cmd(g, group, witness):
 
 
 def _first_loop_witness(g):
-    for a in sorted(g.vertices):
+    for a in g.masks[0]:
         cert = forest_certificate(support_graph(g, a))
         if isinstance(cert, LoopWitness):
             return _witness_json(h1_witness(g, cert))

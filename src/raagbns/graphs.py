@@ -4,6 +4,10 @@ dominating/subordinate/shared classification for a nonadjacent pair
 (an SIL-pair is one with a shared component), and per-vertex support
 graphs with forest or shortest-loop certificates.
 
+A graph is read once into `g.masks`, the sorted labels and each one's
+neighbours as a bitmask, built with the input checks; `g.edges` and
+`g.neighbors` are views derived from the masks when first read.
+
 A graph keeps the tables derived from it as cached attributes, found
 on first read.  `g.component_table` maps each sorted vertex to its
 star-complement components as (mask, members) pairs in lex order, a
@@ -24,6 +28,7 @@ labels; all sequences of components are ordered lexicographically.
 """
 
 import json
+import re
 from collections import deque
 from functools import cached_property
 from types import MappingProxyType
@@ -32,17 +37,17 @@ from typing import NamedTuple
 from .errors import MalformedInput
 
 
-# characters that delimit vertex labels inside generator symbols and words
-_RESERVED = set(",[]|{};^")
+# whitespace, or a character that delimits vertex labels in symbols and words
+_BAD_CHARACTER = re.compile(r"[\s,\[\]|{};^]")
+_JSON_START = re.compile(r"\s*\{")
 
 
 def _checked_labels(labels):
     """Labels read from a file, refused when empty or when they hold
     whitespace or a reserved character, which would make two generator
     symbols print alike."""
-    labels = [str(v) for v in labels]
     for v in labels:
-        if not v or any(c.isspace() or c in _RESERVED for c in v):
+        if not v or _BAD_CHARACTER.search(v):
             raise MalformedInput(
                 f"vertex label {v!r} is empty or holds whitespace or one of , [ ] | {{ }} ; ^"
             )
@@ -50,43 +55,48 @@ def _checked_labels(labels):
 
 
 class SimpleGraph:
-    """Undirected simple graph with string vertex labels; `neighbors` maps
-    each vertex to the frozenset of vertices adjacent to it.  A graph is
-    never changed after it is built, so its instance dict is the one
-    store of what is derived from it: the cached attributes `masks`,
-    `component_table`, `sil_rows` and `support_edges`, and the maximal
-    (Δ-)p-sets that `bns` keeps there.  Each is an immutable value that
-    every reader shares, and a read that raises stores nothing."""
+    """Undirected simple graph with string vertex labels, kept as `masks`:
+    the sorted labels, and a read-only map from each one's bit (its
+    position in that order) to its neighbours' bits.  The masks are built
+    with the checks, in one pass over the edges.  `edges`, the frozenset
+    of (u, w) pairs with u < w, and `neighbors`, a read-only map from
+    each vertex to the frozenset of vertices adjacent to it, are views
+    derived from the masks when first read.
 
-    __slots__ = ("vertices", "edges", "neighbors", "__dict__")
+    A graph is never changed after it is built, so its instance dict is
+    the one store of what is derived from it: those views, the cached
+    attributes `component_table`, `sil_rows` and `support_edges`, and
+    the maximal (Δ-)p-sets that `bns` keeps there.  Each is an immutable
+    value that every reader shares, and a read that raises stores
+    nothing."""
+
+    __slots__ = ("vertices", "masks", "__dict__")
 
     def __init__(self, vertices, edges):
-        vertices = tuple(str(v) for v in vertices)
-        if len(set(vertices)) != len(vertices):
+        self.vertices = tuple(map(str, vertices))
+        labels = tuple(sorted(self.vertices))
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        if len(bit) != len(labels):
             raise MalformedInput("duplicate vertex labels")
-        vset = set(vertices)
-        adj = {v: set() for v in vertices}
-        canon = set()
+        masks = dict.fromkeys(bit.values(), 0)
         for u, w in edges:
             u, w = str(u), str(w)
             if u == w:
                 raise MalformedInput(f"self-loop at {u!r}")
-            if u not in vset or w not in vset:
+            bu, bw = bit.get(u), bit.get(w)
+            if not (bu and bw):
                 raise MalformedInput(f"edge {u!r}-{w!r} uses an undeclared vertex")
-            canon.add((min(u, w), max(u, w)))
-            adj[u].add(w)
-            adj[w].add(u)
-        self.vertices = vertices
-        self.edges = frozenset(canon)
-        self.neighbors = {v: frozenset(s) for v, s in adj.items()}
+            masks[bu] |= bw
+            masks[bw] |= bu
+        self.masks = labels, MappingProxyType(masks)
 
     @classmethod
-    def _trusted(cls, vertices, neighbors):
-        """The graph on these vertices with these neighbour frozensets,
-        taken as given: nothing checks that they are symmetric and loop-free."""
+    def _trusted(cls, vertices, labels, masks):
+        """The graph on these vertices with these masks over the sorted
+        `labels`, keyed by bit in increasing order, taken as given:
+        nothing checks that they are symmetric and loop-free."""
         g = cls.__new__(cls)
-        g.vertices, g.neighbors = tuple(vertices), neighbors
-        g.edges = frozenset((u, w) for u in g.vertices for w in neighbors[u] if u < w)
+        g.vertices, g.masks = tuple(vertices), (labels, MappingProxyType(masks))
         return g
 
     @classmethod
@@ -106,60 +116,57 @@ class SimpleGraph:
     @classmethod
     def from_text(cls, text):
         """Edge list, one "u v" per line; isolated vertices go on a
-        "vertices:" header line."""
-        vertices, edges = [], []
-        seen = set()
+        "vertices:" header line.  Vertices are kept in order of first
+        appearance."""
+        vertices, edges = {}, []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("vertices:"):
-                for v in line[len("vertices:"):].split():
-                    if v not in seen:
-                        seen.add(v)
-                        vertices.append(v)
+                vertices |= dict.fromkeys(line[len("vertices:"):].split())
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise MalformedInput(f"bad edge line {line!r}")
-            for v in parts:
-                if v not in seen:
-                    seen.add(v)
-                    vertices.append(v)
-            edges.append(tuple(parts))
+            vertices |= dict.fromkeys(parts)
+            edges.append(parts)
         return cls(_checked_labels(vertices), edges)
 
     def to_json(self):
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": [list(e) for e in sorted(self.edges)],
-        }
-
-    def has_vertex(self, v):
-        return v in self.neighbors
-
-    def adjacent(self, u, v):
-        return v in self.neighbors.get(u, ())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimpleGraph)
-            and sorted(self.vertices) == sorted(other.vertices)
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((tuple(sorted(self.vertices)), self.edges))
-
-    def __repr__(self):
-        return f"SimpleGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        """The sorted labels, and the edges [u, w] with u < w in order:
+        each label with the bits of its mask above its own."""
+        labels, masks = self.masks
+        edges = [[u, w] for u, (b, m) in zip(labels, masks.items()) for w in members_of(labels, m & -(b << 1))]
+        return {"vertices": list(labels), "edges": edges}
 
     @cached_property
-    def masks(self):
-        """The sorted labels, and a read-only map from each one's bit to
-        its neighbours' bits."""
-        labels = tuple(sorted(self.vertices))
-        return labels, MappingProxyType(neighbour_masks(labels, self.edges))
+    def edges(self):
+        return frozenset(map(tuple, self.to_json()["edges"]))
+
+    @cached_property
+    def neighbors(self):
+        labels, masks = self.masks
+        at = dict(zip(labels, masks.values()))
+        return MappingProxyType({v: frozenset(members_of(labels, at[v])) for v in self.vertices})
+
+    def has_vertex(self, v):
+        return v in self.masks[0]
+
+    def adjacent(self, u, v):
+        labels, masks = self.masks
+        return u in labels and v in labels and masks[1 << labels.index(u)] >> labels.index(v) & 1 == 1
+
+    def __eq__(self, other):
+        return isinstance(other, SimpleGraph) and self.masks == other.masks
+
+    def __hash__(self):
+        labels, masks = self.masks
+        return hash((labels, tuple(masks.values())))
+
+    def __repr__(self):
+        edges = sum(m.bit_count() for m in self.masks[1].values()) // 2
+        return f"SimpleGraph({len(self.vertices)} vertices, {edges} edges)"
 
     @cached_property
     def component_table(self):
@@ -391,8 +398,8 @@ def forest_certificate(d):
 
 def center_rank(g):
     """Number of vertices adjacent to every other vertex."""
-    n = len(g.vertices)
-    return sum(1 for v in g.vertices if len(g.neighbors[v]) == n - 1)
+    full = (1 << len(g.vertices)) - 1
+    return sum(1 for b, m in g.masks[1].items() if m | b == full)
 
 
 def graph_from_file(path):
@@ -403,8 +410,7 @@ def graph_from_file(path):
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise MalformedInput(f"unreadable graph file: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if _JSON_START.match(text):
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an integer past the digit limit

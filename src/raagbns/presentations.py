@@ -207,20 +207,20 @@ def presentation_graph(g, basepoints=None):
         preferred_rows.append((a, chosen.get(pref_tree, pref_tree[0])))
         tree_gens.extend(TreeGen.of(a, t) for t in trees if t != pref_tree)
         edge_gens.extend(EdgeGen.of(a, e) for e in edges)
-    # each SIL row (a, b, K_a, K_b, L) parts a's edge {K_a, L} from b's
-    # edge {K_b, L}; the rows come in both orders, so `apart` is symmetric
-    symbol = {(r.owner, r.edge): r.symbol for r in edge_gens}
-    apart = {}
-    for a, b, ka, kb, l in g.sil_rows if edge_gens else ():
-        x = symbol[a, (min(ka, l), max(ka, l))]
-        apart.setdefault(x, []).append(symbol[b, (min(kb, l), max(kb, l))])
     symbols = [r.symbol for r in tree_gens + edge_gens]
-    everyone = frozenset(symbols)
-    if len(everyone) < len(symbols):
+    labels = tuple(sorted(symbols))
+    bit = {x: 1 << i for i, x in enumerate(labels)}
+    if len(bit) < len(labels):
         raise MalformedInput("duplicate vertex labels")
-    neighbors = {x: everyone.difference((x,), apart.get(x, ())) for x in symbols}
+    # every symbol is adjacent to every other, except that each SIL row
+    # (a, b, K_a, K_b, L) parts a's edge {K_a, L} from b's edge {K_b, L};
+    # the rows come in both orders, so the masks stay symmetric
+    masks = {b: ((1 << len(labels)) - 1) ^ b for b in bit.values()}
+    at = {(r.owner, r.edge): bit[r.symbol] for r in edge_gens}
+    for a, b, ka, kb, l in g.sil_rows if edge_gens else ():
+        masks[at[a, (min(ka, l), max(ka, l))]] &= ~at[b, (min(kb, l), max(kb, l))]
     return PresentationGraph(
-        SimpleGraph._trusted(symbols, neighbors),
+        SimpleGraph._trusted(symbols, labels, masks),
         tuple(tree_gens),
         tuple(edge_gens),
         tuple(basepoint_rows),

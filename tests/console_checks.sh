@@ -75,7 +75,7 @@ raagbns presentation "$RUNNER_TEMP/edgeless3.json" --group psa > /dev/null
 raagbns bns "$RUNNER_TEMP/edgeless3.json" --group pso > "$RUNNER_TEMP/pso3.out"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["subspaces"] != [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]] or r["betti"] != [0, 0])' "$RUNNER_TEMP/pso3.out"
 # its SIL non-edges part all three edge generators in the defining graph,
-# which is built from trusted neighbour sets
+# which is built from trusted masks
 raagbns classify "$RUNNER_TEMP/edgeless3.json" > "$RUNNER_TEMP/edgeless3.out"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); g = r["defining_graph"]; sys.exit(r["relators_killed"] is not True or len(g["vertices"]) != 3 or g["edges"] != [])' "$RUNNER_TEMP/edgeless3.out"
 # K5 less an edge has an empty defining graph: every dictionary image is the
@@ -113,6 +113,13 @@ raagbns classify "$RUNNER_TEMP/path4.json" > "$RUNNER_TEMP/compact.out"
 raagbns classify --pretty "$RUNNER_TEMP/path4.json" > "$RUNNER_TEMP/pretty.out"
 python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1])) != json.load(open(sys.argv[2])))' "$RUNNER_TEMP/compact.out" "$RUNNER_TEMP/pretty.out"
 cmp -s "$RUNNER_TEMP/compact.out" "$RUNNER_TEMP/pretty.out" && exit 1
+# one graph read from JSON and from an edge-list text file gives the same
+# report: vertices out of order, an edge given backwards, an isolated vertex
+printf '{"vertices": ["d", "b", "e", "a", "c"], "edges": [["c", "d"], ["b", "a"], ["b", "c"]]}' > "$RUNNER_TEMP/same.json"
+printf '  # path a-b-c-d and e\nvertices: e\nd c\na b\nb c\n' > "$RUNNER_TEMP/same.txt"
+raagbns classify "$RUNNER_TEMP/same.json" > "$RUNNER_TEMP/same-json.out"
+raagbns classify "$RUNNER_TEMP/same.txt" > "$RUNNER_TEMP/same-txt.out"
+cmp "$RUNNER_TEMP/same-json.out" "$RUNNER_TEMP/same-txt.out"
 # the PSO witness reads the Δ-p-sets the arrangement stored on the graph
 printf '{"vertices": ["a", "b", "c", "d"], "edges": []}' > "$RUNNER_TEMP/edgeless4.json"
 raagbns bns "$RUNNER_TEMP/edgeless4.json" --group pso --witness > "$RUNNER_TEMP/bns.out"

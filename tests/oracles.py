@@ -2,10 +2,13 @@
 
 import argparse
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 import networkx as nx
 
@@ -715,6 +718,102 @@ def h0_dim(a):
     return a.ambient_dim - span_sum(a.subspaces, ambient_dim=a.ambient_dim).dim
 
 
+# `graphs.SimpleGraph`'s intake as it was before the masks were built
+# with the checks: neighbour sets and a canonical edge set first, then the
+# masks derived again from the edges, labels checked one character at a time.
+
+
+def _plain_checked_labels(labels):
+    labels = [str(v) for v in labels]
+    for v in labels:
+        if not v or any(c.isspace() or c in ",[]|{};^" for c in v):
+            raise MalformedInput(
+                f"vertex label {v!r} is empty or holds whitespace or one of , [ ] | {{ }} ; ^"
+            )
+    return labels
+
+
+class PlainGraph:
+    def __init__(self, vertices, edges):
+        vertices = tuple(str(v) for v in vertices)
+        if len(set(vertices)) != len(vertices):
+            raise MalformedInput("duplicate vertex labels")
+        vset = set(vertices)
+        adj = {v: set() for v in vertices}
+        canon = set()
+        for u, w in edges:
+            u, w = str(u), str(w)
+            if u == w:
+                raise MalformedInput(f"self-loop at {u!r}")
+            if u not in vset or w not in vset:
+                raise MalformedInput(f"edge {u!r}-{w!r} uses an undeclared vertex")
+            canon.add((min(u, w), max(u, w)))
+            adj[u].add(w)
+            adj[w].add(u)
+        self.vertices = vertices
+        self.edges = frozenset(canon)
+        self.neighbors = {v: frozenset(s) for v, s in adj.items()}
+
+    @classmethod
+    def from_json(cls, data):
+        if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
+            raise MalformedInput('graph JSON needs {"vertices": [...], "edges": [...]}')
+        edges = data.get("edges", [])
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise MalformedInput("graph JSON edges must be a list of two-vertex lists")
+        for label in data["vertices"] + [v for e in edges for v in e]:
+            if not isinstance(label, str):
+                raise MalformedInput(
+                    f"graph JSON vertex labels and edge endpoints must be strings, not {json.dumps(label)}"
+                )
+        return cls(_plain_checked_labels(data["vertices"]), edges)
+
+    @classmethod
+    def from_text(cls, text):
+        vertices, edges = [], []
+        seen = set()
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("vertices:"):
+                for v in line[len("vertices:"):].split():
+                    if v not in seen:
+                        seen.add(v)
+                        vertices.append(v)
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise MalformedInput(f"bad edge line {line!r}")
+            for v in parts:
+                if v not in seen:
+                    seen.add(v)
+                    vertices.append(v)
+            edges.append(tuple(parts))
+        return cls(_plain_checked_labels(vertices), edges)
+
+    def to_json(self):
+        return {
+            "vertices": sorted(self.vertices),
+            "edges": [list(e) for e in sorted(self.edges)],
+        }
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PlainGraph)
+            and sorted(self.vertices) == sorted(other.vertices)
+            and self.edges == other.edges
+        )
+
+    def __hash__(self):
+        return hash((tuple(sorted(self.vertices)), self.edges))
+
+    @cached_property
+    def masks(self):
+        labels = tuple(sorted(self.vertices))
+        return labels, MappingProxyType(neighbour_masks(labels, self.edges))
+
+
 def atlas_up_to_six():
     """The 208 graphs of networkx's atlas with one to six vertices."""
     return atlas(208)
@@ -1059,7 +1158,7 @@ def searched_presentation_graph(g, basepoints=None):
         raise MalformedInput("duplicate vertex labels")
     neighbors = {x: everyone.difference((x,), apart.get(x, ())) for x in symbols}
     return PresentationGraph(
-        SimpleGraph._trusted(symbols, neighbors),
+        SimpleGraph(symbols, [(x, y) for x in symbols for y in neighbors[x] if x < y]),
         tuple(tree_gens),
         tuple(edge_gens),
         tuple(basepoint_rows),

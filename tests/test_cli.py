@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from raagbns import bns, cli, lattice
+from raagbns import bns, cli, graphs, lattice
 from raagbns.cli import main
 from raagbns.graphs import SimpleGraph
 
@@ -471,6 +471,67 @@ def test_non_string_json_label_exits_2(capsys, tmp_path, graph, shown):
     assert main(["classify", str(path)]) == 2
     err = one_line_error(capsys)
     assert err == f"error: graph JSON vertex labels and edge endpoints must be strings, not {shown}\n"
+
+
+BAD_LABEL = "is empty or holds whitespace or one of , [ ] | { } ; ^"
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("g.json", {"vertices": ["a", "b", "a"], "edges": []}, "duplicate vertex labels"),
+        ("g.json", {"vertices": ["a", "b"], "edges": [["b", "b"]]}, "self-loop at 'b'"),
+        ("g.json", {"vertices": ["a", "b"], "edges": [["a", "c"]]}, "edge 'a'-'c' uses an undeclared vertex"),
+        ("g.json", {"vertices": ["a", "b c"], "edges": []}, f"vertex label 'b c' {BAD_LABEL}"),
+        ("g.json", {"vertices": ["a", ""], "edges": []}, f"vertex label '' {BAD_LABEL}"),
+        ("g.json", {"vertices": ["a", 7]}, "graph JSON vertex labels and edge endpoints must be strings, not 7"),
+        ("g.json", {"vertices": ["a"], "edges": [["a", False]]},
+         "graph JSON vertex labels and edge endpoints must be strings, not false"),
+        # the checks run in this order: non-string labels, bad labels,
+        # duplicates, then each edge's self-loop or undeclared endpoint in turn
+        ("g.json", {"vertices": ["a b", "a b"], "edges": [["x", 1]]},
+         "graph JSON vertex labels and edge endpoints must be strings, not 1"),
+        ("g.json", {"vertices": ["x", "x", "a;b"], "edges": [["x", "x"]]}, f"vertex label 'a;b' {BAD_LABEL}"),
+        ("g.json", {"vertices": ["x", "x"], "edges": [["x", "x"]]}, "duplicate vertex labels"),
+        ("g.json", {"vertices": ["a", "b"], "edges": [["a", "c"], ["b", "b"]]}, "edge 'a'-'c' uses an undeclared vertex"),
+        ("g.json", {"vertices": ["a", "b"], "edges": [["b", "b"], ["a", "c"]]}, "self-loop at 'b'"),
+        ("g.txt", "vertices: a\nb b\n", "self-loop at 'b'"),
+        ("g.txt", "a b|c\nd d\n", f"vertex label 'b|c' {BAD_LABEL}"),
+        ("g.txt", "a b c\n", "bad edge line 'a b c'"),
+    ],
+)
+def test_graph_intake_messages_are_exact(capsys, tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main(["classify", str(path)]) == 2
+    assert one_line_error(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("head", ["", " ", "\n\t ", "\u2003\x1c"])
+def test_a_graph_file_is_json_when_its_first_character_past_whitespace_is_a_brace(capsys, tmp_path, head):
+    path = tmp_path / "g"
+    path.write_text(head + '{"vertices": ["a"]')
+    assert main(["classify", str(path)]) == 2
+    assert one_line_error(capsys).startswith("error: bad graph JSON: ")
+    path.write_text(head + "a b\n")
+    assert main(["classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+
+
+def test_classify_and_its_input_echo_build_no_view_of_the_input_graph(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 8))  # some loop witnesses search past the default
+    read = []
+    monkeypatch.setattr(cli, "graph_from_file", lambda path: read.append(graphs.graph_from_file(path)) or read[-1])
+    kinds = set()
+    for i, g in enumerate(oracles.atlas_up_to_six()):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps({"vertices": list(reversed(g.vertices)), "edges": [list(e) for e in g.edges]}))
+        assert main(["classify", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        kinds.add((report["verdict"], bool(report.get("defining_graph", {}).get("vertices"))))
+        assert "neighbors" not in vars(read[-1]) and "edges" not in vars(read[-1])
+    # loops, empty defining graphs and non-empty ones were all classified
+    assert kinds == {("not_raag", False), ("raag", False), ("raag", True)}
 
 
 def test_homology_chain_complex_admission_cap(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from types import MappingProxyType
 
 import networkx as nx
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    PlainGraph,
     atlas,
     atlas_up_to_six,
     is_sil_pair_by_links,
@@ -23,6 +25,8 @@ from raagbns import cli
 from raagbns.bns import has_sil, maximal_delta_psets
 from raagbns.errors import CapExceeded, MalformedInput
 from raagbns.graphs import (
+    _BAD_CHARACTER,
+    _JSON_START,
     ForestData,
     LoopWitness,
     SimpleGraph,
@@ -361,9 +365,10 @@ def test_memo_holds_only_immutable_values_after_corpus_checks(monkeypatch):
         cli._corpus_checks(g)
         # the support edges are read only when some star complement has two or more components
         searched = any(len(comps) > 1 for comps in g.component_table.values())
-        tables = {"masks", "component_table", "sil_rows", "p-set", "delta-p-set"}
+        # the masks are a slot, built with the graph; no view of them is read
+        tables = {"component_table", "sil_rows", "p-set", "delta-p-set"}
         assert set(vars(g)) == tables | ({"support_edges"} if searched else set())
-        for key, value in vars(g).items():
+        for key, value in [("masks", g.masks), *vars(g).items()]:
             assert not mutable_parts(value), (g.edges, key)
 
 
@@ -396,8 +401,8 @@ def test_memo_keeps_no_failed_call():
         with pytest.raises(MalformedInput):
             complement_components(g, "z")
     assert vars(g) == {}
-    # a cached table whose build raises stores nothing: c names no vertex
-    trusted = SimpleGraph._trusted("ab", {"a": frozenset("c"), "b": frozenset()})
+    # a cached table whose build raises stores nothing: b's bit has no mask
+    trusted = SimpleGraph._trusted("ab", ("a", "b"), {1: 0})
     for _ in range(2):
         with pytest.raises(KeyError):
             trusted.component_table
@@ -405,4 +410,146 @@ def test_memo_keeps_no_failed_call():
     # a refused enumeration stores no Δ-p-sets, only the table it read
     with pytest.raises(CapExceeded):
         maximal_delta_psets(g, cap=1)
-    assert set(vars(g)) == {"masks", "component_table"}
+    assert set(vars(g)) == {"component_table"}
+
+
+# --- intake: the masks built with the checks, against `PlainGraph`, the
+# constructor that built neighbour sets first and the masks from the edges
+
+def intake(cls, read, source):
+    """The graph `cls` reads from `source` ("json", "text" or a
+    (vertices, edges) pair for the constructor), or the refusal message."""
+    try:
+        if read == "json":
+            return cls.from_json(source)
+        if read == "text":
+            return cls.from_text(source)
+        return cls(*source)
+    except MalformedInput as err:
+        return f"refused: {err}"
+
+
+def assert_same_intake(read, sources):
+    """Both constructors read each source alike: the same refusal, or the
+    same vertices, views, masks and JSON; and == and hash agree."""
+    new = [intake(SimpleGraph, read, s) for s in sources]
+    old = [intake(PlainGraph, read, s) for s in sources]
+    for g, p, s in zip(new, old, sources):
+        if isinstance(p, str):
+            assert g == p, s
+            continue
+        assert g.vertices == p.vertices and g.edges == p.edges, s
+        assert list(g.neighbors.items()) == list(p.neighbors.items()), s
+        assert g.masks == p.masks and list(g.masks[1].items()) == list(p.masks[1].items()), s
+        assert g.to_json() == p.to_json(), s
+    read_ok = [(g, p) for g, p in zip(new, old) if not isinstance(p, str)]
+    for g, p in read_ok:
+        for h, q in read_ok:
+            assert (g == h) == (p == q)
+            assert g != h or hash(g) == hash(h)
+
+
+POOL = ["a", "b", "c", "d", "ab", "é", "1"]
+BAD_TEXT = ["", "a b", "x,y", "[", "^", "{", "p　q", ";", "z|"]
+NON_STRINGS = [1, 0.5, True, None, ["a"], {"a": 1}]
+JUNK_LABELS = st.sampled_from(POOL + BAD_TEXT + NON_STRINGS)
+
+
+@st.composite
+def graph_sources(draw):
+    """A valid graph's JSON, with an equal copy (vertices and edges
+    shuffled, endpoints swapped) and a copy less one edge; or one
+    malformed document of any shape."""
+    if draw(st.booleans()):
+        vertices = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=6))
+        pairs = [[u, w] for i, u in enumerate(vertices) for w in vertices[i + 1:]]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+        same = {
+            "vertices": draw(st.permutations(vertices)),
+            "edges": [e[::-1] if draw(st.booleans()) else e for e in draw(st.permutations(edges))],
+        }
+        less = {"vertices": vertices, "edges": [e for e in edges if e != edges[0]]} if edges else {"vertices": []}
+        return [{"vertices": vertices, "edges": edges}, same, less]
+    label = st.one_of(st.sampled_from(POOL), JUNK_LABELS)
+    edge = st.lists(label, min_size=1, max_size=3)
+    return [draw(st.one_of(
+        st.fixed_dictionaries({"vertices": st.lists(label, max_size=6)}, optional={"edges": st.lists(edge, max_size=5)}),
+        st.fixed_dictionaries({"vertices": label, "edges": st.lists(edge, max_size=2)}),
+        st.fixed_dictionaries({"vertices": st.lists(label, max_size=3), "edges": label}),
+        st.lists(label, max_size=3),
+        label,
+    ))]
+
+
+def as_text(doc):
+    """The edge-list text of a graph document whose labels are all strings."""
+    lines = [f"# {len(doc['vertices'])} vertices", "vertices: " + " ".join(doc["vertices"])]
+    return "\n".join(lines + [" ".join(e) for e in doc.get("edges", [])]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_sources())
+def test_intake_matches_the_plain_constructor_on_json(sources):
+    assert_same_intake("json", sources)
+    # the constructor takes what passes the JSON shape check, labels of any type
+    shaped = [
+        (s["vertices"], [tuple(e) for e in s.get("edges", [])])
+        for s in sources
+        if isinstance(s, dict) and isinstance(s.get("vertices"), list) and isinstance(s.get("edges", []), list)
+        and all(isinstance(e, list) and len(e) == 2 for e in s.get("edges", []))
+    ]
+    assert_same_intake("constructor", shaped)
+
+
+TOKENS = st.sampled_from(POOL + ["a,b", "x^", "{", "[c]", "#", "vertices:", "a b", " "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=6).map("\n".join), st.lists(
+    st.tuples(st.one_of(st.integers(0, 3), st.sampled_from(POOL)), st.one_of(st.integers(0, 3), st.sampled_from(POOL))),
+    max_size=5,
+))
+def test_intake_matches_the_plain_constructor_on_text_and_mixed_labels(text, edges):
+    assert_same_intake("text", [text, "vertices: " + text])
+    # the constructor reads every label through str: 1 and "1" collide
+    for vertices in ([0, 1, 2, 3], [0, 1, "1"], ["a", "b", "c", "d", "ab", "é", 0, 1]):
+        assert_same_intake("constructor", [(vertices, edges)])
+
+
+def test_intake_matches_the_plain_constructor_on_atlas():
+    graphs = []
+    for G in nx.graph_atlas_g()[1:1253]:
+        names = dict(zip(sorted(G.nodes()), "gfedcba"[-len(G):]))  # vertices declared in reverse order
+        doc = {"vertices": list(names.values()), "edges": [[names[u], names[w]] for u, w in G.edges()]}
+        assert_same_intake("json", [doc])
+        assert_same_intake("text", [as_text(doc)])
+        graphs.append(SimpleGraph.from_json(doc))
+        assert SimpleGraph.from_text(as_text(doc)) == graphs[-1]
+    assert len(set(graphs)) == len(graphs) == 1252
+
+
+def test_label_pattern_is_whitespace_or_a_reserved_character_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _BAD_CHARACTER.findall(every) == [c for c in every if c.isspace() or c in ",[]|{};^"]
+    # a file is read as JSON when its first character past whitespace is
+    # "{", as when the file's text was stripped on the left to find it
+    for tail in ("{", "x"):
+        assert [c for c in every if _JSON_START.match(c + tail)] == [
+            c for c in every if (c + tail).lstrip().startswith("{")
+        ]
+
+
+def test_views_are_read_only_and_built_when_first_read():
+    g = SimpleGraph.from_text("vertices: d\nb a\nc b\n")
+    assert vars(g) == {} and g.masks == (("a", "b", "c", "d"), {1: 2, 2: 5, 4: 2, 8: 0})
+    assert g.to_json() == {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"]]}
+    assert vars(g) == {}
+    assert list(g.neighbors) == ["d", "b", "a", "c"] and g.neighbors["b"] == {"a", "c"}
+    assert g.edges == {("a", "b"), ("b", "c")} and set(vars(g)) == {"neighbors", "edges"}
+    with pytest.raises(TypeError):
+        g.neighbors["e"] = frozenset()
+    with pytest.raises(TypeError):
+        g.masks[1][8] = 1
+    assert center_rank(g) == 0 and center_rank(SimpleGraph.from_text("a b\nb c\n")) == 1
+    assert g.adjacent("c", "b") and not g.adjacent("a", "c") and not g.adjacent("a", "z")
+    assert g.has_vertex("d") and not g.has_vertex("e") and repr(g) == "SimpleGraph(4 vertices, 2 edges)"

@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import cache
+from types import MappingProxyType
 
 import oracles
 import pytest
@@ -562,9 +563,10 @@ def test_trusted_defining_graph_builds_its_own_tables():
     d = presentation_graph(g).graph
     assert vars(d) == {}
     plain = SimpleGraph(d.vertices, d.edges)
+    assert d.masks == plain.masks and isinstance(d.masks[1], MappingProxyType)
     assert d.component_table == plain.component_table and d.sil_rows == plain.sil_rows
     assert d.sil_rows and d.component_table is not g.component_table
-    assert set(vars(d)) == {"masks", "component_table", "sil_rows"}
+    assert set(vars(d)) == {"edges", "component_table", "sil_rows"}
 
 
 def outcome(build, dictionary, g, basepoints=None):
