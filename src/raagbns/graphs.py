@@ -5,8 +5,9 @@ dominating/subordinate/shared classification for a nonadjacent pair
 graphs with forest or shortest-loop certificates.
 
 A graph is read once into `g.masks`, the sorted labels and each one's
-neighbours as a bitmask, built with the input checks; `g.edges` and
-`g.neighbors` are views derived from the masks when first read.
+neighbours as a bitmask, built with the input checks; `g.edges` is a
+view derived from the masks when first read.  Neither `classify` nor
+`word-reduce` reads it: the words layer reads the masks too.
 
 A graph keeps the tables derived from it as cached attributes, found
 on first read.  `g.component_table` maps each sorted vertex to its
@@ -59,12 +60,11 @@ class SimpleGraph:
     the sorted labels, and a read-only map from each one's bit (its
     position in that order) to its neighbours' bits.  The masks are built
     with the checks, in one pass over the edges.  `edges`, the frozenset
-    of (u, w) pairs with u < w, and `neighbors`, a read-only map from
-    each vertex to the frozenset of vertices adjacent to it, are views
-    derived from the masks when first read.
+    of (u, w) pairs with u < w, is a view derived from the masks when
+    first read.
 
     A graph is never changed after it is built, so its instance dict is
-    the one store of what is derived from it: those views, the cached
+    the one store of what is derived from it: that view, the cached
     attributes `component_table`, `sil_rows` and `support_edges`, and
     the maximal (Δ-)p-sets that `bns` keeps there.  Each is an immutable
     value that every reader shares, and a read that raises stores
@@ -143,12 +143,6 @@ class SimpleGraph:
     @cached_property
     def edges(self):
         return frozenset(map(tuple, self.to_json()["edges"]))
-
-    @cached_property
-    def neighbors(self):
-        labels, masks = self.masks
-        at = dict(zip(labels, masks.values()))
-        return MappingProxyType({v: frozenset(members_of(labels, at[v])) for v in self.vertices})
 
     def has_vertex(self, v):
         return v in self.masks[0]

@@ -20,7 +20,9 @@ another vertex that does not commute with u.
    vertex's letter is emitted, and its own column and each
    non-commuting column advance by one.
 
-When the word's vertices pairwise commute no column ever holds a
+Two kinds of word skip the columns.  When no two of the word's vertices
+commute, they generate a free group, so the free reduction is already
+the normal form.  When they pairwise commute, no column ever holds a
 spacer, so each column is a power of its vertex, and the normal form is
 those powers in label order.
 
@@ -44,11 +46,13 @@ the same as taking its own.
 Each letter touches the columns of the vertices it does not commute
 with once on the way in and once on the way out, and the read-off looks
 along the columns, in label order, for the first ready one.  So a word
-of n letters over k distinct vertices reduces in O(n * k) time, and
-only the neighbour sets of those k vertices are read.
+of n letters over k distinct vertices reduces in O(n * k) time.  Which
+of those k vertices commute is read off the graph's masks (`g.masks`):
+each vertex's bit and neighbour bits, with no view of the graph built.
 """
 
 from .errors import MalformedInput, admit
+from .graphs import bits
 
 
 def inverse(word):
@@ -56,11 +60,15 @@ def inverse(word):
 
 
 def parse_word(g, text):
-    """Tokens "v", "v^k" separated by whitespace; k may be negative.  The
-    expanded length is checked against the enumeration cap before any
-    letter is built."""
-    tokens, length = [], 0
-    for tok in text.split():
+    """Tokens "v", "v^k" separated by whitespace; k may be negative.  Each
+    distinct token is parsed and checked once, in order of first
+    appearance, so the first bad token in the text is the one reported.
+    The expanded length, counting every occurrence, is checked against
+    the enumeration cap before any letter is built."""
+    known = set(g.masks[0])
+    tokens = text.split()
+    parsed = {}
+    for tok in dict.fromkeys(tokens):
         if "^" in tok:
             v, _, power = tok.partition("^")
             try:
@@ -69,17 +77,18 @@ def parse_word(g, text):
                 raise MalformedInput(f"bad word token {tok!r}") from exc
         else:
             v, k = tok, 1
-        if v not in g.neighbors:
+        if v not in known:
             raise MalformedInput(f"unknown vertex {v!r} in word")
-        tokens.append((v, k))
-        length += abs(k)
+        parsed[tok] = (v, 1 if k > 0 else -1), abs(k)
+    runs = [parsed[tok] for tok in tokens]
+    length = sum(n for _, n in runs)
     admit(length, None, f"word would expand to {length} letters")
     letters = []
-    for v, k in tokens:
-        if k == 1:
-            letters.append((v, 1))
+    for letter, n in runs:
+        if n == 1:
+            letters.append(letter)
         else:
-            letters += [(v, 1 if k > 0 else -1)] * abs(k)
+            letters += [letter] * n
     return tuple(letters)
 
 
@@ -91,25 +100,35 @@ def format_word(word):
 
 def reduce(g, word):
     """Canonical normal form of a word: freely reduced, then pushed on or
-    cancelled from the columns of its vertices and read off bottom-up."""
+    cancelled from the columns of its vertices and read off bottom-up.
+    A letter left by the free reduction that names no vertex of g is
+    malformed input."""
     letters = []
     for letter in word:
         if letters and letters[-1][0] == letter[0] and letters[-1][1] == -letter[1]:
             letters.pop()
         else:
             letters.append(letter)
-    if len(letters) < 2:
+    if not letters:
+        return ()
+    labels, masks = g.masks
+    vertices = {v: None for v, _ in letters}
+    present, adjacent, closed = 0, 0, -1  # bits of the vertices, their neighbours, and what all commute with
+    for v in vertices:
+        try:
+            b = 1 << labels.index(v)
+        except ValueError:
+            raise MalformedInput(f"unknown vertex {v!r} in word") from None
+        m = masks[b]
+        present |= b
+        adjacent |= m
+        closed &= m | b
+    if not present & adjacent:
+        # no two vertices commute, so the free reduction is the normal form
         return tuple(letters)
-    vertices = {v for v, _ in letters}
-    labels = sorted(vertices)
-    non_commuting = []
-    for v in labels:
-        others = vertices.difference(g.neighbors.get(v, ()))
-        others.discard(v)
-        non_commuting.append(others)
-    if not any(non_commuting):
+    if closed & present == present:
         # no column ever holds a spacer, so each is a power of its vertex
-        powers = dict.fromkeys(labels, 0)
+        powers = dict.fromkeys(sorted(vertices), 0)
         for v, e in letters:
             powers[v] += e
         out = []
@@ -119,8 +138,11 @@ def reduce(g, word):
         return tuple(out)
     # [sentinel, spacers, letter, spacers, ..., letter, spacers]: the
     # sentinel cancels nothing, and the top is always a spacer count
-    columns = {v: [(None, 0), 0] for v in labels}
-    stacks = {v: (columns[v], list(map(columns.__getitem__, others))) for v, others in zip(labels, non_commuting)}
+    columns = {b: [(None, 0), 0] for b in bits(present)}
+    stacks = {
+        labels[b.bit_length() - 1]: (columns[b], [columns[c] for c in bits(present & ~(b | masks[b]))])
+        for b in columns
+    }
     for letter in letters:
         column, others = stacks[letter[0]]
         if column[-1] or column[-2][1] != -letter[1]:

@@ -167,6 +167,35 @@ timeout 10 raagbns word-reduce "$RUNNER_TEMP/cycle6.json" "$(cat "$RUNNER_TEMP/l
 python -c 'import json, sys; print(json.load(open(sys.argv[1]))["reduced"])' "$RUNNER_TEMP/long-word.out" > "$RUNNER_TEMP/long-nf.txt"
 timeout 10 raagbns word-reduce "$RUNNER_TEMP/cycle6.json" "$(cat "$RUNNER_TEMP/long-nf.txt")" > "$RUNNER_TEMP/long-nf.out"
 python -c 'import json, sys; nf = open(sys.argv[2]).read().strip(); sys.exit(nf == "1" or json.load(open(sys.argv[1]))["reduced"] != nf)' "$RUNNER_TEMP/long-nf.out" "$RUNNER_TEMP/long-nf.txt"
+# the same kind of word on edgeless(6), the free group: its normal form is its
+# free reduction, computed here with one stack
+python -c 'import json; print(json.dumps({"vertices": [f"v{i}" for i in range(6)], "edges": []}))' > "$RUNNER_TEMP/edgeless6-words.json"
+python - "$RUNNER_TEMP/free-word.txt" "$RUNNER_TEMP/free-nf.txt" <<'EOF'
+import random, sys
+rng = random.Random(6)
+vertices = [f"v{i}" for i in range(6)]
+letters = [(rng.choice(vertices), rng.choice((1, -1))) for _ in range(5000)]
+for _ in range(2500):
+    i = rng.randint(0, len(letters))
+    j = min(len(letters) + 1, i + rng.randint(1, 4))
+    v = rng.choice(vertices)
+    letters.insert(i, (v, 1))
+    letters.insert(j, (v, -1))
+stack = []
+for v, e in letters:
+    if stack and stack[-1] == (v, -e):
+        stack.pop()
+    else:
+        stack.append((v, e))
+for path, word in zip(sys.argv[1:], (letters, stack)):
+    with open(path, "w") as f:
+        f.write(" ".join(v if e == 1 else f"{v}^-1" for v, e in word) or "1")
+EOF
+timeout 10 raagbns word-reduce "$RUNNER_TEMP/edgeless6-words.json" "$(cat "$RUNNER_TEMP/free-word.txt")" > "$RUNNER_TEMP/free-word.out"
+python -c 'import json, sys; nf = open(sys.argv[2]).read(); sys.exit(nf == "1" or json.load(open(sys.argv[1]))["reduced"] != nf)' "$RUNNER_TEMP/free-word.out" "$RUNNER_TEMP/free-nf.txt"
+# on path4 a-b-c-d, where the columns are piled: a and c cancel across b, d stays
+raagbns word-reduce "$RUNNER_TEMP/path4.json" "d c a b a^-1 d^-1 c^-1" > "$RUNNER_TEMP/path-word.out"
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["reduced"] != "d b d^-1")' "$RUNNER_TEMP/path-word.out"
 # an exponent is refused from its text, before Fraction multiplies it out
 printf '{"ambient_dim": 1, "subspaces": [[["1e999999999"]]]}' > "$RUNNER_TEMP/exponent.json"
 status=0

@@ -13,7 +13,7 @@ from types import MappingProxyType
 import networkx as nx
 
 from raagbns.bns import _per_multiplier_options, raag_arrangement
-from raagbns.errors import CapExceeded, InvariantViolation, MalformedInput
+from raagbns.errors import CapExceeded, InvariantViolation, MalformedInput, admit
 from raagbns.graphs import (
     ForestData,
     LoopWitness,
@@ -299,10 +299,40 @@ def stack_normal_form(g, word):
             free.append((v, e))
     if len(free) < 2:
         return tuple(free)
-    letters = _stack_cancel(g.neighbors, free)
+    adjacent = neighbors(g)
+    letters = _stack_cancel(adjacent, free)
     if len(letters) < 2:
         return tuple(letters)
-    return _kahn_shuffle(g.neighbors, letters)
+    return _kahn_shuffle(adjacent, letters)
+
+
+def plain_parse_word(g, text):
+    """parse_word as it was before it parsed each distinct token once:
+    every token is parsed and checked in text order, the expanded length
+    summed as it goes."""
+    known = neighbors(g)
+    tokens, length = [], 0
+    for tok in text.split():
+        if "^" in tok:
+            v, _, power = tok.partition("^")
+            try:
+                k = int(power)
+            except ValueError as exc:
+                raise MalformedInput(f"bad word token {tok!r}") from exc
+        else:
+            v, k = tok, 1
+        if v not in known:
+            raise MalformedInput(f"unknown vertex {v!r} in word")
+        tokens.append((v, k))
+        length += abs(k)
+    admit(length, None, f"word would expand to {length} letters")
+    letters = []
+    for v, k in tokens:
+        if k == 1:
+            letters.append((v, 1))
+        else:
+            letters += [(v, 1 if k > 0 else -1)] * abs(k)
+    return tuple(letters)
 
 
 def word_eq(g, u, v):
@@ -525,9 +555,10 @@ def connected(g, subset):
     root = min(subset)
     seen = {root}
     queue = deque([root])
+    adjacent = neighbors(g)
     while queue:
         u = queue.popleft()
-        for w in g.neighbors[u]:
+        for w in adjacent[u]:
             if w in subset and w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -830,11 +861,19 @@ def atlas(count=1252):
     return out
 
 
+def neighbors(g):
+    """A read-only map from each vertex of g, in the order of g.vertices,
+    to the frozenset of its neighbours, read off the masks."""
+    labels, masks = g.masks
+    at = dict(zip(labels, masks.values()))
+    return MappingProxyType({v: frozenset(members_of(labels, at[v])) for v in g.vertices})
+
+
 def link(g, v):
     """Vertices adjacent to v."""
     if not g.has_vertex(v):
         raise MalformedInput(f"unknown vertex {v!r}")
-    return set(g.neighbors[v])
+    return set(neighbors(g)[v])
 
 
 def star(g, v):

@@ -520,8 +520,11 @@ def test_a_graph_file_is_json_when_its_first_character_past_whitespace_is_a_brac
 
 def test_classify_and_its_input_echo_build_no_view_of_the_input_graph(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", str(10 ** 8))  # some loop witnesses search past the default
-    read = []
+    read, defining = [], []
     monkeypatch.setattr(cli, "graph_from_file", lambda path: read.append(graphs.graph_from_file(path)) or read[-1])
+    # nor do the relator checks on the defining graph
+    checked = cli.verify_relators_killed
+    monkeypatch.setattr(cli, "verify_relators_killed", lambda g, th, d: defining.append(th.graph) or checked(g, th, d))
     kinds = set()
     for i, g in enumerate(oracles.atlas_up_to_six()):
         path = tmp_path / f"g{i}.json"
@@ -532,6 +535,22 @@ def test_classify_and_its_input_echo_build_no_view_of_the_input_graph(capsys, tm
         assert "neighbors" not in vars(read[-1]) and "edges" not in vars(read[-1])
     # loops, empty defining graphs and non-empty ones were all classified
     assert kinds == {("not_raag", False), ("raag", False), ("raag", True)}
+    assert defining and all("neighbors" not in vars(d) and "edges" not in vars(d) for d in defining)
+
+
+def test_word_reduce_builds_no_view_of_the_graph(capsys, tmp_path, monkeypatch):
+    # every atlas graph up to six vertices, through the free shortcut, the
+    # commuting one and the columns: only the masks are read
+    read = []
+    monkeypatch.setattr(cli, "graph_from_file", lambda path: read.append(graphs.graph_from_file(path)) or read[-1])
+    for i, g in enumerate(oracles.atlas_up_to_six()):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(g.to_json()))
+        word = " ".join(f"{v} {v}^-1 {v}^2" for v in reversed(g.vertices)) or "1"
+        assert main(["word-reduce", str(path), word]) == (0 if g.vertices else 2)
+        capsys.readouterr()
+        assert "neighbors" not in vars(read[-1]) and "edges" not in vars(read[-1])
+    assert len(read) == 208
 
 
 def test_homology_chain_complex_admission_cap(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +20,7 @@ from oracles import (
     enumerate_reduced_words,
     is_inner_bounded,
     per_word_closure_normal_form,
+    plain_parse_word,
     rewriting_closure,
     shuffle_normal_form,
     stack_normal_form,
@@ -26,8 +28,8 @@ from oracles import (
 )
 from test_acceptance import K33, atlas_graphs, cycle
 
-from raagbns import presentations
-from raagbns.errors import CapExceeded
+from raagbns import presentations, words
+from raagbns.errors import CapExceeded, MalformedInput
 from raagbns.graphs import SimpleGraph
 from raagbns.presentations import NotAForest, generator_dictionary, presentation_graph, verify_relators_killed
 from raagbns.words import format_word, inverse, parse_word, reduce, standard_generators
@@ -347,10 +349,13 @@ def test_reduce_is_linear_on_100k_letters():
     g = cycle(6)
     rng = random.Random(4)
     letters = [(v, e) for v in g.vertices for e in (1, -1)]
+    free = SimpleGraph("abcdefgh", [])
+    free_letters = [(v, e) for v in free.vertices for e in (1, -1)]
     cases = [
         (EDGE_UVW, adversarial(33_333)),
         (EDGE_UVW, buried_inverses(50_000)),
         (g, tuple(rng.choice(letters) for _ in range(100_000))),
+        (free, tuple(rng.choice(free_letters) for _ in range(100_000))),
     ]
     for graph, word in cases:
         t0 = time.perf_counter()
@@ -363,6 +368,125 @@ def test_parse_word_admission_cap(monkeypatch):
     monkeypatch.setenv("RAAGBNS_CAP", "1000")
     assert parse_word(FREE2, "a^1000") == (("a", 1),) * 1000
     assert parse_word(FREE2, "a^500 b^-500") == (("a", 1),) * 500 + (("b", -1),) * 500
-    for text in ("a^1001", "a^500 b^-501", "a^-1000000000000"):
+    # a repeated token is parsed once but counted at every occurrence
+    for text in ("a^1001", "a^500 b^-501", "a^-1000000000000", "a^600 a^600"):
         with pytest.raises(CapExceeded, match=r"\d+ letters, over the cap of 1000"):
             parse_word(FREE2, text)
+
+
+# tokens from a small pool, so that they repeat: vertices of PATH3, an
+# unknown one and none, each with no exponent, a valid one, or a bad one
+WORD_TOKEN = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["a", "x", "b", "z", ""]),
+        st.sampled_from(["", "", "^-3", "^-2", "^-1", "^0", "^1", "^2", "^3", "^+2", "^", "^x"]),
+    ),
+)
+WORD_TEXT = st.lists(
+    st.tuples(WORD_TOKEN, st.sampled_from([" ", "  ", "\t", "\n", " \r\n\t", "\u2003"])), max_size=30
+).map(lambda parts: "".join(tok + sep for tok, sep in parts))
+
+
+def parsed(parse, g, text):
+    try:
+        return parse(g, text)
+    except MalformedInput as err:
+        return f"refused: {err}"
+
+
+@given(st.sampled_from(["", " ", "\n\t"]), WORD_TEXT)
+@settings(max_examples=600, deadline=None)
+def test_parse_word_matches_the_token_by_token_parser(head, text):
+    # equal letters, or the same message for the first bad token in text order
+    assert parsed(parse_word, PATH3, head + text) == parsed(plain_parse_word, PATH3, head + text)
+
+
+def test_parse_word_reports_the_first_bad_token_in_text_order():
+    for text, message in [
+        ("a^2 b^x a^2 z", "bad word token 'b^x'"),
+        ("a z a^x", "unknown vertex 'z' in word"),
+        ("a a a^ b", "bad word token 'a^'"),
+        ("x^+2 ^2 a^x", "unknown vertex '' in word"),
+    ]:
+        with pytest.raises(MalformedInput) as err:
+            parse_word(PATH3, text)
+        assert str(err.value) == message
+    assert parse_word(PATH3, "a^0 b^+2\ta^-1 a^0") == (("b", 1), ("b", 1), ("a", -1))
+
+
+def freely_reduced(word):
+    out = []
+    for v, e in word:
+        if out and out[-1] == (v, -e):
+            out.pop()
+        else:
+            out.append((v, e))
+    return tuple(out)
+
+
+@st.composite
+def word_on_an_independent_set(draw, commuting_pair):
+    """A graph on up to 8 vertices and a word over an independent set of
+    it, three or more of whose vertices survive the free reduction.  With
+    `commuting_pair`, one edge joins two of those vertices, so that
+    exactly one pair of the word's vertices commutes."""
+    vs = "abcdefgh"[: draw(st.integers(3, 8))]
+    apart = sorted(draw(st.sets(st.sampled_from(vs), min_size=3)))
+    pairs = [(u, v) for u, v in itertools.combinations(vs, 2) if u not in apart or v not in apart]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    letter = st.tuples(st.sampled_from(apart), st.sampled_from([1, -1]))
+    word = tuple(draw(st.lists(letter, min_size=3, max_size=60)))
+    survivors = sorted({v for v, _ in freely_reduced(word)})
+    assume(len(survivors) >= 3)
+    if commuting_pair:
+        edges.append(draw(st.sampled_from(list(itertools.combinations(survivors, 2)))))
+    return SimpleGraph(vs, edges), word
+
+
+@st.composite
+def one_vertex_word(draw):
+    g, _ = draw(planted_graph_and_word())
+    v = draw(st.sampled_from(g.vertices))
+    return g, tuple((v, e) for e in draw(st.lists(st.sampled_from([1, -1]), max_size=40)))
+
+
+def reduce_and_columns(g, word):
+    """reduce's result, and whether it piled columns: the column pass is
+    the one reader of the vertices' bits one by one."""
+    with mock.patch.object(words, "bits", wraps=words.bits) as spy:
+        nf = reduce(g, word)
+    assert nf == stack_normal_form(g, word) == shuffle_normal_form(g, word), (g.edges, word)
+    return nf, spy.called
+
+
+@given(word_on_an_independent_set(commuting_pair=False))
+@settings(max_examples=300, deadline=None)
+def test_a_word_with_no_commuting_pair_is_its_free_reduction(gw):
+    g, word = gw
+    assert reduce_and_columns(g, word) == (freely_reduced(word), False)
+
+
+@given(word_on_an_independent_set(commuting_pair=True))
+@settings(max_examples=300, deadline=None)
+def test_a_word_with_one_commuting_pair_piles_columns(gw):
+    g, word = gw
+    assert reduce_and_columns(g, word)[1]
+
+
+@given(one_vertex_word())
+@settings(max_examples=200, deadline=None)
+def test_a_one_vertex_word_is_its_free_reduction(gw):
+    g, word = gw
+    assert reduce_and_columns(g, word) == (freely_reduced(word), False)
+
+
+def test_reduce_refuses_a_letter_that_names_no_vertex():
+    # on a free pair, a commuting pair and a path: before each shortcut and the columns
+    for g in (FREE2, EDGE, SimpleGraph("abc", [("a", "b")])):
+        for word in ((("z", 1),), (("a", 1), ("z", -1)), (("a", 1), ("b", 1), ("z", 1), ("c", -1), ("a", -1))):
+            with pytest.raises(MalformedInput) as err:
+                reduce(g, word)
+            assert str(err.value) == "unknown vertex 'z' in word"
+    with pytest.raises(MalformedInput, match="^unknown vertex 'z' in word$"):
+        parse_word(FREE2, "a z")
