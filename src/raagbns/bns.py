@@ -19,6 +19,19 @@ line masks come from the maps.  No dense row is written until a
 subspace is read, and only the `bns` command's output reads one.  The
 witness reads line masks alone: each component of its chain is looked
 up as a line, and two delta-subspaces meet in the lines they share.
+
+Every arrangement here is an antichain of distinct subspaces, so it
+goes to the homology unfiltered.  `maximal_disconnected_subsets` keeps
+s only when no single added vertex leaves it disconnected; if s < t and
+t is disconnected, some v in t - s misses a component of s (else t
+would be connected), so s + {v} is disconnected, and the sets kept are
+exactly the inclusion-maximal ones.  `_maximal_sets` keeps only leaves
+no other leaf contains; a delta-p-set's mask is its set of
+per-multiplier pairs, and those pairs fix its members, so one mask lies
+inside another exactly when one member set does.  Unit lines and
+difference lines differ, so no p-set subspace lies inside a
+delta-p-set subspace, and writing e_K - e_L in W's coordinates is
+injective on these lines.
 """
 
 import itertools
@@ -27,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, admit
 from .graphs import complement_components, component, members_of
-from .homology import arrangement_homology, line_arrangement, maximal_filter
+from .homology import arrangement_homology, line_arrangement
 from .linalg import Subspace
 from .words import standard_generators
 
@@ -278,12 +291,13 @@ def pso_hom_space(g):
 def pso_arrangement(g, cap=None):
     """(W, arrangement in W coordinates, delta-p-sets in matching order).
 
-    The arrangement is deliberately unfiltered so that subspace indices
-    line up with the delta-p-set list; homology callers apply
-    maximal_filter themselves.  Each delta-p-set row e_K - e_L lies in W
-    when K and L share their multiplier, and is written in W's
-    coordinates, its entries at W's pivots: e_K - e_L again, or e_K when
-    L is its multiplier's last.
+    Subspace j is delta-p-set j's.  The maximal delta-p-sets give an
+    antichain, and writing their rows in W's coordinates keeps it one, so
+    the arrangement goes to the homology unfiltered.  Each delta-p-set
+    row e_K - e_L lies in W when K and L share their multiplier, and is
+    written in W's coordinates, its entries at W's pivots: e_K - e_L
+    again, or e_K when L is its multiplier's last, so distinct rows stay
+    distinct.
     """
     deltas = maximal_delta_psets(g, cap)
     labels = standard_generators(g)
@@ -366,10 +380,9 @@ def h1_witness(g, loop, cap=None):
 
 def euler_report(g, cap=None):
     """Betti profiles for the three groups' arrangements."""
-    _, raag = arrangement_homology(maximal_filter(raag_arrangement(g, cap)), cap)
-    _, psa = arrangement_homology(maximal_filter(psa_arrangement(g, cap)), cap)
-    _, pso_arr, _ = pso_arrangement(g, cap)
-    _, pso = arrangement_homology(maximal_filter(pso_arr), cap)
+    _, raag = arrangement_homology(raag_arrangement(g, cap), cap)
+    _, psa = arrangement_homology(psa_arrangement(g, cap), cap)
+    _, pso = arrangement_homology(pso_arrangement(g, cap)[1], cap)
     return {"raag": raag, "psa": psa, "pso": pso}
 
 

@@ -161,9 +161,8 @@ def bns_cmd(g, group, witness):
     else:
         w, arr, _ = pso_arrangement(g)
         report["outer_space"] = w.basis.to_token_rows()
-    kept = maximal_filter(arr)
-    _, profile = arrangement_homology(kept)
-    report.update(kept.to_json(), **_profile_json(profile))
+    _, profile = arrangement_homology(arr)
+    report.update(arr.to_json(), **_profile_json(profile))
     if witness and group == "pso":
         report["witness"] = _first_loop_witness(g)
     return report

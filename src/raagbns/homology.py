@@ -11,13 +11,14 @@ block-line arrangement's cap is decided from its line counts or, past
 them, by Mobius inversion on the flats of its intersection lattice;
 its summands are listed only when the flats would cost more than the
 cap.
-`maximal_filter` reads the same line masks, worked out once per
-arrangement, and hands the kept ones on to the filtered arrangement.
 `line_arrangement` keeps an arrangement's rows as {coordinate: entry}
-maps and seeds its masks from the same maps; its subspaces, dense rows
-and all, are built only when read, so the Betti profile of a graph's
-arrangement builds none.  Only an arrangement read from a file has its
-stored rows read back.
+maps and nothing else: its line masks are found from the maps on first
+read, and its subspaces, dense rows and all, only when read, so the
+Betti profile of a graph's arrangement builds none.  Only an
+arrangement read from a file has its stored rows read back.
+`maximal_filter` serves arrangement files: an arrangement built from a
+graph is already an antichain (see `raagbns.bns`) and goes to the
+homology as it is.
 """
 
 import json
@@ -36,8 +37,8 @@ class Arrangement:
     """Subspaces of Q^n in a list, duplicates kept.  An arrangement holds
     its subspaces, as `Arrangement(n, subspaces)` and a file give them,
     or their stored rows as {coordinate: entry} maps, as
-    `line_arrangement` and `maximal_filter` give them, and finds the
-    other on its first read."""
+    `line_arrangement` gives them, and finds the other, and its line
+    masks, on first read."""
 
     def __init__(self, ambient_dim, subspaces):
         self.ambient_dim, self.subspaces = ambient_dim, tuple(subspaces)
@@ -94,10 +95,7 @@ class Arrangement:
 
     @cached_property
     def lines(self):
-        """`_line_masks` of the row maps.  `line_arrangement` seeds it with
-        the masks of the maps it is given, and `maximal_filter` with the
-        masks it keeps, whose bits may number the lines in another order
-        than a fresh pass would."""
+        """`_line_masks` of the row maps, found on first read."""
         return _line_masks(self.row_maps)
 
     def to_json(self):
@@ -137,16 +135,11 @@ def line_arrangement(n, subspaces):
     its stored rows, {coordinate: entry} maps in coordinate order:
     primitive integer RREF rows in pivot order, which are not checked.
     Every arrangement built from a graph is made here.  It keeps the maps
-    and builds no dense row until its subspaces are read; its line masks
-    are found from the same maps, so the block-line test and the graph
-    rank run as on a file."""
-    return _from_row_maps(n, subspaces, _line_masks(subspaces))
-
-
-def _from_row_maps(n, row_maps, lines):
-    """The arrangement of Q^n holding `row_maps`, with `lines` seeded."""
+    and nothing else: its line masks are found from them on first read,
+    so the block-line test and the graph rank run as on a file, and no
+    dense row is built until its subspaces are read."""
     out = Arrangement.__new__(Arrangement)
-    out.ambient_dim, out.row_maps, out.lines = n, row_maps, lines
+    out.ambient_dim, out.row_maps = n, subspaces
     return out
 
 
@@ -435,23 +428,24 @@ def maximal_filter(a):
     in each block, and a stored row names its line, so a row of V_i lies
     in V_j exactly when V_j stores that very row.  Equal masks are
     therefore equal subspaces.  No line is dropped, since every dropped
-    mask lies inside a kept one, so the filtered arrangement takes over
-    the kept row maps and masks, the lines and their graph rank, and
-    builds its subspaces only when they are read; that the kept masks
-    still hold every line is checked.  Any other arrangement is filtered
-    by `subspace_leq` on every pair."""
+    mask lies inside a kept one, which is checked; the filtered
+    arrangement is the `line_arrangement` of the kept row maps.  Any
+    other arrangement is filtered by `subspace_leq` on every pair.
+
+    Only arrangement files are filtered: every arrangement built from a
+    graph is already an antichain of distinct subspaces."""
     if a.lines is None:
         unique = list(dict.fromkeys(a.subspaces))
         kept = tuple(s for s in unique if not any(t is not s and subspace_leq(s, t) for t in unique))
         return Arrangement(a.ambient_dim, kept)
-    masks, supports, graph_rank = a.lines
+    masks = a.lines[0]
     keep = _maximal_masks(masks)
     kept = [masks[i] for i in keep]
     if reduce(or_, kept, 0) != reduce(or_, masks, 0):
         raise InvariantViolation(
             f"filtering {len(masks)} block-line subspaces of Q^{a.ambient_dim} to {len(kept)} lost a line"
         )
-    return _from_row_maps(a.ambient_dim, [a.row_maps[i] for i in keep], (kept, supports, graph_rank))
+    return line_arrangement(a.ambient_dim, [a.row_maps[i] for i in keep])
 
 
 def _maximal_masks(masks):

@@ -221,6 +221,24 @@ for last in "[0, 1, 0]" "[1, 1, 0]"; do
   raagbns homology "$RUNNER_TEMP/plane.json" > "$RUNNER_TEMP/plane.out"
   python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["dims"] != [3, 3] or r["betti"] != [0, 0])' "$RUNNER_TEMP/plane.out"
 done
+# the benchmark's two-triangles graph: `bns` prints its PSA arrangement unfiltered,
+# and as an antichain it reads the same to `homology` with and without --raw, and
+# matches the PSA profile of `euler-report`
+printf '{"vertices": ["a", "b", "c", "d", "e", "f"], "edges": [["a", "b"], ["a", "c"], ["b", "c"], ["d", "e"], ["d", "f"], ["e", "f"], ["c", "d"]]}' > "$RUNNER_TEMP/two-triangles.json"
+raagbns bns "$RUNNER_TEMP/two-triangles.json" --group psa > "$RUNNER_TEMP/two-triangles-psa.out"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); json.dump({"ambient_dim": r["ambient_dim"], "subspaces": r["subspaces"]}, open(sys.argv[2], "w"))' "$RUNNER_TEMP/two-triangles-psa.out" "$RUNNER_TEMP/two-triangles-psa.json"
+raagbns homology "$RUNNER_TEMP/two-triangles-psa.json" > "$RUNNER_TEMP/two-triangles-filtered.out"
+raagbns homology --raw "$RUNNER_TEMP/two-triangles-psa.json" > "$RUNNER_TEMP/two-triangles-raw.out"
+raagbns euler-report "$RUNNER_TEMP/two-triangles.json" > "$RUNNER_TEMP/two-triangles-report.out"
+python - "$RUNNER_TEMP"/two-triangles-{psa,filtered,raw,report}.out <<'EOF'
+import json, sys
+bns, filtered, raw, report = (json.load(open(path)) for path in sys.argv[1:])
+profile = {"betti": report["psa"]["betti"], "euler": report["psa"]["euler"]}
+assert bns["subspaces"], bns
+assert [filtered[k] for k in ("dims", "betti")] == [raw[k] for k in ("dims", "betti")], (filtered, raw)
+for r in (bns, filtered, raw):
+    assert {k: r[k] for k in profile} == profile, (r, profile)
+EOF
 # JSON nested past the recursion limit is malformed input, reported on one line
 python -c 'print("[" * 100000)' > "$RUNNER_TEMP/nested.json"
 python -c 'print("{\"vertices\": " + "[" * 100000)' > "$RUNNER_TEMP/nested-graph.json"

@@ -10,18 +10,19 @@ compared with the rules they replaced: a loop search from every root, a
 commutation test over every pair of records, and a flood fill per edge
 for its far side.  The dictionary is compared at the default basepoints
 and with every owner's basepoints moved.  Every RAAG, PSA and PSO
-arrangement, raw and maximal-filtered, is block-line and has its closed
-form compared with the full chain complex, its line masks with the
-two-pass rule they replaced, its line-mask filter with the pairwise
-containment oracle, and the summand counts and refusals of its flats
-with a walk over its summands.  The sweep is never sampled.  Every atlas
+arrangement is block-line and an antichain of distinct subspaces, by
+its line masks and by the pairwise containment oracle, so the maximal
+filter leaves it as it is; and it has its closed form compared with the
+full chain complex, its line masks with the two-pass rule they
+replaced, and the summand counts and refusals of its flats with a walk
+over its summands.  The sweep is never sampled.  Every atlas
 graph, and 300 seeded random graphs on eight vertices, must also report
 alike under two random relabellings: profiles, verdicts and refusals.
 
 The paper's theorem holds as exact Betti identities (Day and Wade,
 arXiv 1508.00622; Meier and VanWyk, Proc. LMS 71, 1995, for the RAAG
 side): the delta-p-set pairs of each multiplier a are the edges of its
-support graph Θ_a, the filtered PSO arrangement has
+support graph Θ_a, the PSO arrangement has
 b = (Σ_a (#trees(Θ_a) - 1), Σ_a cycle rank(Θ_a), 0, ...), and no side
 has homology above degree one.  On the PSA side, b_1 is the cycle rank
 of the graph on each multiplier's components and a ground node, with an
@@ -42,6 +43,8 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     all_roots_forest_certificate,
     atlas,
@@ -95,11 +98,10 @@ RAISED_CAP = 10 ** 9
 VERDICTS = {1: (1, 0), 2: (2, 0), 3: (4, 0), 4: (10, 1), 5: (29, 5), 6: (128, 28), 7: (842, 202)}
 
 # vertex count -> coordinate arrangements (every stored row a unit vector)
-# and block-line arrangements among the six per graph (RAAG, PSA and PSO,
-# raw and filtered).  Every side is block-line, so every side takes the
-# closed form.
-COORDINATE_SIDES = {1: 6, 2: 12, 3: 22, 4: 56, 5: 158, 6: 678, 7: 4328}
-BLOCK_LINE_SIDES = {1: 6, 2: 12, 3: 24, 4: 66, 5: 204, 6: 936, 7: 6264}
+# and block-line arrangements among the three per graph (RAAG, PSA and
+# PSO).  Every side is block-line, so every side takes the closed form.
+COORDINATE_SIDES = {1: 3, 2: 6, 3: 11, 4: 28, 5: 79, 6: 339, 7: 2164}
+BLOCK_LINE_SIDES = {1: 3, 2: 6, 3: 12, 4: 33, 5: 102, 6: 468, 7: 3132}
 
 # euler_report on every atlas graph and on cycle(8), cycle(9) and
 # cycle(10) at the default cap: (arrangements it takes the homology of,
@@ -120,7 +122,7 @@ def moved_basepoints(th):
 def theorem_defects(g, thetas, pso_betti):
     """The identities of the paper's theorem that fail on g, given its
     support graphs `thetas` by owner and the Betti numbers of its
-    filtered PSO arrangement.  Trees and cycle ranks come from networkx."""
+    PSO arrangement.  Trees and cycle ranks come from networkx."""
     pairs = {a: set() for a in thetas}
     for d in maximal_delta_psets(g):
         by_multiplier = {}
@@ -219,32 +221,27 @@ def test_corpus_checks_hold_on_every_atlas_graph(n, graphs_by_size, monkeypatch)
             for chosen in (th, presentation_graph(g, moved_basepoints(th))):
                 if generator_dictionary(g, chosen) != far_side_dictionary(g, chosen):
                     differ.append((sorted(g.edges), "dictionary", chosen.preferred))
-        for side, arr in (("raag", raag_arrangement(g)), ("psa", psa_arrangement(g)), ("pso", pso_arrangement(g)[1])):
-            # a raw side comes with the lines of the rows it was written
-            # from; a filtered side may number its lines in another order
-            if "lines" not in vars(arr) or arr.lines != _line_masks(read_back(arr)):
-                differ.append((sorted(g.edges), side, "seeded lines"))
-            kept = maximal_filter(arr)
-            if [s.basis for s in kept.subspaces] != maximal_filter_bases(arr):
-                differ.append((sorted(g.edges), side, "filter"))
-            if side == "psa" and (arrangement_homology(kept)[1].betti + (0,))[1] != line_graph_cycle_rank(kept):
+        for side, a in (("raag", raag_arrangement(g)), ("psa", psa_arrangement(g)), ("pso", pso_arrangement(g)[1])):
+            # the pairwise containment oracle finds nothing to drop
+            if maximal_filter_bases(a) != [s.basis for s in a.subspaces]:
+                differ.append((sorted(g.edges), side, "not an antichain"))
+            if side == "psa" and (arrangement_homology(a)[1].betti + (0,))[1] != line_graph_cycle_rank(a):
                 differ.append((sorted(g.edges), side, "cycle rank"))
-            for a in (arr, kept):
-                # Fraction bases hide a row's sign; the stored form does not
-                if stored_form_differs(a):
-                    differ.append((sorted(g.edges), side, "stored form"))
-                coordinate += coordinate_supports(a) is not None
-                found = _line_masks(read_back(a))
-                if found != line_masks(read_back(a)):
-                    differ.append((sorted(g.edges), side, "line masks"))
-                block_line += found is not None
-                c = build_chain_complex(a)
-                dims, profile = arrangement_homology(a)
-                if (dims, profile) != (c.dims, betti_numbers(c)) or any(profile.betti[2:]):
-                    differ.append((sorted(g.edges), side, len(a.subspaces)))
-                if defects := lattice_defects(a):
-                    differ.append((sorted(g.edges), side, "flats", defects))
-        pso_betti = arrangement_homology(maximal_filter(pso_arrangement(g)[1]))[1].betti
+            # Fraction bases hide a row's sign; the stored form does not
+            if stored_form_differs(a):
+                differ.append((sorted(g.edges), side, "stored form"))
+            coordinate += coordinate_supports(a) is not None
+            found = _line_masks(read_back(a))
+            if found != line_masks(read_back(a)):
+                differ.append((sorted(g.edges), side, "line masks"))
+            block_line += found is not None
+            c = build_chain_complex(a)
+            dims, profile = arrangement_homology(a)
+            if (dims, profile) != (c.dims, betti_numbers(c)) or any(profile.betti[2:]):
+                differ.append((sorted(g.edges), side, len(a.subspaces)))
+            if defects := lattice_defects(a):
+                differ.append((sorted(g.edges), side, "flats", defects))
+        pso_betti = arrangement_homology(pso_arrangement(g)[1])[1].betti
         if defects := theorem_defects(g, {a: plain_support_graph(g, a) for a in g.vertices}, pso_betti):
             differ.append((sorted(g.edges), defects))
         loops += len(pso_betti) > 1 and pso_betti[1] > 0
@@ -261,22 +258,92 @@ def loops(g):
 
 
 def test_graph_arrangements_are_never_read_back(graphs_by_size, monkeypatch):
-    # every arrangement built from a graph is written with its lines, so
-    # neither the Betti profiles nor the witnesses read a stored row back
+    # every arrangement built from a graph keeps its row maps, so neither
+    # the Betti profiles nor the witnesses build its subspaces or read a
+    # stored row back from them, and each finds its line masks once
     monkeypatch.setenv("RAAGBNS_CAP", str(RAISED_CAP))
-    reads = []
-    read = Arrangement.lines.func
-    counted = functools.cached_property(lambda a: reads.append(a) or read(a))
-    counted.__set_name__(Arrangement, "lines")
-    monkeypatch.setattr(Arrangement, "lines", counted)
+    found = {"subspaces": [], "row_maps": [], "lines": []}
+    for name, seen in found.items():
+        counted = functools.cached_property(lambda a, seen=seen, find=vars(Arrangement)[name].func: seen.append(a) or find(a))
+        counted.__set_name__(Arrangement, name)
+        monkeypatch.setattr(Arrangement, name, counted)
+    built = []
+    monkeypatch.setattr(bns, "line_arrangement", lambda n, subspaces: built.append(line_arrangement(n, subspaces)) or built[-1])
     witnesses = 0
     for g in (g for n in sorted(graphs_by_size) for g in graphs_by_size[n]):
         euler_report(g)
         for loop in loops(g):
             h1_witness(g, loop)
             witnesses += 1
-    assert len(reads) == 0
+    assert found["subspaces"] == found["row_maps"] == []
+    assert len(built) == 3 * 1252 + 844 and sorted(map(id, found["lines"])) == sorted(map(id, built))
     assert witnesses == 844
+
+
+def antichain_defects(a):
+    """What keeps the block-line arrangement `a` from being an antichain
+    of distinct subspaces, read off its line masks: a repeated mask, a
+    mask inside another, or a maximal filter that changes its row maps."""
+    masks = a.lines[0]
+    defects = []
+    if len(set(masks)) != len(masks):
+        defects.append("repeated")
+    if any(i != j and m & o == m for i, m in enumerate(masks) for j, o in enumerate(masks)):
+        defects.append("contained")
+    if maximal_filter(a).row_maps != a.row_maps:
+        defects.append("filtered")
+    return defects
+
+
+def graph_antichain_defects(g):
+    """(side, defects) of each of g's three arrangements, built at the
+    raised cap, that is not an antichain."""
+    cap = RAISED_CAP
+    sides = (("raag", raag_arrangement(g, cap)), ("psa", psa_arrangement(g, cap)), ("pso", pso_arrangement(g, cap)[1]))
+    return [(side, defects) for side, a in sides if (defects := antichain_defects(a))]
+
+
+def test_graph_arrangements_are_antichains_on_every_atlas_graph(graphs_by_size):
+    # the excluded subspaces are unions over maximal objects, so no graph
+    # arrangement repeats a subspace or holds one inside another, and the
+    # maximal filter has nothing to drop
+    differ = [
+        (sorted(g.edges), defects)
+        for g in (g for n in sorted(graphs_by_size) for g in graphs_by_size[n])
+        if (defects := graph_antichain_defects(g))
+    ]
+    assert differ == []
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    labels = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(labels, 2))
+    return SimpleGraph(labels, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph_arrangements_are_antichains_on_random_graphs(g):
+    assert graph_antichain_defects(g) == []
+
+
+@pytest.mark.parametrize("fault", ["repeated first subspace", "p-set less a member"])
+def test_a_planted_non_maximal_subspace_breaks_the_antichain(fault, monkeypatch):
+    # planted faults in edgeless(3)'s PSA arrangement: its first p-set
+    # listed twice, or listed again less its last member
+    g = SimpleGraph("abc", [])
+    assert graph_antichain_defects(g) == []
+    real = bns.maximal_psets
+
+    def planted(g, cap=None):
+        psets = real(g, cap)
+        return psets + [psets[0] if fault == "repeated first subspace" else psets[0][:-1]]
+
+    monkeypatch.setattr(bns, "maximal_psets", planted)
+    expected = ["repeated", "contained", "filtered"] if fault == "repeated first subspace" else ["contained", "filtered"]
+    assert graph_antichain_defects(g) == [("psa", expected)]
 
 
 def test_euler_report_builds_no_subspaces(graphs_by_size, monkeypatch):
@@ -375,7 +442,7 @@ def test_dropping_a_loop_edge_breaks_the_theorem_identities():
     # b_1(PSO) = 4 unexplained
     g = SimpleGraph("abcd", [])
     thetas = {a: plain_support_graph(g, a) for a in g.vertices}
-    pso_betti = arrangement_homology(maximal_filter(pso_arrangement(g)[1]))[1].betti
+    pso_betti = arrangement_homology(pso_arrangement(g)[1])[1].betti
     assert pso_betti == (0, 4) and theorem_defects(g, thetas, pso_betti) == []
     loop = forest_certificate(thetas["a"]).nodes
     edge = (min(loop[:2]), max(loop[:2]))
@@ -384,13 +451,10 @@ def test_dropping_a_loop_edge_breaks_the_theorem_identities():
 
 
 def ambient_pso_arrangement(g):
-    """The maximal-filtered PSO arrangement, each subspace taken from W's
-    coordinates back to the standard generators' ones, as a set."""
+    """The PSO arrangement, each subspace taken from W's coordinates back
+    to the standard generators' ones, as a set."""
     w, arr, _ = pso_arrangement(g)
-    return {
-        Subspace(w.ambient_dim, [from_coordinates(w, coords) for coords in s.rows])
-        for s in maximal_filter(arr).subspaces
-    }
+    return {Subspace(w.ambient_dim, [from_coordinates(w, coords) for coords in s.rows]) for s in arr.subspaces}
 
 
 def test_forest_side_pso_arrangement_is_the_pulled_back_raag_arrangement(graphs_by_size, monkeypatch):
@@ -415,7 +479,7 @@ def test_psa_arrangement_without_an_sil_is_the_commutation_raag_arrangement(grap
         if has_sil(g):
             continue
         checked += 1
-        if set(raag_arrangement(commutation_graph(g)).subspaces) != set(maximal_filter(psa_arrangement(g)).subspaces):
+        if set(raag_arrangement(commutation_graph(g)).subspaces) != set(psa_arrangement(g).subspaces):
             differ.append(sorted(g.edges))
     assert differ == []
     assert checked == 421
