@@ -16,6 +16,28 @@ When each support graph is a forest the outer quotient is a RAAG.  Its
 defining graph has a vertex per support-graph edge plus a vertex per
 non-preferred maximal subtree, and the two generator dictionaries
 translate between this generating set and the standard one.
+
+The relator check maps every relator of the outer quotient into the
+graphical group and asks that it be 1 there.  It reads each standard
+generator's image once into masks over the defining graph: S, the bits
+of its symbols; C, the bits that commute with or equal each of them;
+and its exponent sum on each symbol, counted letter by letter (a letter
+may repeat, so its sign does not give its sum).  Vertex generators of a
+RAAG that pairwise commute generate a free abelian group (Servatius,
+"Automorphisms of graph groups", J. Algebra 126, 1989), so a product of
+images whose symbols pairwise commute is 1 exactly when every summed
+exponent is 0, and otherwise commutes with whatever commutes with its
+symbols of non-zero sum.  Hence:
+
+  R1-R3  [x, y] is 1 when S_y lies in C_x;
+  R4     [x y, z] is 1 when S_z lies in C_x & C_y, or when the symbols
+         of x and y pairwise commute and those of non-zero summed
+         exponent lie in C_z;
+  R5     when the symbols of a's images pairwise commute, the product
+         is 1 exactly when every summed exponent is 0.
+
+Any relator these rules leave open has its image formed and reduced to
+the normal form of `words.reduce`, which decides it.
 """
 
 from collections import defaultdict
@@ -67,42 +89,48 @@ def _commutator(x, y):
 
 
 def _commutators(g, live=None):
-    """R1-R3: the commutator of each pair of standard generators, in order,
-    that commute by a test on masks (a's bit, K's mask and a's
-    neighbours' mask for generator (a, K)); only pairs of `live`
-    generators when that set is given."""
+    """R1-R3: each pair (x, y) of standard generators, in order, that
+    commute by a test on masks (a's bit, K's mask and a's neighbours'
+    mask for generator (a, K)); only pairs of `live` generators when that
+    set is given."""
     labels, masks = g.masks
     table = g.component_table
     keys = [((a, k), 1 << i, s, masks[1 << i]) for i, a in enumerate(labels) for s, k in table[a]
             if live is None or (a, k) in live]
-    relators = []
     for i, (x, p, k, adj) in enumerate(keys):
         for y, q, l, _ in keys[i + 1:]:
             if (p == q or q & adj  # R1
                     or not (k & l or q & k or p & l)  # R2
                     or not (p | k) & ~l or not (q | l) & ~k):  # R3
-                relators.append(_commutator(x, y))
-    return relators
+                yield x, y
 
 
-def _r4(g):
-    return [(((a, k), 1), ((a, l), 1), ((b, l), 1), ((a, l), -1), ((a, k), -1), ((b, l), -1))
-            for a, b, k, _, l in g.sil_rows]
+def _r4(row):
+    """The R4 relator [pi^a_K pi^a_L, pi^b_L] of SIL row (a, b, K, K_b, L)."""
+    a, b, k, _, l = row
+    return (((a, k), 1), ((a, l), 1), ((b, l), 1), ((a, l), -1), ((a, k), -1), ((b, l), -1))
 
 
-def _r5(g):
-    return [tuple(((a, k), 1) for _, k in comps) for a, comps in g.component_table.items() if comps]
+def _r5(a, comps):
+    """The R5 relator of multiplier a: its partial conjugations in order."""
+    return tuple(((a, k), 1) for _, k in comps)
+
+
+def _psa_relators(g):
+    return ([_commutator(x, y) for x, y in _commutators(g)]
+            + [_r4(row) for row in g.sil_rows])
 
 
 def psa_presentation(g):
     """R1-R3 for each pair of generators in order, then R4 for each SIL
     row; no two pairs or rows give one relator."""
-    return checked_presentation(standard_generators(g), tuple(_commutators(g) + _r4(g)), "psa")
+    return checked_presentation(standard_generators(g), tuple(_psa_relators(g)), "psa")
 
 
 def pso_presentation(g):
     """The PSA relators and R5, validated once, as one presentation."""
-    return checked_presentation(standard_generators(g), tuple(_commutators(g) + _r4(g) + _r5(g)), "pso")
+    r5 = [_r5(a, comps) for a, comps in g.component_table.items() if comps]
+    return checked_presentation(standard_generators(g), tuple(_psa_relators(g) + r5), "pso")
 
 
 class EdgeGen(NamedTuple):
@@ -335,26 +363,101 @@ def _check_round_trips(gens, d):
             )
 
 
+def _image_masks(bit, masks, word):
+    """(S, C, sums) of a word over the defining graph: the bits of its
+    symbols, the bits commuting with or equal to each of them, and its
+    exponent sum on each symbol's bit, counted letter by letter."""
+    symbols, commuting, sums = 0, -1, {}
+    for sym, exp in word:
+        try:
+            b = bit[sym]
+        except KeyError:
+            raise MalformedInput(f"unknown vertex {sym!r} in word") from None
+        symbols |= b
+        commuting &= masks[b] | b
+        sums[b] = sums.get(b, 0) + exp
+    return symbols, commuting, sums
+
+
+def _abelian_support(images):
+    """When the symbols of these images pairwise commute, they generate a
+    free abelian group, so the product of the images is the product of
+    its symbols raised to their summed exponents: the bits of the symbols
+    whose sum is not 0.  None when two of the symbols do not commute."""
+    symbols, commuting, sums = 0, -1, {}
+    for s, c, _ in images:
+        symbols |= s
+        commuting &= c
+    if symbols & ~commuting:
+        return None
+    for _, _, image_sums in images:
+        for b, e in image_sums.items():
+            sums[b] = sums.get(b, 0) + e
+    support = 0
+    for b, e in sums.items():
+        if e:
+            support |= b
+    return support
+
+
+def _masks_kill_commutator(x, y):
+    """Whether the masks of the images x and y show that [x, y] is 1:
+    every symbol of y commutes with every symbol of x."""
+    return not y[0] & ~x[1]
+
+
+def _masks_kill_r4(x, y, z):
+    """Whether the masks of the images x, y and z show that [x y, z] is
+    1: every symbol of z commutes with every symbol of x and of y, or x y
+    is a commuting product whose symbols of non-zero sum commute with
+    every symbol of z."""
+    if not z[0] & ~(x[1] & y[1]):
+        return True
+    support = _abelian_support((x, y))
+    return support is not None and not support & ~z[1]
+
+
+def _masks_decide_r5(images):
+    """Whether the product of the images is 1, when their symbols
+    pairwise commute: exactly when every summed exponent is 0.  None
+    when two symbols do not commute."""
+    support = _abelian_support(images)
+    return None if support is None else not support
+
+
 def verify_relators_killed(g, th, d):
     """True iff the image of every relator of the outer quotient reduces
     to the empty word in the graphical group.  A standard generator is
     live when its image is not empty; a dead one drops out of every
-    image, so a commutator with a dead generator maps to w w^-1 and a
-    relator of dead letters to the empty word.  Only the commutators of
-    two live generators and the R4 and R5 relators holding a live letter
-    are formed, validated and reduced."""
+    image, so a commutator with a dead generator maps to w w^-1.  Each
+    relator is decided on the masks of its letters' images (see the
+    module docstring); only one the masks cannot decide has its image
+    formed and reduced."""
     live = {gen for gen, word in d.from_standard if word}
     if not live:
         return True
-    image = {}
-    for gen, word in d.from_standard:
-        image[gen, 1], image[gen, -1] = word, inverse(word)
-    relators = _commutators(g, live) + [r for r in _r4(g) + _r5(g) if not live.isdisjoint(x for x, _ in r)]
-    for relator in checked_presentation(standard_generators(g), tuple(relators), "pso").relators:
+    labels, masks = th.graph.masks
+    bit = {sym: 1 << i for i, sym in enumerate(labels)}
+    image = dict(d.from_standard)
+    table = {gen: _image_masks(bit, masks, word) for gen, word in d.from_standard}
+
+    def reduces_to_one(relator):
         word = []
-        for letter in relator:
-            word += image[letter]
-        if reduce(th.graph, tuple(word)):
+        for gen, exp in relator:
+            word += image[gen] if exp == 1 else inverse(image[gen])
+        return not reduce(th.graph, tuple(word))
+
+    for x, y in _commutators(g, live):
+        if not (_masks_kill_commutator(table[x], table[y]) or reduces_to_one(_commutator(x, y))):
+            return False
+    for row in g.sil_rows:
+        a, b, k, _, l = row
+        if not (_masks_kill_r4(table[a, k], table[a, l], table[b, l]) or reduces_to_one(_r4(row))):
+            return False
+    for a, comps in g.component_table.items():
+        # a dead generator adds no symbol and no exponent
+        killed = _masks_decide_r5([table[a, k] for _, k in comps if (a, k) in live])
+        if killed is False or killed is None and not reduces_to_one(_r5(a, comps)):
             return False
     return True
 

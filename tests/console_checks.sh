@@ -83,6 +83,11 @@ python -c 'import json, sys; r = json.load(open(sys.argv[1])); g = r["defining_g
 printf '{"vertices": ["a", "b", "c", "d", "e"], "edges": [["a", "c"], ["a", "d"], ["a", "e"], ["b", "c"], ["b", "d"], ["b", "e"], ["c", "d"], ["c", "e"], ["d", "e"]]}' > "$RUNNER_TEMP/k5-less-an-edge.json"
 raagbns classify "$RUNNER_TEMP/k5-less-an-edge.json" > "$RUNNER_TEMP/k5-less-an-edge.out"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); rows = r["dictionary"]["from_standard"]; sys.exit(r["relators_killed"] is not True or r["defining_graph"] != {"vertices": [], "edges": []} or not rows or any(row["word"] != [] for row in rows))' "$RUNNER_TEMP/k5-less-an-edge.out"
+# a spider's defining graph has edges and non-edges: the tree generator b{f}
+# is adjacent to the three edge generators, which SIL rows part pairwise
+printf '{"vertices": ["a", "b", "c", "d", "e", "f"], "edges": [["a", "b"], ["b", "c"], ["b", "d"], ["c", "e"], ["d", "f"]]}' > "$RUNNER_TEMP/spider.json"
+raagbns classify "$RUNNER_TEMP/spider.json" > "$RUNNER_TEMP/spider.out"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["relators_killed"] is not True or r["defining_graph"] != {"vertices": ["a[c,e|d,f]", "b{f}", "c[a|d,f]", "d[a|c,e]"], "edges": [["a[c,e|d,f]", "b{f}"], ["b{f}", "c[a|d,f]"], ["b{f}", "d[a|c,e]"]]})' "$RUNNER_TEMP/spider.out"
 # the 7-leaf star is refused at one count whether its centre's label sorts
 # first or last: the admission takes the option counts largest first
 printf '{"vertices": ["a", "b", "c", "d", "e", "f", "g", "h"], "edges": [["a", "b"], ["a", "c"], ["a", "d"], ["a", "e"], ["a", "f"], ["a", "g"], ["a", "h"]]}' > "$RUNNER_TEMP/star7-first.json"

@@ -38,7 +38,7 @@ from raagbns.presentations import (
     pso_presentation,
     verify_relators_killed,
 )
-from raagbns.words import inverse, standard_generators
+from raagbns.words import inverse, reduce, standard_generators
 
 
 def edgeless(n):
@@ -281,63 +281,163 @@ def forest_atlas():
     return out
 
 
-def holds_live_letters(relator, live):
-    """A commutator [x, y] needs both x and y live to be formed; an R4 or
-    R5 relator needs one live letter."""
-    letters = [x for x, _ in relator]
-    if len(relator) == 4 and relator[2][1] == -1:
-        return letters[0] in live and letters[1] in live
-    return any(x in live for x in letters)
+def watch(monkeypatch, names):
+    """Record each call of the named `presentations` functions, which
+    still run, as (name, args) in one list."""
+    calls = []
+    for name in names:
+        real = getattr(presentations, name)
+        monkeypatch.setattr(presentations, name, lambda *args, name=name, real=real: calls.append((name, args)) or real(*args))
+    return calls
 
 
-def test_relator_check_forms_the_live_relators_and_matches_the_oracle_on_atlas(monkeypatch):
-    # the relators formed are the outer presentation's relators that hold
-    # live letters, in its order, and the verdict is the full oracle's
+def test_relator_check_reduces_nothing_and_matches_the_oracle_on_atlas(monkeypatch):
+    # the masks decide every relator of every forest-side atlas graph:
+    # no relator word is formed and no image reduced, and the verdict is
+    # the full oracle's; each of the three mask rules is reached
     assert len(forest_atlas()) == 1016
-    formed = []
-    real = presentations.checked_presentation
-    monkeypatch.setattr(presentations, "checked_presentation", lambda gens, rels, kind: formed.append(rels) or real(gens, rels, kind))
-    skipped = 0
+    formed = watch(monkeypatch, ("reduce", "_commutator", "_r4", "_r5"))
+    decided = watch(monkeypatch, ("_masks_kill_commutator", "_masks_kill_r4", "_masks_decide_r5"))
     for g, th, d in forest_atlas():
-        full = pso_presentation(g).relators
-        formed.clear()
         assert verify_relators_killed(g, th, d) is True, g.edges
-        live = {gen for gen, word in d.from_standard if word}
-        expected = tuple(r for r in full if holds_live_letters(r, live))
-        assert formed == ([expected] if live else []), g.edges
-        skipped += len(full) - len(expected)
+        assert formed == [], g.edges
+        # the oracle builds the whole outer presentation through the same builders
         assert full_relators_killed(g, th, d) is True, g.edges
-    assert skipped > 0
+        formed.clear()
+    assert {name for name, _ in decided} == {"_masks_kill_commutator", "_masks_kill_r4", "_masks_decide_r5"}
+
+
+def parted_symbols(th, sym):
+    """The symbols of the defining graph not adjacent to `sym`: edge
+    generators of other owners whose edges an SIL row parts from it."""
+    return [x for x in th.graph.vertices if x != sym and not th.graph.adjacent(sym, x)]
 
 
 def planted_fault(data, th, word):
-    """One fault in a dictionary word: a letter dropped, inverted or
-    doubled, or the whole word inverted, doubled or emptied; an empty
-    word, a dead generator's, gets a non-empty word over the symbols."""
+    """One fault in a dictionary word: a letter dropped, inverted,
+    doubled or replaced by a symbol parted from it, or the whole word
+    inverted, doubled or emptied; an empty word, a dead generator's,
+    gets a non-empty word over the symbols."""
     if not word:
         letters = st.tuples(st.sampled_from(th.graph.vertices), st.sampled_from((1, -1)))
         return tuple(data.draw(st.lists(letters, min_size=1, max_size=3)))
     i = data.draw(st.integers(0, len(word) - 1))
     sym, exp = word[i]
-    return data.draw(st.sampled_from((
+    faults = [
         word[:i] + word[i + 1:],
         word[:i] + ((sym, -exp),) + word[i + 1:],
         word[:i + 1] + word[i:],
         inverse(word),
         word + word,
         (),
-    )))
+    ]
+    parted = parted_symbols(th, sym)
+    if parted:
+        faults.append(word[:i] + ((data.draw(st.sampled_from(parted)), exp),) + word[i + 1:])
+    return data.draw(st.sampled_from(faults))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_relator_check_matches_the_oracle_on_planted_faults(data):
+def test_relator_check_matches_the_oracle_on_planted_faults(monkeypatch):
+    # a parted symbol leaves images whose symbols do not commute, so over
+    # the run some relators are left to the reduction
     graphs = [(g, th, d) for g, th, d in forest_atlas() if th.records()]
-    g, th, d = graphs[data.draw(st.integers(0, len(graphs) - 1))]
-    rows = d.from_standard
-    i = data.draw(st.integers(0, len(rows) - 1))
-    broken = d._replace(from_standard=rows[:i] + ((rows[i][0], planted_fault(data, th, rows[i][1])),) + rows[i + 1:])
-    assert verify_relators_killed(g, th, broken) == full_relators_killed(g, th, broken)
+    reduced = watch(monkeypatch, ("reduce",))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        g, th, d = graphs[data.draw(st.integers(0, len(graphs) - 1))]
+        rows = d.from_standard
+        i = data.draw(st.integers(0, len(rows) - 1))
+        broken = d._replace(from_standard=rows[:i] + ((rows[i][0], planted_fault(data, th, rows[i][1])),) + rows[i + 1:])
+        assert verify_relators_killed(g, th, broken) == full_relators_killed(g, th, broken)
+
+    check()
+    assert reduced
+
+
+def image_masks(graph, word):
+    labels, masks = graph.masks
+    return presentations._image_masks({v: 1 << i for i, v in enumerate(labels)}, masks, word)
+
+
+@st.composite
+def graph_and_words(draw):
+    """A graph on 2 to 4 vertices with random edges, and three words of
+    up to 5 letters over it, so that letters repeat."""
+    vs = "abcd"[:draw(st.integers(2, 4))]
+    pairs = [(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]]
+    g = SimpleGraph(vs, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    letter = st.tuples(st.sampled_from(vs), st.sampled_from((1, -1)))
+    return g, [tuple(draw(st.lists(letter, max_size=5))) for _ in range(3)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_and_words())
+def test_mask_decisions_match_the_reduction(case):
+    # wherever the masks decide a relator over images u, v, w, the
+    # reduction of its image gives the same answer
+    g, (u, v, w) = case
+    x, y, z = (image_masks(g, word) for word in (u, v, w))
+    if presentations._masks_kill_commutator(x, y):
+        assert not reduce(g, u + v + inverse(u) + inverse(v))
+    if presentations._masks_kill_r4(x, y, z):
+        assert not reduce(g, u + v + w + inverse(u + v) + inverse(w))
+    killed = presentations._masks_decide_r5([x, y, z])
+    if killed is not None:
+        assert killed == (not reduce(g, u + v + w))
+
+
+def parted_pair(th):
+    return next((s, t) for s in th.graph.vertices for t in parted_symbols(th, s))
+
+
+def test_a_commutator_of_two_powers_of_one_word_is_left_to_the_reduction(monkeypatch):
+    # [w, w^2] for w = s t with s, t apart: the masks cannot decide it,
+    # and the reduction kills it
+    g = SimpleGraph("abcdef", [("a", "c"), ("b", "c"), ("b", "d"), ("d", "f")])
+    th = presentation_graph(g)
+    s, t = parted_pair(th)
+    w = ((s, 1), (t, 1))
+    assert not presentations._masks_kill_commutator(image_masks(th.graph, w), image_masks(th.graph, w + w))
+    assert not reduce(th.graph, w + w + w + inverse(w + w + w))
+    # b's three generators map to w, w^2 and w^-3, the others to 1: b's
+    # R5 product is 1 too, and the masks cannot decide it either
+    d = generator_dictionary(g, th)
+    images = dict(zip([gen for gen in standard_generators(g) if gen[0] == "b"], (w, w + w, inverse(w + w + w))))
+    assert len(images) == 3
+    d = d._replace(from_standard=tuple((gen, images.get(gen, ())) for gen, _ in d.from_standard))
+    reduced = watch(monkeypatch, ("reduce",))
+    assert verify_relators_killed(g, th, d) is True
+    assert len(reduced) == 4  # the three commutators of b's generators, and b's R5
+    assert full_relators_killed(g, th, d) is True
+
+
+def test_exponent_sums_count_repeated_letters():
+    # s s s^-1 has sum 1 on s, though s is signed both ways: [s s s^-1, t]
+    # with s, t apart is not killed, and R5 of s s s^-1 is decided not killed
+    th = presentation_graph(F3)
+    s, t = parted_pair(th)
+    sss = ((s, 1), (s, 1), (s, -1))
+    x, dead, z = (image_masks(th.graph, word) for word in (sss, (), ((t, 1),)))
+    assert not presentations._masks_kill_r4(x, dead, z)
+    assert reduce(th.graph, sss + ((t, 1),) + inverse(sss) + ((t, -1),))
+    assert presentations._masks_decide_r5([x]) is False
+    # through the check: R4 row (a, b, {b}, {a}, {c}) gets these images
+    images = {("a", ("b",)): sss, ("b", ("c",)): ((t, 1),)}
+    assert ("a", "b", ("b",), ("a",), ("c",)) in F3.sil_rows
+    d = generator_dictionary(F3, th)
+    d = d._replace(from_standard=tuple((gen, images.get(gen, ())) for gen, _ in d.from_standard))
+    assert verify_relators_killed(F3, th, d) is False
+    assert full_relators_killed(F3, th, d) is False
+
+
+def test_a_dictionary_symbol_outside_the_defining_graph_is_malformed():
+    th = presentation_graph(F3)
+    d = generator_dictionary(F3, th)
+    (gen, word), *rest = d.from_standard
+    with pytest.raises(MalformedInput, match="unknown vertex 'z' in word"):
+        verify_relators_killed(F3, th, d._replace(from_standard=((gen, word + (("z", 1),)),) + tuple(rest)))
 
 
 def test_an_empty_defining_graph_forms_and_reduces_no_relator(monkeypatch):
@@ -351,7 +451,7 @@ def test_an_empty_defining_graph_forms_and_reduces_no_relator(monkeypatch):
     def refuse(*args):
         raise AssertionError("a relator was formed or reduced")
 
-    for name in ("reduce", "checked_presentation", "_commutators", "_r4", "_r5"):
+    for name in ("reduce", "checked_presentation", "_commutators", "_image_masks", "_r4", "_r5"):
         monkeypatch.setattr(presentations, name, refuse)
     for g, th in cases:
         assert th.graph.vertices == ()
@@ -423,8 +523,6 @@ def test_round_trip_single_letters():
         th = presentation_graph(g)
         d = generator_dictionary(g, th)
         psi = dict(d.from_standard)
-        from raagbns.words import reduce
-
         for sym, word in d.to_standard:
             image = []
             for x, exp in word:
